@@ -189,8 +189,14 @@ def cmd_check(args) -> int:
         suites = [args.suite]
 
     reports = []
+    failure = None
     for suite in suites:
-        report = _run_suite(bundle, suite, args)
+        try:
+            report = _run_suite(bundle, suite, args)
+        except RuntimeError as exc:  # a solver failure, EvolveError included
+            print(f"jflow: suite {suite!r} failed: {exc}", file=sys.stderr)
+            failure = {"suite": suite, "error": str(exc)}
+            break
         reports.append(report)
         status = "pass" if report.passed else "FAIL"
         print(f"{suite:12s} {status}  max_violation={report.max_violation:.3g} tol={report.tolerance:.3g}")
@@ -203,7 +209,8 @@ def cmd_check(args) -> int:
         "seed": args.seed,
         "suites": suites,
         "checks": [r.to_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
+        "passed": failure is None and all(r.passed for r in reports),
+        "failure": failure,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -228,7 +235,11 @@ def cmd_list() -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        return cmd_run(args)
+        try:
+            return cmd_run(args)
+        except RuntimeError as exc:  # a failed fiber or paired-orbit solve
+            print(f"jflow: {exc}", file=sys.stderr)
+            return 1
     if args.command == "check":
         return cmd_check(args)
     return cmd_list()

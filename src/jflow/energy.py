@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .hilbert import WeightedSpace
+from .solvers import _plateau_levels
 
 __all__ = [
     "ScalarPrimitive",
@@ -322,8 +323,8 @@ class ExtendedFunctional:
         return float(sum(t.omega_term for t in self.terms))
 
     def smooth_diag_curvature(self, u) -> np.ndarray:
-        """Diagonal curvature estimate of the smooth part (for Jacobi
-        preconditioning); nonnegative by construction."""
+        """Diagonal curvature estimate of the smooth part; nonnegative by
+        construction."""
         out = np.zeros(self.dim)
         for t in self.smooth_terms:
             fn = getattr(t, "diag_curvature", None)
@@ -346,47 +347,17 @@ class ExtendedFunctional:
         targets = [t for t in self.smooth_terms if isinstance(t, PEdgeEnergy) and t.p < 2]
         if not targets:
             return None
-        n = self.dim
+        edges = np.vstack([t.edges for t in targets])
+        ones = np.ones(self.dim)
 
         def snap(x, thresh: float = default_thresh):
-            x = x.copy()
-            parent = np.arange(n + 1)  # slot n is the ground
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            merged = False
-            for t in targets:
-                d = t.diff(x)
-                for e in np.nonzero(np.abs(d) < thresh)[0]:
-                    a = t._a[e]
-                    b = t._b[e] if t._b[e] >= 0 else n
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-                        merged = True
-            if not merged:
-                return x, None
-            groups = {}
-            for i in range(n):
-                groups.setdefault(find(i), []).append(i)
-            gid = find(n)
-            live = []
-            for root, nodes in groups.items():
-                if root == gid:
-                    x[nodes] = 0.0
-                else:
-                    if len(nodes) > 1:
-                        x[nodes] = float(np.mean(x[nodes]))
-                    live.append(nodes)
+            near = np.concatenate([np.abs(t.diff(x)) < thresh for t in targets])
+            if not near.any():
+                return x.copy(), None
+            snapped, label = _plateau_levels(edges[near], x, ones)
             # collapse basis: one column per non-grounded plateau component
-            basis = np.zeros((n, len(live)))
-            for col, nodes in enumerate(live):
-                basis[nodes, col] = 1.0
-            return x, basis
+            live = np.setdiff1d(label[:-1], label[-1:])
+            return snapped, (label[:-1, None] == live[None, :]).astype(float)
 
         return snap
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import solvers
-from .pairs import JEllipticPair, _edge_newton, _restriction_indices, lifted_value
+from .pairs import JEllipticPair, _edge_newton, lifted_value
 
 __all__ = [
     "ResolventResult",
@@ -83,20 +83,6 @@ class EvolveError(RuntimeError):
         self.partial = partial
 
 
-def _stacked_indicator_prox(E):
-    inds = E.indicator_terms
-    if not inds:
-        return None
-    A = np.vstack([t.A for t in inds])
-    b = np.concatenate([t.b for t in inds])
-    pinv = np.linalg.pinv(A)
-
-    def prox(v, step):
-        return v - pinv @ (A @ v - b)
-
-    return prox
-
-
 def resolvent(
     pair: JEllipticPair,
     lam: float,
@@ -106,6 +92,11 @@ def resolvent(
     max_iter: int = 200000,
 ) -> ResolventResult:
     """One backward step: minimize the energy plus the proximal data term.
+
+    Restriction maps of edge powers plus nodewise laws take sparse Newton
+    (:func:`_edge_newton`, observed nodes anchored at their data); other
+    steps, and steps Newton leaves above ``tol``, take the plateau snap and
+    :func:`solvers.minimize`.  The residual is the measured gradient norm.
 
     Requires ``lam < 1/omega`` for shifted-convex pairs so that the step
     objective stays convex (strongly convex along data directions).
@@ -120,56 +111,55 @@ def resolvent(
     g = np.asarray(g, float)
     pair.space.check_dim(g)
 
-    J = pair.j.matrix
-    w = pair.space.weights
     E = pair.E
-
     if E.tv_terms:
         return _tv_resolvent(pair, lam, g, tol, start)
 
-    def quad_value(x):
-        r = J @ x - g
-        return 0.5 / lam * float(np.sum(w * r * r))
-
-    def quad_grad(x):
-        return (J.T * w) @ (J @ x - g) / lam
-
-    quad_diag = (J * J).T @ w / lam
-
-    obj = solvers.Objective(
-        smooth_value=lambda x: E.smooth_value(x) + quad_value(x),
-        smooth_grad=lambda x: E.smooth_grad(x) + quad_grad(x),
-        prox=_stacked_indicator_prox(E),
-        snap=E.snap_hook(),
-        diag_hess=lambda x: E.smooth_diag_curvature(x) + quad_diag,
-    )
-    x_start = np.asarray(start, float).copy() if start is not None else pair.j.particular_preimage(g)
-
-    from .energy import PEdgeEnergy
-
-    observed = _restriction_indices(J)
-    if observed is not None and any(isinstance(t, PEdgeEnergy) and 1.0 < t.p < 2.0 for t in E.smooth_terms):
-        # sub-quadratic edges: Newton on the conjugate edge dual, every
-        # observed node anchored at its datum
+    w = pair.space.weights
+    observed = pair.j.observed
+    cand = None
+    if observed is not None:
         a = np.bincount(observed, weights=w / lam, minlength=E.dim)
         target = np.bincount(observed, weights=w * g / lam, minlength=E.dim) / np.where(a > 0, a, 1.0)
-        newton = _edge_newton(E, [], [], tol, start, anchor=(a, target))
+        newton = _edge_newton(pair, [], [], tol, start, anchor=(a, target))
         if newton is not None:
             cand, nres = newton
-            gn = float(np.linalg.norm(obj.smooth_grad(cand)))
-            cand, gn = solvers._try_snap(obj, cand, gn)
+            data_grad = np.bincount(observed, weights=w * (cand[observed] - g) / lam, minlength=E.dim)
+            gn = float(np.linalg.norm(E.smooth_grad(cand) + data_grad))
             if gn <= tol:
-                u = pair.j.apply(cand)
-                return ResolventResult(u=u, u_hat=cand, f=(g - u) / lam, residual=gn, iterations=nres.iterations)
-            x_start = cand  # Newton got close; let the primal phases certify
+                return _step(pair, lam, g, cand, gn, nres.iterations)
+
+    J = pair.j.matrix
+    JTw = J.T * w
+    obj = solvers.Objective(
+        smooth_value=lambda x: E.smooth_value(x) + 0.5 / lam * float(np.sum(w * (J @ x - g) ** 2)),
+        smooth_grad=lambda x: E.smooth_grad(x) + JTw @ (J @ x - g) / lam,
+        prox=pair.indicator_prox,
+        snap=E.snap_hook(),
+    )
+    if cand is not None:
+        # Newton got close: the plateau snap may land it, else the
+        # first-order phases certify from there
+        cand, gn = solvers._try_snap(obj, cand, gn)
+        if gn <= tol:
+            return _step(pair, lam, g, cand, gn, nres.iterations)
+        x_start = cand
+    elif start is not None:
+        x_start = np.asarray(start, float).copy()
+    else:
+        x_start = pair.j.particular_preimage(g)
 
     res = solvers.minimize(solvers.SolveSpec(objective=obj, start=x_start, tol=tol, max_iter=max_iter))
     if not res.converged:
         raise RuntimeError(
             f"resolvent solve failed: residual {res.residual:g} after {res.iterations} iterations"
         )
-    u = pair.j.apply(res.x)
-    return ResolventResult(u=u, u_hat=res.x, f=(g - u) / lam, residual=res.residual, iterations=res.iterations)
+    return _step(pair, lam, g, res.x, res.residual, res.iterations)
+
+
+def _step(pair, lam, g, x, residual, iterations) -> ResolventResult:
+    u = pair.j.apply(x)
+    return ResolventResult(u=u, u_hat=x, f=(g - u) / lam, residual=residual, iterations=iterations)
 
 
 def _tv_resolvent(pair, lam, g, tol, start):
@@ -184,7 +174,7 @@ def _tv_resolvent(pair, lam, g, tol, start):
         raise NotImplementedError("total-variation resolvent with extra terms")
     edges = np.vstack([t.edges for t in tv])
     weights = np.concatenate([t.weights for t in tv])
-    observed = _restriction_indices(pair.j.matrix)
+    observed = pair.j.observed
     if observed is None:
         raise NotImplementedError("total-variation resolvent needs a restriction map")
     n = pair.E.dim
@@ -202,8 +192,7 @@ def _tv_resolvent(pair, lam, g, tol, start):
         x, residual = solvers.partial_anchor_tv(
             edges, weights, observed, g, pair.space.weights, lam, n, tol=max(tol, 1e-10), x0=start
         )
-    u = pair.j.apply(x)
-    return ResolventResult(u=u, u_hat=x, f=(g - u) / lam, residual=residual)
+    return _step(pair, lam, g, x, residual, 0)
 
 
 def evolve(

@@ -16,6 +16,7 @@ are reported as lower bounds with the gap as a diagnostic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -60,6 +61,8 @@ class JMap:
     ``domain``, when given, is an ``(n, d)`` basis of the subspace on
     which the map is defined; maps without a domain act on all of
     ``R^n``.  Neither injectivity nor surjectivity is assumed.
+    ``observed`` holds, for a restriction (each row selects one source
+    coordinate with weight one), the selected coordinates; otherwise None.
     """
 
     def __init__(self, matrix, domain=None):
@@ -73,6 +76,7 @@ class JMap:
             if np.linalg.matrix_rank(domain) < domain.shape[1]:
                 raise ValueError("domain basis vectors are not independent")
         self.domain = domain
+        self.observed = _restriction_indices(self.matrix)
         self._kernel = None
         self._pinv = None
 
@@ -87,12 +91,6 @@ class JMap:
     def apply(self, u):
         return self.matrix @ np.asarray(u, float)
 
-    @property
-    def pinv(self):
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(self.matrix)
-        return self._pinv
-
     def kernel_basis(self) -> np.ndarray:
         """Orthonormal basis of the null space (columns)."""
         if self._kernel is None:
@@ -103,12 +101,9 @@ class JMap:
         return self.source_dim - self.kernel_basis().shape[1]
 
     def particular_preimage(self, u):
-        return self.pinv @ np.asarray(u, float)
-
-    def in_range(self, u, tol: float = _RANGE_TOL) -> bool:
-        u = np.asarray(u, float)
-        res = self.apply(self.particular_preimage(u)) - u
-        return float(np.max(np.abs(res), initial=0.0)) <= tol * (1.0 + float(np.max(np.abs(u), initial=0.0)))
+        if self._pinv is None:
+            self._pinv = np.linalg.pinv(self.matrix)
+        return self._pinv @ np.asarray(u, float)
 
 
 def kernel_basis(j: JMap) -> np.ndarray:
@@ -132,6 +127,28 @@ class JEllipticPair:
             raise ValueError("map source dimension does not match the energy")
         if self.j.target_dim != self.space.dim:
             raise ValueError("map target dimension does not match the data space")
+
+    @functools.cached_property
+    def indicator_prox(self):
+        """Projection onto the energy's affine constraints, ``(v, step) ->
+        x``, built once per pair; None without indicator terms."""
+        inds = self.E.indicator_terms
+        if not inds:
+            return None
+        A = np.vstack([t.A for t in inds])
+        b = np.concatenate([t.b for t in inds])
+        pinv = np.linalg.pinv(A)
+        return lambda v, step: v - pinv @ (A @ v - b)
+
+    @functools.cached_property
+    def edge_system(self):
+        """The energy's :class:`_EdgeSystem` when it is a sum of smooth
+        edge powers and nodewise laws; None otherwise."""
+        edge_terms = [t for t in self.E.terms if isinstance(t, PEdgeEnergy) and t.smooth]
+        laws = [t for t in self.E.terms if isinstance(t, NodewiseIntegral)]
+        if not edge_terms or len(edge_terms) + len(laws) != len(self.E.terms):
+            return None
+        return _EdgeSystem(edge_terms, laws, self.E.dim)
 
     def shifted(self, u_hat) -> float:
         return shifted_value(self.E, self.j.matrix, self.space, self.omega, u_hat)
@@ -235,49 +252,69 @@ def _fiber_slice(pair: JEllipticPair, u):
     A = np.vstack(mats)
     r = np.concatenate(rhs)
     x0, *_ = np.linalg.lstsq(A, r, rcond=None)
-    gap = float(np.max(np.abs(A @ x0 - r), initial=0.0))
-    if gap > _RANGE_TOL * (1.0 + float(np.max(np.abs(r), initial=0.0))):
+    if not _fits(A @ x0, r):
         return None, None
     return x0, scipy.linalg.null_space(A)
+
+
+def _fits(image, target) -> bool:
+    gap = float(np.max(np.abs(image - target), initial=0.0))
+    return gap <= _RANGE_TOL * (1.0 + float(np.max(np.abs(target), initial=0.0)))
+
+
+def _fiber_coordinates(pair: JEllipticPair, u):
+    """``(x0, Z)`` with fiber ``x0 + range(Z)``, ``(None, None)`` when empty:
+    for a restriction map without indicator terms, ``Z`` selects the
+    unobserved coordinates; other pairs go through :func:`_fiber_slice`."""
+    observed = pair.j.observed
+    if observed is None or pair.E.indicator_terms:
+        return _fiber_slice(pair, u)
+    x0 = np.zeros(pair.E.dim)
+    x0[observed] = u
+    if not _fits(x0[observed], u):  # a node observed twice with two values
+        return None, None
+    free = np.ones(pair.E.dim, dtype=bool)
+    free[observed] = False
+    return x0, scipy.sparse.identity(pair.E.dim, format="csc")[:, free]
 
 
 def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> LiftedResult:
     """Infimum of the energy over the fiber above ``u``; +inf off the range.
 
-    The fiber is parametrized by a least-squares particular point plus an
-    orthonormal null-space basis, and the reduced problem is solved to
-    optimality residual ``tol``: the gradient norm in fiber coordinates
-    (a measured KKT residual for total variation).  The minimizer attains
-    the value, so any two returned extensions agree in energy to twice
-    the tolerance.  Restriction maps of edge powers plus nodewise laws
-    are solved by sparse Newton (:func:`_edge_newton`), other fibers by
-    :func:`solvers.minimize`; a fiber that misses ``tol`` raises.
+    The fiber is parametrized by :func:`_fiber_coordinates` (the free
+    coordinates of a restriction map, otherwise a least-squares particular
+    point plus an orthonormal null-space basis), and the reduced problem
+    is solved to optimality residual ``tol``: the gradient norm in fiber
+    coordinates (a measured KKT residual for total variation).  The
+    minimizer attains the value, so any two returned extensions agree in
+    energy to twice the tolerance.  Restriction maps of edge powers plus
+    nodewise laws are solved by sparse Newton (:func:`_edge_newton`),
+    other fibers by :func:`solvers.minimize`; a fiber that misses ``tol``
+    raises.
     """
     u = np.asarray(u, float)
     pair.space.check_dim(u)
-    x0, Z = _fiber_slice(pair, u)
+    x0, Z = _fiber_coordinates(pair, u)
     if x0 is None:
         return LiftedResult(value=math.inf, minimizer=None)
     if Z.shape[1] == 0:
         return LiftedResult(value=pair.E.value(x0), minimizer=x0)
 
+    observed = None if pair.E.indicator_terms else pair.j.observed
     tv = pair.E.tv_terms
     if tv:
         if pair.E.smooth_terms:
             raise NotImplementedError("mixed smooth + total-variation fibers")
+        if observed is None:
+            raise NotImplementedError("total-variation fibers need a restriction map")
         edges = np.vstack([t.edges for t in tv])
         weights = np.concatenate([t.weights for t in tv])
-        # fibers of restriction maps: fix the observed coordinates
-        fixed = _restriction_indices(pair.j.matrix)
-        if fixed is None:
-            raise NotImplementedError("total-variation fibers need a restriction map")
         x, kkt = solvers.constrained_tv_min(
-            edges, weights, fixed, u, pair.E.dim, tol=max(tol, 1e-9), x0=start
+            edges, weights, observed, u, pair.E.dim, tol=max(tol, 1e-9), x0=start
         )
         return LiftedResult(value=pair.E.value(x), minimizer=x, residual=kkt)
 
-    observed = _restriction_indices(pair.j.matrix)
-    newton = None if observed is None else _edge_newton(pair.E, observed, u, tol, start)
+    newton = None if observed is None else _edge_newton(pair, observed, u, tol, start)
     if newton is not None:
         x, res = newton
         if not res.converged:
@@ -302,14 +339,47 @@ def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> Lifte
     return LiftedResult(value=pair.E.value(x), minimizer=x, residual=res.residual)
 
 
-def _edge_newton(E: ExtendedFunctional, fixed, values, tol: float, start, anchor=None):
+class _EdgeSystem:
+    """An energy of smooth edge powers plus nodewise laws, assembled once
+    per pair: the signed incidence ``D``, edge weights ``c``, exponents
+    ``p`` and laws, and for each set of free coordinates the incidence
+    blocks and Gram operators of the primal and edge-dual Newton systems.
+    """
+
+    def __init__(self, edge_terms, laws, n):
+        self.D = solvers.edge_incidence(np.vstack([t.edges for t in edge_terms]), n).tocsc()
+        self.c = np.concatenate([t.weights for t in edge_terms])
+        self.p = np.concatenate([np.full(t.weights.size, t.p) for t in edge_terms])
+        self.laws = laws
+        self._blocks = {}
+
+    def block(self, is_free):
+        """``(D_free, gram, dual)``: the incidence columns of the free
+        nodes, the primal Gram operator, and for ``p < 2`` the edges that
+        touch a free node with their block and dual Gram operator."""
+        key = is_free.tobytes()
+        if key not in self._blocks:
+            D_free = self.D[:, is_free]
+            gram = _weighted_gram(scipy.sparse.hstack([D_free.T, scipy.sparse.identity(D_free.shape[1])]))
+            dual = None
+            if np.all(self.p < 2.0):
+                keep = np.asarray(abs(D_free).sum(axis=1)).ravel() > 0
+                D_keep = D_free[keep]
+                eye = scipy.sparse.identity(D_keep.shape[0])
+                dual = (keep, D_keep, _weighted_gram(scipy.sparse.hstack([eye, D_keep])))
+            self._blocks[key] = (D_free, gram, dual)
+        return self._blocks[key]
+
+
+def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=None):
     """Sparse damped Newton for edge powers plus nodewise laws.
 
     Minimizes ``E`` over the coordinates outside ``fixed`` with
     ``x[fixed] = values``, plus ``1/2 sum_i a_i (x_i - g_i)^2`` when
     ``anchor = (a, g)`` (a backward step is the case with nothing fixed).
-    Applies when ``E`` is a sum of smooth edge powers and nodewise laws;
-    returns None otherwise, and ``(x, SolveResult)`` when it applies.
+    Applies when ``E`` is a sum of smooth edge powers and nodewise laws
+    (``pair.edge_system``); returns None otherwise, and
+    ``(x, SolveResult)`` when it applies.
 
     With every exponent ``p >= 2`` the primal is solved with the exact
     Hessian ``D^T diag(c) D`` plus the nodewise curvature, restricted to
@@ -321,17 +391,15 @@ def _edge_newton(E: ExtendedFunctional, fixed, values, tol: float, start, anchor
     model.  The certificate is the primal gradient norm on the free
     coordinates.
     """
-    edge_terms = [t for t in E.terms if isinstance(t, PEdgeEnergy) and t.smooth]
-    laws = [t for t in E.terms if isinstance(t, NodewiseIntegral)]
-    if not edge_terms or len(edge_terms) + len(laws) != len(E.terms):
+    system, E = pair.edge_system, pair.E
+    if system is None:
         return None
+    D, c, p, laws = system.D, system.c, system.p, system.laws
     a, g = (np.zeros(E.dim), np.zeros(E.dim)) if anchor is None else anchor
     is_free = np.ones(E.dim, dtype=bool)
     is_free[fixed] = False
     free = np.nonzero(is_free)[0]
-    D = solvers.edge_incidence(np.vstack([t.edges for t in edge_terms]), E.dim).tocsc()
-    c = np.concatenate([t.weights for t in edge_terms])
-    p = np.concatenate([np.full(t.weights.size, t.p) for t in edge_terms])
+    D_free, gram, dual = system.block(is_free)
 
     base = np.zeros(E.dim) if start is None else np.asarray(start, float).copy()
     base[fixed] = values
@@ -355,13 +423,12 @@ def _edge_newton(E: ExtendedFunctional, fixed, values, tol: float, start, anchor
         x = at(y)
         return (E.smooth_grad(x) + a * (x - g))[free]
 
-    gram = _weighted_gram(scipy.sparse.hstack([D[:, free].T, scipy.sparse.identity(free.size)]))
     if start is None:
         # one Newton step of the p = 2 model: a harmonic-type extension,
         # away from the degenerate curvature of a flat start
         x = at(np.zeros(free.size))
-        model = gram(np.concatenate([c, law_curvature(x)])).tocsc()
-        y = scipy.sparse.linalg.spsolve(model, -(D[:, free].T @ (c * (D @ x)) + law_grad(x)))
+        model = gram(np.concatenate([c, law_curvature(x)]))
+        y = scipy.sparse.linalg.spsolve(model, -(D_free.T @ (c * (D @ x)) + law_grad(x)))
         if np.all(np.isfinite(y)):
             base[free] = y
 
@@ -378,11 +445,10 @@ def _edge_newton(E: ExtendedFunctional, fixed, values, tol: float, start, anchor
     for t in laws:
         if t.primitive.omega == 0.0:
             covered[t.nodes] = True
-    if np.any(p >= 2.0) or not covered[free].all():
+    if dual is None or not covered[free].all():
         return None
 
-    keep = np.asarray(abs(D[:, free]).sum(axis=1)).ravel() > 0
-    D_free = D[keep][:, free]
+    keep, D_free, dual_gram = dual
     b = D[keep] @ at(np.zeros(free.size))  # contribution of the fixed nodes
     c, q = c[keep], p[keep] / (p[keep] - 1.0)
     cq = c ** (1.0 - q)
@@ -411,8 +477,6 @@ def _edge_newton(E: ExtendedFunctional, fixed, values, tol: float, start, anchor
         _, y = primal_of(z)
         return cq * np.abs(z) ** (q - 1.0) * np.sign(z) - b - D_free @ y
 
-    dual_gram = _weighted_gram(scipy.sparse.hstack([scipy.sparse.identity(D_free.shape[0]), D_free]))
-
     def dual_hess(z):
         _, y = primal_of(z)
         inv_curv = 1.0 / np.maximum(law_curvature(at(y)), 1e-14)
@@ -427,20 +491,37 @@ def _edge_newton(E: ExtendedFunctional, fixed, values, tol: float, start, anchor
 
 
 def _weighted_gram(B):
-    """``w -> B diag(w) B^T`` for a fixed sparse ``B``."""
-    B = scipy.sparse.csr_matrix(B)
-    return lambda w: (B @ scipy.sparse.diags(w) @ B.T).tocsc()
+    """``w -> B diag(w) B^T`` for a fixed sparse ``B``.
+
+    The pattern of the product, and the slot in it of the product of
+    every two entries sharing a column of ``B``, are found once; a call
+    only sums the weighted products into their slots.
+    """
+    B = scipy.sparse.csc_matrix(B)
+    B.sum_duplicates()
+    B.eliminate_zeros()
+    n = B.shape[0]
+    pattern = (abs(B) @ abs(B).T).tocsc()
+    pattern.sort_indices()
+    col = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))  # column of each entry
+    count = np.diff(B.indptr)[col]
+    left = np.repeat(np.arange(B.nnz), count)
+    right = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count) + B.indptr[col[left]]
+    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
+    slot = np.searchsorted(keys, B.indices[right] * n + B.indices[left])
+    coef, src = B.data[left] * B.data[right], col[left]
+    return lambda w: scipy.sparse.csc_matrix(
+        (np.bincount(slot, weights=coef * w[src], minlength=pattern.nnz), pattern.indices, pattern.indptr),
+        shape=(n, n),
+    )
 
 
 def _restriction_indices(mat: np.ndarray):
     """If each row selects a single node with weight one, return the nodes."""
-    idx = np.zeros(mat.shape[0], dtype=int)
-    for i, row in enumerate(mat):
-        nz = np.nonzero(row)[0]
-        if nz.size != 1 or abs(row[nz[0]] - 1.0) > 1e-12:
-            return None
-        idx[i] = nz[0]
-    return idx
+    if mat.shape[1] == 0 or np.any(np.count_nonzero(mat, axis=1) != 1):
+        return None
+    idx = np.argmax(mat != 0, axis=1)
+    return idx if np.all(np.abs(mat[np.arange(mat.shape[0]), idx] - 1.0) <= 1e-12) else None
 
 
 def elliptic_extension(pair: JEllipticPair, u, tol: float = 1e-8, start=None) -> np.ndarray:

@@ -22,7 +22,7 @@ may expose a ``snap`` hook that lands such differences on exact zeros
 (where the gradient of the term vanishes identically).
 
 Objectives with an assembled sparse Hessian (edge powers plus nodewise
-laws, in fiber solves and sub-quadratic backward steps) go to
+laws, in the fiber solves and backward steps of restriction maps) go to
 :func:`newton`, a damped Newton method with a Levenberg shift for
 degenerate curvature.
 
@@ -66,9 +66,8 @@ _NEWTON_MAX_ITER = 200
 class Objective:
     """Composite objective: smooth part plus an optional prox-friendly part.
 
-    ``snap`` and ``diag_hess`` are optional structure hooks: the first
-    lands near-kink plateaus on exact equality, the second supplies a
-    diagonal curvature estimate for preconditioned descent.
+    ``snap`` is an optional structure hook that lands near-kink plateaus
+    on exact equality.
     """
 
     smooth_value: Callable[[np.ndarray], float]
@@ -76,7 +75,6 @@ class Objective:
     prox: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     nonsmooth_value: Callable[[np.ndarray], float] = field(default=lambda x: 0.0)
     snap: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    diag_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def apply_prox(self, v, step):
         return v if self.prox is None else self.prox(v, step)
@@ -219,42 +217,6 @@ def _bb_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: int):
     return best_x, best_gn, max_iter
 
 
-def _jacobi_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: int):
-    """Diagonally preconditioned descent monitored by the gradient norm.
-
-    Rescaling by the local diagonal curvature turns degenerate power-law
-    directions (vanishing or exploding second derivatives along edge
-    differences) into linearly convergent ones; damping with rewinds
-    keeps it safe without comparing function values.
-    """
-    g = obj.smooth_grad(x)
-    gn = float(np.linalg.norm(g))
-    best_x, best_gn = x.copy(), gn
-    damp = 1.0
-    stall = 0
-    for k in range(max_iter):
-        if gn <= tol:
-            return x, gn, k
-        diag = obj.diag_hess(x)
-        floor = 1e-10 * float(np.max(diag, initial=0.0)) + 1e-300
-        x_new = x - damp * g / np.maximum(diag, floor)
-        g_new = obj.smooth_grad(x_new)
-        gn_new = float(np.linalg.norm(g_new))
-        if not np.isfinite(gn_new) or gn_new > gn:
-            damp *= 0.5
-            stall += 1
-            if damp < 1e-8 or stall > 60:
-                break
-            continue
-        x, g, gn = x_new, g_new, gn_new
-        damp = min(damp * 1.4, 1.0)
-        if gn < best_gn:
-            best_x, best_gn = x.copy(), gn
-            stall = 0
-    best_x, best_gn = _try_snap(obj, best_x, best_gn)
-    return best_x, best_gn, max_iter
-
-
 def _subgradient_averaging(obj: Objective, x: np.ndarray, tol: float, iters: int):
     """Diminishing-step fallback; returns the best iterate by value."""
     best = x.copy()
@@ -374,26 +336,10 @@ def minimize(spec: SolveSpec) -> SolveResult:
         x, gn = _try_snap(obj, x, gn)
         if gn <= spec.tol:
             return SolveResult(x, gn, iters, True, obj.total_value(x))
-        if obj.diag_hess is not None:
-            x, gn, used = _jacobi_descent(obj, x, spec.tol, min(spec.max_iter - iters, 8000))
-            iters += used
-            if gn <= spec.tol:
-                return SolveResult(x, gn, iters, True, obj.total_value(x))
         x, gn, used = _bb_descent(obj, x, spec.tol, min(spec.max_iter - iters, 8000))
         iters += used
         if gn <= spec.tol:
             return SolveResult(x, gn, iters, True, obj.total_value(x))
-        if obj.diag_hess is not None:
-            # alternate scaled and spectral phases before the full fallback
-            for _ in range(4):
-                x, gn, used = _jacobi_descent(obj, x, spec.tol, 2500)
-                iters += used
-                if gn <= spec.tol:
-                    return SolveResult(x, gn, iters, True, obj.total_value(x))
-                x, gn, used = _bb_descent(obj, x, spec.tol, 2500)
-                iters += used
-                if gn <= spec.tol:
-                    return SolveResult(x, gn, iters, True, obj.total_value(x))
 
     accelerated = spec.method in ("auto", "accelerated")
     budget = max(spec.max_iter - iters, 1000)
@@ -529,7 +475,7 @@ def tv_prox(
     inside = np.zeros(bound.size, dtype=bool)
     inside[live] = sol.active_mask == 0
     while True:
-        x = _plateau_levels(edges[inside], x_dual, m_vec)
+        x, _ = _plateau_levels(edges[inside], x_dual, m_vec)
         # an active edge whose plateaus come out in the wrong order (by
         # rounding: they are equal in the exact step) joins them
         wrong = ~inside & (z * (D @ x) < 0.0)
@@ -547,7 +493,9 @@ def tv_prox(
 
 def _plateau_levels(joined, values, masses):
     """Mass-weighted mean of ``values`` over each component of the graph
-    of ``joined`` edges; components touching the ground (-1) get zero."""
+    of ``joined`` edges; components touching the ground (-1) get zero.
+    Returns the levels and the component labels of the nodes, with the
+    ground's label appended."""
     n = values.size
     ends = np.where(joined[:, 1] >= 0, joined[:, 1], n)  # node n stands for the ground
     adjacency = scipy.sparse.coo_matrix((np.ones(len(joined)), (joined[:, 0], ends)), shape=(n + 1, n + 1))
@@ -555,7 +503,7 @@ def _plateau_levels(joined, values, masses):
     mass = np.bincount(label[:n], weights=masses, minlength=count)
     level = np.bincount(label[:n], weights=masses * values, minlength=count) / np.where(mass > 0, mass, 1.0)
     level[label[n]] = 0.0
-    return level[label[:n]]
+    return level[label[:n]], label
 
 
 def _pdhg(D, mult, prox_primal, stationarity, x0, max_iter, tol):

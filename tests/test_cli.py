@@ -143,3 +143,42 @@ def test_list_problems(capsys):
     assert main(["list-problems"]) == 0
     text = capsys.readouterr().out
     assert "robin" in text and "tv_chain32" in text
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("synthetic solver failure")
+
+
+def test_check_solver_failure_exit_1_with_partial_report(tmp_path, monkeypatch):
+    # the Newton core fails from the second suite on: the first suite's
+    # report survives, and the failing suite is named with its error
+    from jflow import checks, solvers
+
+    order = checks.check_order_preserving
+
+    def failing_order(*args, **kwargs):
+        monkeypatch.setattr(solvers, "newton", _boom)
+        return order(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "check_order_preserving", failing_order)
+    problem = write(tmp_path, "robin.json", ROBIN_SMALL)
+    out = tmp_path / "rep_fail"
+    code = main([
+        "check", "--problem", problem, "--seed", "7", "--samples", "4",
+        "--T", "0.1", "--tau", "0.05", "--out", str(out),
+    ])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert not report["passed"]
+    assert [c["name"] for c in report["checks"]] == ["invariance[positive-cone]"]
+    assert report["failure"]["suite"] == "order"
+    assert "synthetic solver failure" in report["failure"]["error"]
+
+
+def test_run_initial_fiber_failure_exit_1(tmp_path, monkeypatch, capsys):
+    from jflow import solvers
+
+    monkeypatch.setattr(solvers, "newton", _boom)
+    problem = write(tmp_path, "robin.json", ROBIN_SMALL)
+    assert main(["run", "--problem", problem, "--T", "0.1", "--tau", "0.05", "--out", str(tmp_path)]) == 1
+    assert "synthetic solver failure" in capsys.readouterr().err

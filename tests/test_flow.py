@@ -223,3 +223,43 @@ def test_subquadratic_resolvent_reaches_tight_tolerance():
         step_grad = pair.E.smooth_grad(r.u_hat) + (J.T * w) @ (J @ r.u_hat - g) / lam
         assert np.linalg.norm(step_grad) <= 1e-9
         assert r.residual == pytest.approx(np.linalg.norm(step_grad), rel=1e-9)
+
+
+def test_coupled_p2_step_matches_schur_solve():
+    # p = 2 and no law: the energy is 1/2 x^T L x, and eliminating the
+    # unobserved nodes leaves the linear step (S + M/tau) u = M g / tau
+    pair = P.load_problem(P.builtin_problems()["coupled_p2"]).pair
+    (term,) = pair.E.terms
+    n = pair.E.dim
+    L = np.zeros((n, n))
+    for (a, b), c in zip(term.edges, term.weights):
+        L[a, a] += c
+        if b >= 0:
+            L[b, b] += c
+            L[a, b] -= c
+            L[b, a] -= c
+    obs = np.argmax(pair.j.matrix, axis=1)
+    free = np.setdiff1d(np.arange(n), obs)
+    S = L[np.ix_(obs, obs)] - L[np.ix_(obs, free)] @ np.linalg.solve(L[np.ix_(free, free)], L[np.ix_(free, obs)])
+    M = np.diag(pair.space.weights)
+    rng = np.random.default_rng(3)
+    for tau in (0.05, 0.5):
+        g = rng.normal(size=obs.size)
+        r = resolvent(pair, tau, g)
+        u_ref = np.linalg.solve(S + M / tau, M @ g / tau)
+        H = L.copy()
+        H[obs, obs] += pair.space.weights / tau
+        mu = np.linalg.eigvalsh(H)[0]
+        assert np.linalg.norm(r.u - u_ref) <= r.residual / mu + 1e-12 * (1.0 + np.linalg.norm(u_ref))
+
+
+def test_robin_p3_step_certifies_tight_tolerance():
+    law = P.ScalarLaw(g=P.g_arctan(0.5), beta=P.beta_linear(1.0))
+    pair = P.build_robin(P.grid(12, 12, 1.0 / 11.0), 3.0, law)
+    J, w = pair.j.matrix, pair.space.weights
+    gs = np.random.default_rng(8).normal(size=(3, pair.space.dim))
+    for lam, g in zip((0.01, 0.05, 0.5), gs):
+        r = resolvent(pair, lam, g, tol=1e-10)
+        step_grad = pair.E.smooth_grad(r.u_hat) + (J.T * w) @ (J @ r.u_hat - g) / lam
+        assert np.linalg.norm(step_grad) <= 1e-10
+        assert r.residual == pytest.approx(np.linalg.norm(step_grad), rel=1e-9)

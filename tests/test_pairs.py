@@ -333,3 +333,59 @@ def test_lifted_value_reaches_tight_tolerance(name, seed):
     assert fiber_grad <= 1e-8
     assert res.residual == pytest.approx(fiber_grad, rel=1e-12)
     assert res.value == pair.E.value(x)
+
+
+def _fiber_slice_minimize(pair, u, tol):
+    # the general-map route: null-space parametrization and first-order descent
+    from jflow import pairs, solvers
+
+    x0, Z = pairs._fiber_slice(pair, u)
+    obj = solvers.Objective(
+        smooth_value=lambda w: pair.E.smooth_value(x0 + Z @ w),
+        smooth_grad=lambda w: Z.T @ pair.E.smooth_grad(x0 + Z @ w),
+    )
+    res = solvers.minimize(solvers.SolveSpec(objective=obj, start=np.zeros(Z.shape[1]), tol=tol))
+    assert res.converged
+    return pair.E.value(x0 + Z @ res.x)
+
+
+@pytest.mark.parametrize("name", ["robin_p3", "quadratic"])
+def test_restriction_fiber_reads_free_coordinates(name, monkeypatch):
+    from jflow import pairs, problems as P
+
+    if name == "quadratic":
+        Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+        pair = JEllipticPair(
+            ExtendedFunctional([QuadraticTerm(Q)], 3), JMap(np.array([[0.0, 1.0, 0.0]])), WeightedSpace(np.ones(1))
+        )
+    else:
+        pair = P.load_problem(P.builtin_problems()[name]).pair
+    u = np.random.default_rng(4).normal(size=pair.space.dim)
+    reference = _fiber_slice_minimize(pair, u, tol=1e-7)
+
+    def no_slice(*args):
+        raise AssertionError("restriction fiber went through _fiber_slice")
+
+    monkeypatch.setattr(pairs, "_fiber_slice", no_slice)
+    res = lifted_value(pair, u, tol=1e-9)
+    assert res.value == pytest.approx(reference, rel=0.0, abs=1e-8)
+    np.testing.assert_array_equal(pair.j.apply(res.minimizer), u)
+
+
+def test_general_map_fiber_uses_fiber_slice(monkeypatch):
+    from jflow import pairs
+
+    calls = []
+    real = pairs._fiber_slice
+
+    def counted(pair, u):
+        calls.append(u)
+        return real(pair, u)
+
+    monkeypatch.setattr(pairs, "_fiber_slice", counted)
+    E = ExtendedFunctional([QuadraticTerm(np.diag([1.0, 2.0]))], 2)
+    pair = JEllipticPair(E, JMap(np.array([[1.0, 1.0]])), WeightedSpace(np.ones(1)))
+    assert pair.j.observed is None
+    # min x^2/2 + y^2 on x + y = 1.5 is at (1, 0.5): value 0.75
+    assert lifted_value(pair, np.array([1.5]), tol=1e-10).value == pytest.approx(0.75, abs=1e-12)
+    assert len(calls) == 1
