@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .hilbert import WeightedSpace
-from .solvers import _plateau_levels
+from .solvers import _plateau_levels, edge_incidence
 
 __all__ = [
     "ScalarPrimitive",
@@ -100,12 +100,32 @@ class EnergyTerm:
         raise NotImplementedError(f"{self.kind} term has no gradient")
 
 
-class PEdgeEnergy(EnergyTerm):
+class _EdgeTerm(EnergyTerm):
+    """A term of weighted edge differences ``u_a - u_b``; a second endpoint
+    of -1 grounds the edge at the value 0 (eliminated boundary node)."""
+
+    def __init__(self, edges, weights):
+        self.edges = _normalize_edges(edges)
+        self.weights = np.asarray(weights, float)
+        if self.weights.shape != (self.edges.shape[0],):
+            raise ValueError("edge weights must match the edge count")
+        self._incidence = None
+
+    def _signed_incidence(self, n):
+        """``(D, D^T, |D|^T)`` of ``edge_incidence`` for ``n`` nodes, built once."""
+        if self._incidence is None or self._incidence[0].shape[1] != n:
+            D = edge_incidence(self.edges, n)
+            self._incidence = (D, D.T.tocsr(), abs(D).T.tocsr())
+        return self._incidence
+
+    def diff(self, u):
+        return self._signed_incidence(u.size)[0] @ u
+
+
+class PEdgeEnergy(_EdgeTerm):
     """``(1/p) sum_e w_e |u_a - u_b|^p`` over weighted edges.
 
-    A second endpoint of -1 grounds the edge at the value 0 (eliminated
-    boundary node).  Convex for every p >= 1; smooth with a continuous
-    gradient for p > 1.
+    Convex for every p >= 1; smooth with a continuous gradient for p > 1.
     """
 
     kind = "p-edge-energy"
@@ -113,23 +133,11 @@ class PEdgeEnergy(EnergyTerm):
     def __init__(self, edges, weights, p: float):
         if p < 1:
             raise ValueError(f"edge exponent must satisfy p >= 1, got {p}")
-        self.edges = _normalize_edges(edges)
-        self.weights = np.asarray(weights, float)
-        if self.weights.shape != (self.edges.shape[0],):
-            raise ValueError("edge weights must match the edge count")
+        super().__init__(edges, weights)
         if np.any(self.weights <= 0):
             raise ValueError("edge weights must be positive")
         self.p = float(p)
         self.smooth = p > 1
-        self._a = self.edges[:, 0]
-        self._b = self.edges[:, 1]
-        self._grounded = self._b < 0
-
-    def diff(self, u):
-        d = u[self._a].copy()
-        live = ~self._grounded
-        d[live] -= u[self._b[live]]
-        return d
 
     def value(self, u):
         d = self.diff(u)
@@ -139,43 +147,18 @@ class PEdgeEnergy(EnergyTerm):
         if not self.smooth:
             raise NotImplementedError("p = 1 edge energy is not differentiable")
         d = self.diff(u)
-        g_e = self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d)
-        g = np.zeros_like(u)
-        np.add.at(g, self._a, g_e)
-        live = ~self._grounded
-        np.add.at(g, self._b[live], -g_e[live])
-        return g
+        return self._signed_incidence(u.size)[1] @ (self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d))
 
     def diag_curvature(self, u):
         d = np.maximum(np.abs(self.diff(u)), 1e-12)
-        c_e = self.weights * (self.p - 1.0) * d ** (self.p - 2.0)
-        out = np.zeros_like(u)
-        np.add.at(out, self._a, c_e)
-        live = ~self._grounded
-        np.add.at(out, self._b[live], c_e[live])
-        return out
+        return self._signed_incidence(u.size)[2] @ (self.weights * (self.p - 1.0) * d ** (self.p - 2.0))
 
 
-class TotalVariationTerm(EnergyTerm):
+class TotalVariationTerm(_EdgeTerm):
     """Anisotropic discrete total variation ``sum_e w_e |u_a - u_b|``."""
 
     kind = "total-variation"
     smooth = False
-
-    def __init__(self, edges, weights):
-        self.edges = _normalize_edges(edges)
-        self.weights = np.asarray(weights, float)
-        if self.weights.shape != (self.edges.shape[0],):
-            raise ValueError("edge weights must match the edge count")
-        self._a = self.edges[:, 0]
-        self._b = self.edges[:, 1]
-        self._grounded = self._b < 0
-
-    def diff(self, u):
-        d = u[self._a].copy()
-        live = ~self._grounded
-        d[live] -= u[self._b[live]]
-        return d
 
     def value(self, u):
         return float(np.sum(self.weights * np.abs(self.diff(u))))

@@ -16,6 +16,7 @@ are reported as lower bounds with the gap as a diagnostic.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
+import scipy.sparse.csgraph
 
 from . import solvers
 from .energy import (
@@ -354,9 +355,9 @@ class _EdgeSystem:
         self._blocks = {}
 
     def block(self, is_free):
-        """``(D_free, gram, dual)``: the incidence columns of the free
-        nodes, the primal Gram operator, and for ``p < 2`` the edges that
-        touch a free node with their block and dual Gram operator."""
+        """``(D_free, gram, dual)``: the free nodes' incidence columns, the
+        primal Gram operator, and for ``p < 2`` the edges touching a free
+        node with their block, its transpose and the dual Gram operator."""
         key = is_free.tobytes()
         if key not in self._blocks:
             D_free = self.D[:, is_free]
@@ -365,14 +366,14 @@ class _EdgeSystem:
             if np.all(self.p < 2.0):
                 keep = np.asarray(abs(D_free).sum(axis=1)).ravel() > 0
                 D_keep = D_free[keep]
-                eye = scipy.sparse.identity(D_keep.shape[0])
-                dual = (keep, D_keep, _weighted_gram(scipy.sparse.hstack([eye, D_keep])))
+                gram_dual = _weighted_gram(scipy.sparse.hstack([scipy.sparse.identity(D_keep.shape[0]), D_keep]))
+                dual = (keep, D_keep, D_keep.T, gram_dual)
             self._blocks[key] = (D_free, gram, dual)
         return self._blocks[key]
 
 
 def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=None):
-    """Sparse damped Newton for edge powers plus nodewise laws.
+    """Banded damped Newton (:func:`solvers.newton`) for edge powers plus nodewise laws.
 
     Minimizes ``E`` over the coordinates outside ``fixed`` with
     ``x[fixed] = values``, plus ``1/2 sum_i a_i (x_i - g_i)^2`` when
@@ -427,10 +428,10 @@ def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=N
         # one Newton step of the p = 2 model: a harmonic-type extension,
         # away from the degenerate curvature of a flat start
         x = at(np.zeros(free.size))
-        model = gram(np.concatenate([c, law_curvature(x)]))
-        y = scipy.sparse.linalg.spsolve(model, -(D_free.T @ (c * (D @ x)) + law_grad(x)))
-        if np.all(np.isfinite(y)):
-            base[free] = y
+        with contextlib.suppress(np.linalg.LinAlgError):
+            y = gram(np.concatenate([c, law_curvature(x)])).solve(-(D_free.T @ (c * (D @ x)) + law_grad(x)), 0.0)
+            if np.all(np.isfinite(y)):
+                base[free] = y
 
     if np.all(p >= 2.0):
 
@@ -448,23 +449,26 @@ def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=N
     if dual is None or not covered[free].all():
         return None
 
-    keep, D_free, dual_gram = dual
+    keep, D_free, D_free_T, dual_gram = dual
     b = D[keep] @ at(np.zeros(free.size))  # contribution of the fixed nodes
     c, q = c[keep], p[keep] / (p[keep] - 1.0)
     cq = c ** (1.0 - q)
-    warm = [base[free]]
+    last = {"z": None, "y": base[free]}
 
     def primal_of(z):
-        # invert the strictly increasing nodewise derivative map
-        v = -(D_free.T @ z)
-        y = warm[0].copy()
+        # invert the strictly increasing nodewise derivative map; Newton asks
+        # again at the same z, so the last answer is kept (and warm-starts)
+        if last["z"] is not None and np.array_equal(z, last["z"]):
+            return last["v"], last["y"]
+        v = -(D_free_T @ z)
+        y = last["y"].copy()
         for _ in range(60):
             x = at(y)
             r = law_grad(x) - v
             if float(np.max(np.abs(r))) <= 1e-13 * (1.0 + float(np.max(np.abs(v)))):
                 break
             y = y - r / np.maximum(law_curvature(x), 1e-14)
-        warm[0] = y
+        last.update(z=z.copy(), v=v, y=y)
         return v, y
 
     def dual_value(z):
@@ -491,29 +495,48 @@ def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=N
 
 
 def _weighted_gram(B):
-    """``w -> B diag(w) B^T`` for a fixed sparse ``B``.
+    """``w -> B diag(w) B^T`` for a fixed sparse ``B``, as a :class:`_Banded`.
 
-    The pattern of the product, and the slot in it of the product of
-    every two entries sharing a column of ``B``, are found once; a call
-    only sums the weighted products into their slots.
+    A reverse Cuthill-McKee ordering of the product, its bandwidth and the
+    band slot of every product of two entries in one column of ``B`` are
+    found once; a call sums the weighted products into their slots.
     """
     B = scipy.sparse.csc_matrix(B)
     B.sum_duplicates()
     B.eliminate_zeros()
     n = B.shape[0]
-    pattern = (abs(B) @ abs(B).T).tocsc()
-    pattern.sort_indices()
+    pattern = (abs(B) @ abs(B).T).tocsr()
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else np.arange(0)
+    rank = np.argsort(perm)  # position of each row in the ordering
     col = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))  # column of each entry
     count = np.diff(B.indptr)[col]
     left = np.repeat(np.arange(B.nnz), count)
     right = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count) + B.indptr[col[left]]
-    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
-    slot = np.searchsorted(keys, B.indices[right] * n + B.indices[left])
-    coef, src = B.data[left] * B.data[right], col[left]
-    return lambda w: scipy.sparse.csc_matrix(
-        (np.bincount(slot, weights=coef * w[src], minlength=pattern.nnz), pattern.indices, pattern.indptr),
-        shape=(n, n),
-    )
+    i, j = rank[B.indices[left]], rank[B.indices[right]]
+    upper = i <= j
+    bw = int(np.max(j - i, initial=0))
+    slot = ((bw + i - j) * n + j)[upper]
+    coef, src = (B.data[left] * B.data[right])[upper], col[left][upper]
+    size = (bw + 1) * n
+    return lambda w: _Banded(np.bincount(slot, weights=coef * w[src], minlength=size).reshape(bw + 1, n), perm, rank)
+
+
+class _Banded:
+    """Symmetric ``A`` as the upper band of ``A[perm][:, perm]`` in LAPACK's
+    layout (``ab[bw + i - j, j]`` for ``i <= j``); ``rank`` inverts ``perm``."""
+
+    def __init__(self, ab, perm, rank):
+        self.ab, self.perm, self.rank = ab, perm, rank
+
+    def diagonal(self):
+        return self.ab[-1][self.rank]
+
+    def solve(self, rhs, shift):
+        """``(A + shift I)^{-1} rhs`` by banded Cholesky (``LinAlgError`` unless definite)."""
+        ab = self.ab.copy()
+        ab[-1] += shift
+        y = scipy.linalg.solveh_banded(ab, rhs[self.perm], overwrite_ab=True, overwrite_b=True, check_finite=False)
+        return y[self.rank]
 
 
 def _restriction_indices(mat: np.ndarray):

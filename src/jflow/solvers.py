@@ -1,37 +1,28 @@
-"""First-order convex minimization with an explicit accuracy contract.
+"""Convex minimization with an explicit accuracy contract.
 
-:func:`minimize` certifies its result by the Euclidean norm of an
-*explicit subgradient* of the full objective at the returned point: for
-a proximal step ``z = prox_s(y - s grad f(y))``,
+The main path is :func:`newton`, damped Newton with a Levenberg shift on
+a banded Cholesky in reverse Cuthill-McKee order, for edge powers plus
+nodewise laws (the fiber solves and backward steps of restriction maps).
+It is certified by the measured gradient norm.
+
+Other objectives go to :func:`minimize`, certified by the Euclidean norm
+of an *explicit subgradient* of the full objective at the returned
+point: for a proximal step ``z = prox_s(y - s grad f(y))``,
 
     (y - z)/s - grad f(y) + grad f(z)  in  (grad f + d g)(z),
 
 so for a strongly convex objective with modulus ``mu`` the returned
-point satisfies ``|x - x*| <= residual / mu`` unconditionally.
+point satisfies ``|x - x*| <= residual / mu`` unconditionally.  It runs
+limited-memory quasi-Newton, a Barzilai-Borwein polish that never
+compares function values, and an accelerated proximal-gradient loop (the
+engine for prox composites), with a ``snap`` hook for the float floor of
+edge powers below two.
 
-Smooth objectives run through three phases: a limited-memory
-quasi-Newton bulk phase (gradient-only, scipy), a Barzilai-Borwein
-polish whose acceptance logic never compares function values (float
-noise in ``f`` caps line-search methods around 1e-8), and an
-accelerated proximal-gradient loop with backtracking and
-gradient-based restarts as the general fallback and the engine for
-prox composites.  Edge powers with exponent below two keep a genuine
-float floor: their gradient scales like ``|d|^(p-1)`` while node
-differences ``d`` are only resolved to machine epsilon, so objectives
-may expose a ``snap`` hook that lands such differences on exact zeros
-(where the gradient of the term vanishes identically).
-
-Objectives with an assembled sparse Hessian (edge powers plus nodewise
-laws, in the fiber solves and backward steps of restriction maps) go to
-:func:`newton`, a damped Newton method with a Levenberg shift for
-degenerate curvature.
-
-The total-variation proximal map is solved exactly: its dual is a
-box-constrained least-squares problem, which bounded-variable least
-squares settles by active sets, and the result carries a measured
+The total-variation proximal map is exact: bounded-variable least squares
+settles its box-constrained dual, and the result carries a measured
 duality gap (:func:`tv_prox`).  The partially anchored and
-equality-constrained variants, whose duals gain equality constraints,
-run a primal-dual loop that stops on a measured KKT residual.
+equality-constrained variants run a primal-dual loop that stops on a
+measured KKT residual.
 """
 
 from __future__ import annotations
@@ -44,7 +35,6 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 __all__ = [
     "Objective",
@@ -351,34 +341,37 @@ def minimize(spec: SolveSpec) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# sparse damped Newton
+# damped Newton on banded Hessians
 
 
 def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResult:
-    """Damped Newton for smooth convex objectives with sparse Hessians.
+    """Damped Newton for smooth convex objectives with banded Hessians.
 
-    ``hess(x)`` returns a sparse positive semidefinite matrix.  Each
-    system is shifted by ``min(|grad|, 1)`` plus a relative floor, which
-    keeps it solvable where the curvature degenerates (vanishing edge
-    differences) and fades out as the gradient does, so convergence
-    stays fast where the curvature is regular.  Armijo backtracking on
-    ``value`` globalizes; a step whose predicted decrease lies below the
-    rounding level of ``value`` is taken in full, since comparing values
-    there decides nothing.  The result is certified by
-    ``certificate(x)`` (default: the gradient norm) at the best iterate;
-    a non-finite certificate never counts as converged.
+    ``hess(x)`` returns the Hessian ``H`` as an operator with ``diagonal()``
+    and ``solve(rhs, shift)``, which raises ``LinAlgError`` unless
+    ``H + shift I`` is positive definite (``pairs._weighted_gram``).  The
+    shift, ``min(|grad|, 1)`` plus a relative floor, keeps the system
+    solvable where the curvature degenerates and fades out with the
+    gradient.  Armijo backtracking on ``value`` globalizes; a step whose
+    predicted decrease lies below the rounding level of ``value`` is taken
+    in full.  A failed factorization or a non-finite step stops the
+    iteration.  The result is certified by ``certificate(x)`` (default: the
+    gradient norm) at the best iterate; a non-finite certificate never
+    counts as converged.
     """
     cert = certificate or (lambda v: float(np.linalg.norm(grad(v))))
     x = np.asarray(start, float).copy()
     f, g = value(x), grad(x)
     best_x, best_r = x.copy(), cert(x)
-    eye = scipy.sparse.identity(x.size, format="csc")
     k = 0
     while k < _NEWTON_MAX_ITER and not best_r <= tol:
         k += 1
         H = hess(x)
         shift = min(float(np.linalg.norm(g)), 1.0) + 1e-13 * float(np.max(np.abs(H.diagonal()), initial=0.0))
-        step = scipy.sparse.linalg.spsolve((H + shift * eye).tocsc(), -g)
+        try:
+            step = H.solve(-g, shift)
+        except np.linalg.LinAlgError:
+            break
         slope = float(g @ step)
         if not np.all(np.isfinite(step)) or not slope < 0.0:
             break

@@ -12,6 +12,7 @@ from jflow.solvers import (
     partial_anchor_tv,
     tv_prox,
 )
+from jflow.pairs import _weighted_gram
 
 
 def quadratic_objective(center, scale=1.0):
@@ -104,10 +105,11 @@ def test_newton_shift_handles_vanishing_curvature():
     def grad(x):
         return np.array([(x[0] - c[0]) ** 3, x[1] - c[1]])
 
+    gram = _weighted_gram(scipy.sparse.identity(2))
     res = newton(
         lambda x: (x[0] - c[0]) ** 4 / 4 + (x[1] - c[1]) ** 2 / 2,
         grad,
-        lambda x: scipy.sparse.diags([3.0 * (x[0] - c[0]) ** 2, 1.0]),
+        lambda x: gram(np.array([3.0 * (x[0] - c[0]) ** 2, 1.0])),
         np.array([3.0, 5.0]),
         tol=1e-10,
     )
@@ -120,12 +122,54 @@ def test_newton_non_finite_certificate_fails():
     res = newton(
         lambda x: 0.5 * float(x @ x),
         lambda x: x.copy(),
-        lambda x: scipy.sparse.identity(2),
+        lambda x: _weighted_gram(scipy.sparse.identity(2))(np.ones(2)),
         np.ones(2),
         tol=1e-8,
         certificate=lambda x: float("nan"),
     )
     assert not res.converged
+
+
+def test_newton_indefinite_hessian_stops_unconverged():
+    # curvature -5 stays negative after the shift: the banded Cholesky
+    # fails, and Newton stops at its best iterate without raising
+    gram = _weighted_gram(scipy.sparse.identity(2))
+    start = np.array([1.0, -2.0])
+    res = newton(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), lambda x: gram(np.full(2, -5.0)), start, tol=1e-8)
+    assert not res.converged and res.iterations == 1
+    np.testing.assert_array_equal(res.x, start)
+    assert res.residual == np.linalg.norm(start)
+
+
+def _free_block(pair):
+    is_free = np.ones(pair.E.dim, dtype=bool)
+    is_free[pair.j.observed] = False
+    return pair.edge_system.block(is_free)
+
+
+@pytest.mark.parametrize("nx", [8, 24, None], ids=["robin_p3-8x8", "robin_p3-24x24", "robin_p1.5-edge-dual"])
+def test_banded_gram_solve_matches_dense(nx):
+    from jflow import problems as P
+
+    if nx is None:
+        _, D_keep, _, gram = _free_block(P.load_problem(P.builtin_problems()["robin_p1.5"]).pair)[2]
+        B = scipy.sparse.hstack([scipy.sparse.identity(D_keep.shape[0]), D_keep])
+    else:
+        grid = {"topology": "grid", "nx": nx, "ny": nx, "h": 1.0 / (nx - 1)}
+        D_free, gram, _ = _free_block(P.load_problem({**P.builtin_problems()["robin_p3"], "grid": grid}).pair)
+        B = scipy.sparse.hstack([D_free.T, scipy.sparse.identity(D_free.shape[1])])
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.1, 2.0, size=B.shape[1])
+    H = gram(w)
+    dense = (B @ scipy.sparse.diags(w) @ B.T).toarray()
+    np.testing.assert_allclose(H.diagonal(), np.diag(dense), rtol=1e-14)
+    rhs = rng.normal(size=dense.shape[0])
+    for shift in (0.0, 0.3):
+        x = H.solve(rhs, shift)
+        ref = np.linalg.solve(dense + shift * np.eye(dense.shape[0]), rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    if nx is not None:
+        assert H.ab.shape[0] - 1 <= nx  # bandwidth of the RCM ordering
 
 
 # --- total-variation proximal maps ---------------------------------------
