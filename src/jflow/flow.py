@@ -165,9 +165,11 @@ def _step(pair, lam, g, x, residual, iterations) -> ResolventResult:
 def _tv_resolvent(pair, lam, g, tol, start):
     """Total-variation backward step for a restriction map.
 
-    With every node observed the step is exact (:func:`solvers.tv_prox`)
-    and its residual is the measured duality gap; otherwise the
-    primal-dual loop reports its measured KKT residual.
+    Both cases are exact plateau-polished steps: with every node observed
+    :func:`solvers.tv_prox`, whose residual is the measured duality gap,
+    otherwise :func:`solvers.partial_anchor_tv`, whose residual is the
+    measured KKT residual.  The iterations are those of the approximate
+    phase.
     """
     tv = pair.E.tv_terms
     if pair.E.smooth_terms or pair.E.indicator_terms:
@@ -185,14 +187,10 @@ def _tv_resolvent(pair, lam, g, tol, start):
         masses[observed] = pair.space.weights
         # distance to the exact step is at most sqrt(2 gap / min mass)
         gap_tol = 0.25 * tol * tol * float(np.min(pair.space.weights))
-        x, residual = solvers.tv_prox(
-            edges, weights, anchor, lam, tol=gap_tol, node_weights=masses, full_output=True
-        )
+        res = solvers.tv_prox(edges, weights, anchor, lam, tol=gap_tol, node_weights=masses, full_output=True)
     else:
-        x, residual = solvers.partial_anchor_tv(
-            edges, weights, observed, g, pair.space.weights, lam, n, tol=max(tol, 1e-10), x0=start
-        )
-    return _step(pair, lam, g, x, residual, 0)
+        res = solvers.partial_anchor_tv(edges, weights, observed, g, pair.space.weights, lam, n, tol=tol, x0=start)
+    return _step(pair, lam, g, res.x, res.residual, res.iterations)
 
 
 def evolve(

@@ -310,10 +310,8 @@ def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> Lifte
             raise NotImplementedError("total-variation fibers need a restriction map")
         edges = np.vstack([t.edges for t in tv])
         weights = np.concatenate([t.weights for t in tv])
-        x, kkt = solvers.constrained_tv_min(
-            edges, weights, observed, u, pair.E.dim, tol=max(tol, 1e-9), x0=start
-        )
-        return LiftedResult(value=pair.E.value(x), minimizer=x, residual=kkt)
+        res = solvers.constrained_tv_min(edges, weights, observed, u, pair.E.dim, tol=tol)
+        return LiftedResult(value=pair.E.value(res.x), minimizer=res.x, residual=res.residual)
 
     newton = None if observed is None else _edge_newton(pair, observed, u, tol, start)
     if newton is not None:
@@ -491,7 +489,21 @@ def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=N
     res = solvers.newton(
         dual_value, dual_grad, dual_hess, z0, tol, certificate=lambda z: float(np.linalg.norm(grad(primal_of(z)[1])))
     )
-    return at(primal_of(res.x)[1]), res
+    y = primal_of(res.x)[1]
+    if not res.converged and anchor is None:
+        # a fibre has no fallback: the dual's answer resolves small
+        # differences only to the accuracy of primal_of, and primal Newton
+        # from there, where the curvature is finite unless a difference
+        # vanishes, often certifies what it leaves
+        def primal_hess(y):
+            d = np.maximum(np.abs(D @ at(y)), 1e-16)
+            return gram(np.concatenate([system.c * (system.p - 1.0) * d ** (system.p - 2.0), law_curvature(at(y))]))
+
+        polish = solvers.newton(value, grad, primal_hess, y, tol)
+        if polish.residual < res.residual:
+            y = polish.x
+            res = solvers.SolveResult(y, polish.residual, res.iterations + polish.iterations, polish.converged, polish.value)
+    return at(y), res
 
 
 def _weighted_gram(B):

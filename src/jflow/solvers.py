@@ -18,11 +18,16 @@ compares function values, and an accelerated proximal-gradient loop (the
 engine for prox composites), with a ``snap`` hook for the float floor of
 edge powers below two.
 
-The total-variation proximal map is exact: bounded-variable least squares
-settles its box-constrained dual, and the result carries a measured
-duality gap (:func:`tv_prox`).  The partially anchored and
-equality-constrained variants run a primal-dual loop that stops on a
-measured KKT residual.
+The three total-variation problems share one exact, sparse core.  The
+steps, :func:`tv_prox` (every node anchored, certified by a measured
+duality gap) and :func:`partial_anchor_tv` (free nodes, certified by a
+measured KKT residual), are polished from an approximate primal-dual
+phase: the plateaus it suggests take their levels in closed form, and a
+least-norm solve or a HiGHS feasibility problem finds the edge field of
+the certificate (:func:`_tv_polish`).  The fiber :func:`constrained_tv_min` is a linear
+program solved by HiGHS, certified by its edge dual.  Each reports a
+:class:`SolveResult` with the measured certificate (``tv_prox`` with
+``full_output``), or raises.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 __all__ = [
     "Objective",
@@ -395,6 +401,16 @@ def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResul
 
 # ---------------------------------------------------------------------------
 # total-variation problems
+#
+# The steps share one optimality system.  With node masses m >= 0 (zero on
+# free nodes), x minimizes  sum_e w_e |(Dx)_e| + 1/(2 lam) sum_i m_i (x_i - a_i)^2
+# iff an edge field z with |z_e| <= w_e, equal to w_e sign((Dx)_e) wherever
+# (Dx)_e != 0, satisfies  D^T z + (m / lam) (x - a) = 0.
+
+_POLISH_RUNGS = (1e-2, 1e-4, 1e-6, 1e-8)  # KKT residuals of the approximate phase
+_POLISH_DELTAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)  # plateau thresholds on |(Dx)_e|, coarsest first
+_PDHG_MAX_ITER = 200000
+_HIGHS = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
 
 
 def edge_incidence(edges, n: int) -> scipy.sparse.csr_matrix:
@@ -421,27 +437,19 @@ def tv_prox(
 ):
     """Minimizer of ``lam sum_e w_e |x_a - x_b| + 1/2 sum_i m_i (x_i - anchor_i)^2``.
 
-    The dual is the box-constrained least-squares problem
-
-        min_z 1/2 |M^(-1/2) D^T z - M^(1/2) anchor|^2,   |z_e| <= lam w_e,
-
-    with ``x = anchor - M^(-1) D^T z``; bounded-variable least squares
-    (an active-set method) solves it exactly.  Nodes joined by edges off
-    its final active set form plateaus: each takes the mass-weighted mean
-    of the recovered values, or zero when it touches a grounded edge, so
-    differences across those edges are exact zeros.  An active edge
-    whose two plateaus come out in the wrong order joins them as well.
-
-    The certificate is the duality gap, measured as
+    Solved exactly by plateau polish (:func:`_tv_polish`).  The certificate
+    is the duality gap of the polished point ``x`` and its edge field
+    ``z`` (``|z_e| <= lam w_e``), measured as
 
         sum_e (lam w_e |d_e| - z_e d_e) + 1/2 sum_i m_i r_i^2,
         d = D x,  r = x - (anchor - M^(-1) D^T z),
 
     which is the primal value minus the dual value without the
-    cancellation of evaluating both.  Raises ``RuntimeError`` when the
-    measured gap exceeds ``tol``.  ``node_weights`` defaults to ones.
-    The minimizer alone is returned, as callers of the plain proximal
-    map expect; with ``full_output`` the pair ``(x, gap)`` is returned.
+    cancellation of evaluating both.  Raises ``RuntimeError`` when no
+    polish certifies a gap of at most ``tol``.  ``node_weights`` defaults
+    to ones.  The minimizer alone is returned, as callers of the plain
+    proximal map expect; with ``full_output`` the :class:`SolveResult`
+    (residual: the gap; iterations: those of the approximate phase).
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -451,88 +459,22 @@ def tv_prox(
     if np.any(m_vec <= 0):
         raise ValueError("node weights must be positive")
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    bound = lam * np.asarray(weights, float).reshape(-1)
-    if np.any(bound < 0):
+    w = np.asarray(weights, float).reshape(-1)
+    if np.any(w < 0):
         raise ValueError("edge weights must be nonnegative")
-    live = bound > 0
+    live = w * lam > 0
     if not live.any():
-        return (a_vec.copy(), 0.0) if full_output else a_vec.copy()
+        res = SolveResult(a_vec.copy(), 0.0, 0, True, 0.0)
+        return res if full_output else res.x
+    edges, w = edges[live], w[live]
 
-    D = edge_incidence(edges, n)
-    sm = np.sqrt(m_vec)
-    A = D[live].T.toarray() / sm[:, None]
-    sol = scipy.optimize.lsq_linear(A, sm * a_vec, bounds=(-bound[live], bound[live]), method="bvls", tol=1e-15)
-    z = np.zeros(bound.size)
-    z[live] = np.where(sol.active_mask != 0, sol.active_mask * bound[live], np.clip(sol.x, -bound[live], bound[live]))
-    x_dual = a_vec - (D.T @ z) / m_vec
-    inside = np.zeros(bound.size, dtype=bool)
-    inside[live] = sol.active_mask == 0
-    while True:
-        x, _ = _plateau_levels(edges[inside], x_dual, m_vec)
-        # an active edge whose plateaus come out in the wrong order (by
-        # rounding: they are equal in the exact step) joins them
-        wrong = ~inside & (z * (D @ x) < 0.0)
-        if not wrong.any():
-            break
-        inside |= wrong
+    def gap(x, d, z, dtz):
+        r = x - a_vec + lam * dtz / m_vec
+        return float(lam * np.sum(w * np.abs(d) - z * d) + 0.5 * np.sum(m_vec * r * r))
 
-    d = D @ x
-    r = x - x_dual
-    gap = float(np.sum(bound * np.abs(d) - z * d) + 0.5 * np.sum(m_vec * r * r))
-    if not gap <= tol:
-        raise RuntimeError(f"tv_prox: measured duality gap {gap:g} exceeds {tol:g}")
-    return (x, gap) if full_output else x
-
-
-def _plateau_levels(joined, values, masses):
-    """Mass-weighted mean of ``values`` over each component of the graph
-    of ``joined`` edges; components touching the ground (-1) get zero.
-    Returns the levels and the component labels of the nodes, with the
-    ground's label appended."""
-    n = values.size
-    ends = np.where(joined[:, 1] >= 0, joined[:, 1], n)  # node n stands for the ground
-    adjacency = scipy.sparse.coo_matrix((np.ones(len(joined)), (joined[:, 0], ends)), shape=(n + 1, n + 1))
-    count, label = scipy.sparse.csgraph.connected_components(adjacency, directed=False)
-    mass = np.bincount(label[:n], weights=masses, minlength=count)
-    level = np.bincount(label[:n], weights=masses * values, minlength=count) / np.where(mass > 0, mass, 1.0)
-    level[label[n]] = 0.0
-    return level[label[:n]], label
-
-
-def _pdhg(D, mult, prox_primal, stationarity, x0, max_iter, tol):
-    """Primal-dual iterations for ``min_x G(x) + sum_e mult_e |(Dx)_e|``.
-
-    Stops on a measured KKT residual: the larger of the complementarity
-    gap ``sum_e (mult_e |d_e| - z_e d_e)`` of the dual iterate (which
-    stays in its box, so the gap is nonnegative) and the norm of the
-    stationarity residual ``stationarity(x, D^T z)``.  Returns the point,
-    the residual and the iteration count.
-    """
-    # Gershgorin bound on |D|^2 keeps the steps admissible
-    sigma = tau = 0.99 / math.sqrt(max(float(abs(D.T @ D).sum(axis=1).max()), 1e-24))
-    x = x0.copy()
-    xbar = x.copy()
-    z = np.zeros(D.shape[0])
-    kkt = math.inf
-    for k in range(1, max_iter + 1):
-        z = np.clip(z + sigma * (D @ xbar), -mult, mult)
-        dtz = D.T @ z
-        x_new = prox_primal(x - tau * dtz, tau)
-        xbar = 2.0 * x_new - x
-        x = x_new
-        if k % 10 == 0 or k == max_iter:
-            d = D @ x
-            gap = float(np.sum(mult * np.abs(d) - z * d))
-            kkt = max(gap, float(np.linalg.norm(stationarity(x, D.T @ z))))
-            if kkt <= tol:
-                break
-    return x, kkt, k
-
-
-def _certified(name, x, kkt, iterations, tol):
-    if not kkt <= tol:
-        raise RuntimeError(f"{name}: KKT residual {kkt:g} exceeds {tol:g} after {iterations} iterations")
-    return x, kkt
+    res = _tv_polish(edges, w, a_vec, m_vec, lam, gap, tol, "tv_prox")
+    res.value *= lam
+    return res if full_output else res.x
 
 
 def partial_anchor_tv(
@@ -544,70 +486,216 @@ def partial_anchor_tv(
     lam: float,
     n: int,
     tol: float = 1e-9,
-    max_iter: int = 200000,
     x0=None,
-):
+) -> SolveResult:
     """``min_x sum_e w_e |(Dx)_e| + 1/(2 lam) sum_{i anchored} m_i (x_i - g_i)^2``.
 
-    Nodes outside ``anchored`` are free (zero quadratic mass), which the
-    box-constrained dual cannot express; a primal-dual loop is used
-    instead, stopped on its measured KKT residual (see :func:`_pdhg`).
-    Returns the pair ``(x, residual)``; raises ``RuntimeError`` when the
-    residual stays above ``tol``.
+    Nodes outside ``anchored`` are free (zero mass).  Solved exactly by
+    plateau polish (:func:`_tv_polish`, its approximate phase started
+    from ``x0``), certified by the measured KKT residual of the polished
+    point and its edge field ``z`` (``|z_e| <= w_e``): the larger of the
+    complementarity gap ``sum_e (w_e |d_e| - z_e d_e)`` and the norm of
+    ``D^T z + (m / lam) (x - g)``.  Raises ``RuntimeError`` when no polish
+    certifies a residual of at most ``tol``.
     """
-    D = edge_incidence(edges, n)
-    mult = np.asarray(weights, float)
+    w = np.asarray(weights, float)
     anchored = np.asarray(anchored, dtype=int)
-    g = np.asarray(anchor_values, float)
-    m = np.asarray(node_weights_anchored, float)
-    coef = m / lam
+    a_vec = np.zeros(n)
+    a_vec[anchored] = anchor_values
+    m_vec = np.zeros(n)
+    m_vec[anchored] = node_weights_anchored
+    coef = m_vec / lam
 
-    def prox_primal(v, tau):
-        out = v.copy()
-        out[anchored] = (v[anchored] + tau * coef * g) / (1.0 + tau * coef)
-        return out
+    def kkt(x, d, z, dtz):
+        return max(float(np.sum(w * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef * (x - a_vec))))
 
-    def stationarity(x, dtz):
-        s = dtz.copy()
-        s[anchored] += coef * (x[anchored] - g)
-        return s
-
-    start = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
-    if x0 is None:
-        start[anchored] = g
-    x, kkt, k = _pdhg(D, mult, prox_primal, stationarity, start, max_iter, tol)
-    return _certified("partial_anchor_tv", x, kkt, k, tol)
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    return _tv_polish(edges, w, a_vec, m_vec, lam, kkt, tol, "partial_anchor_tv", x0)
 
 
-def constrained_tv_min(
-    edges,
-    weights,
-    fixed,
-    fixed_values,
-    n: int,
-    tol: float = 1e-9,
-    max_iter: int = 200000,
-    x0=None,
-):
+def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float = 1e-9) -> SolveResult:
     """``min_x sum_e w_e |(Dx)_e|`` subject to ``x_i = u_i`` on ``fixed``.
 
-    Primal-dual loop stopped on its measured KKT residual, with
-    stationarity required on the unconstrained nodes only; raises and
-    returns like :func:`partial_anchor_tv`.
+    Solved as the linear program ``min sum_e w_e t_e`` subject to
+    ``|(Dx)_e| <= t_e`` with HiGHS.  The edge field ``z`` of the
+    certificate is read off the marginals of the two inequality blocks;
+    the measured KKT residual is the largest of the complementarity gap
+    ``sum_e (w_e |d_e| - z_e d_e)``, the norm of ``D_free^T z`` and the box
+    violation ``max_e (|z_e| - w_e)``.  Raises ``RuntimeError`` when HiGHS
+    fails or the residual exceeds ``tol``; iterations are HiGHS's.
     """
     D = edge_incidence(edges, n)
-    mult = np.asarray(weights, float)
+    w = np.asarray(weights, float)
     fixed = np.asarray(fixed, dtype=int)
-    vals = np.asarray(fixed_values, float)
     free = np.ones(n, dtype=bool)
     free[fixed] = False
+    x = np.zeros(n)
+    x[fixed] = fixed_values
+    D_free = D[:, free]
+    shift = D @ x
+    m, nf = D_free.shape
+    eye = scipy.sparse.identity(m, format="csr")
+    A = scipy.sparse.vstack([scipy.sparse.hstack([D_free, -eye]), scipy.sparse.hstack([-D_free, -eye])], format="csr")
+    bounds = np.vstack([np.tile([-np.inf, np.inf], (nf, 1)), np.tile([0.0, np.inf], (m, 1))])
+    lp = scipy.optimize.linprog(
+        np.r_[np.zeros(nf), w], A_ub=A, b_ub=np.r_[-shift, shift], bounds=bounds, method="highs", options=_HIGHS
+    )
+    if lp.status != 0:
+        raise RuntimeError(f"constrained_tv_min: HiGHS failed ({lp.message})")
+    x[free] = lp.x[:nf]
+    z = lp.ineqlin.marginals[m:] - lp.ineqlin.marginals[:m]
+    d = D @ x
+    kkt = max(
+        float(np.sum(w * np.abs(d) - z * d)),
+        float(np.linalg.norm(D_free.T @ z)),
+        float(np.max(np.abs(z) - w, initial=0.0)),
+    )
+    if not kkt <= tol:
+        raise RuntimeError(f"constrained_tv_min: KKT residual {kkt:g} exceeds {tol:g}")
+    return SolveResult(x, kkt, int(lp.nit), True, float(np.sum(w * np.abs(d))))
 
-    def prox_primal(v, tau):
-        out = v.copy()
-        out[fixed] = vals
-        return out
 
-    start = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
-    start[fixed] = vals
-    x, kkt, k = _pdhg(D, mult, prox_primal, lambda x, dtz: dtz[free], start, max_iter, tol)
-    return _certified("constrained_tv_min", x, kkt, k, tol)
+def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None):
+    """Exact minimizer of ``sum_e w_e |(Dx)_e| + 1/(2 lam) sum_i m_i (x_i - a_i)^2``.
+
+    Solution polishing from an active-set guess (OSQP, Stellato et al.
+    2020, section 5) on the plateau structure of total-variation
+    minimizers: a warm-started primal-dual approximate phase
+    (:func:`_pdhg`) runs to each KKT residual of ``_POLISH_RUNGS``; after
+    each, the edges with ``|(Dx)_e| <= delta`` join into plateaus for
+    each ``delta`` of ``_POLISH_DELTAS``, and :func:`_plateau_solution`
+    sets their exact levels and edge field.  The first candidate with
+    ``measure(x, Dx, z, D^T z) <= tol`` is returned as a
+    :class:`SolveResult` with that residual, the approximate phase's
+    iteration count and the objective value; ``RuntimeError`` when none
+    certifies.
+    """
+    D = edge_incidence(edges, anchor.size)
+    Dt = D.T.tocsr()
+    coef = masses / lam
+    # Gershgorin bound on |D|^2 keeps the steps admissible
+    step = 0.99 / math.sqrt(max(float(abs(Dt @ D).sum(axis=1).max()), 1e-24))
+    x = anchor.copy() if x0 is None else np.asarray(x0, float).copy()
+    z = np.zeros(D.shape[0])
+    iterations, best, tried = 0, math.inf, set()
+    for rung in _POLISH_RUNGS:
+        x, z, k = _pdhg(D, Dt, weights, coef, anchor, x, z, step, rung, _PDHG_MAX_ITER - iterations)
+        iterations += k
+        d = D @ x
+        for delta in _POLISH_DELTAS:
+            pattern = np.where(np.abs(d) <= delta, 0, np.sign(d)).astype(np.int8)
+            key = pattern.tobytes()
+            if key in tried:
+                continue
+            tried.add(key)
+            cand = _plateau_solution(D, Dt, edges, weights, coef, anchor, x, pattern)
+            if cand is None:
+                continue
+            xp, zp = cand
+            dp = D @ xp
+            r = measure(xp, dp, zp, Dt @ zp)
+            if r <= tol:
+                value = float(np.sum(weights * np.abs(dp)) + 0.5 * np.sum(coef * (xp - anchor) ** 2))
+                return SolveResult(xp, r, iterations, True, value)
+            best = min(best, r)
+    raise RuntimeError(f"{name}: no plateau polish certified below {tol:g} (best {best:g}) after {iterations} iterations")
+
+
+def _plateau_solution(D, Dt, edges, weights, coef, anchor, x, pattern):
+    """Exact point and edge field for a guessed plateau structure.
+
+    ``pattern`` is 0 on the edges joined into plateaus and the sign of
+    ``(Dx)_e`` on the others, whose edge field sits on its bound.  With
+    ``coef = m / lam``, each plateau ``P`` takes the level
+    ``(sum_P coef a - (D^T z_cut)_P) / sum_P coef`` that sums the
+    optimality system over it; a grounded plateau takes zero and a
+    massless one keeps the mean of ``x``.  The edge field on the plateau
+    edges then solves ``D_P^T z_P = -coef (x - a) - D^T z_cut`` within its
+    box (one equation per plateau of positive mass is dropped: they sum to
+    zero): the least-norm solution when it lies in the box, else a HiGHS
+    feasibility problem.  Returns None when a cut edge turns over or no
+    such field exists.
+    """
+    n = x.size
+    joined = pattern == 0
+    z = weights * pattern
+    force = Dt @ z
+    count, label = _components(edges[joined], n)
+    nodes = label[:n]
+    mass = np.bincount(nodes, weights=coef, minlength=count)
+    pulled = np.bincount(nodes, weights=coef * anchor - force, minlength=count) / np.where(mass > 0, mass, 1.0)
+    mean = np.bincount(nodes, weights=x, minlength=count) / np.maximum(np.bincount(nodes, minlength=count), 1)
+    level = np.where(mass > 0, pulled, mean)
+    level[label[n]] = 0.0
+    x_new = level[nodes]
+    if np.any(z * (D @ x_new) < 0.0):
+        return None
+    if joined.any():
+        D_joined = D[joined]
+        touched = np.unique(D_joined.indices)
+        keep = np.ones(touched.size, dtype=bool)
+        keep[np.unique(nodes[touched], return_index=True)[1]] = False
+        keep |= nodes[touched] == label[n]
+        rows = touched[keep]
+        A = D_joined.T.tocsr()[rows]
+        b = (-coef * (x_new - anchor) - force)[rows]
+        w_joined = weights[joined]
+        # least norm: the only solution on plateaus without cycles
+        z_joined = A.T @ scipy.sparse.linalg.spsolve((A @ A.T).tocsc(), b)
+        if not np.all(np.abs(z_joined) <= w_joined):
+            lp = scipy.optimize.linprog(
+                np.zeros(w_joined.size), A_eq=A, b_eq=b,
+                bounds=np.column_stack([-w_joined, w_joined]), method="highs", options=_HIGHS,
+            )
+            if lp.status != 0:
+                return None
+            z_joined = lp.x
+        z[joined] = np.clip(z_joined, -w_joined, w_joined)
+    return x_new, z
+
+
+def _components(joined, n):
+    """Connected components of the nodes and the ground (node ``n``) under
+    the ``joined`` edges: the count and the labels, the ground's last."""
+    ends = np.where(joined[:, 1] >= 0, joined[:, 1], n)
+    adjacency = scipy.sparse.coo_matrix((np.ones(len(joined)), (joined[:, 0], ends)), shape=(n + 1, n + 1))
+    return scipy.sparse.csgraph.connected_components(adjacency, directed=False)
+
+
+def _plateau_levels(joined, values, masses):
+    """Mass-weighted mean of ``values`` over each component of the graph
+    of ``joined`` edges; components touching the ground (-1) get zero.
+    Returns the levels and the component labels of the nodes, with the
+    ground's label appended."""
+    n = values.size
+    count, label = _components(joined, n)
+    mass = np.bincount(label[:n], weights=masses, minlength=count)
+    level = np.bincount(label[:n], weights=masses * values, minlength=count) / np.where(mass > 0, mass, 1.0)
+    level[label[n]] = 0.0
+    return level[label[:n]], label
+
+
+def _pdhg(D, Dt, mult, coef, anchor, x, z, step, tol, max_iter):
+    """Primal-dual iterations for ``min_x sum_e mult_e |(Dx)_e| + 1/2 sum_i coef_i (x_i - a_i)^2``
+    from ``(x, z)``, the approximate phase of :func:`_tv_polish`.
+
+    Stops on a measured KKT residual: the larger of the complementarity
+    gap ``sum_e (mult_e |d_e| - z_e d_e)`` of the dual iterate (which
+    stays in its box, so the gap is nonnegative) and the norm of the
+    stationarity residual ``D^T z + coef (x - a)``.  Returns the primal
+    and dual iterates and the iteration count.
+    """
+    xbar = x.copy()
+    k = 0
+    for k in range(1, max_iter + 1):
+        z = np.clip(z + step * (D @ xbar), -mult, mult)
+        dtz = Dt @ z
+        x_new = (x - step * dtz + step * coef * anchor) / (1.0 + step * coef)
+        xbar = 2.0 * x_new - x
+        x = x_new
+        if k % 10 == 0:
+            d = D @ x
+            kkt = max(float(np.sum(mult * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef * (x - anchor))))
+            if kkt <= tol:
+                break
+    return x, z, k

@@ -263,3 +263,29 @@ def test_robin_p3_step_certifies_tight_tolerance():
         step_grad = pair.E.smooth_grad(r.u_hat) + (J.T * w) @ (J @ r.u_hat - g) / lam
         assert np.linalg.norm(step_grad) <= 1e-10
         assert r.residual == pytest.approx(np.linalg.norm(step_grad), rel=1e-9)
+
+
+def _rectangle_starts(count):
+    """Piecewise-constant starts on the 10x10 interior of a 12x12 grid: each
+    the sum of four axis-parallel rectangles with normal heights."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        image = np.zeros((10, 10))
+        for _ in range(4):
+            r, c = np.sort(rng.integers(0, 10, 2)), np.sort(rng.integers(0, 10, 2))
+            image[r[0] : r[1] + 1, c[0] : c[1] + 1] += rng.normal()
+        yield image.ravel()
+
+
+@pytest.mark.parametrize("orbit", [16, 55, 68])
+def test_tv_full_anchor_orbit_on_piecewise_constant_data_certifies(orbit):
+    # the three orbits of the first 70 on which a dense BVLS dual broke down
+    # with NaN; every step must certify the unchanged duality-gap bound
+    h = 1.0 / 11.0
+    pair = P.build_tv(P.grid(12, 12, h))
+    u0 = list(_rectangle_starts(orbit + 1))[orbit]
+    traj = evolve(pair, u0, 0.03, 0.01)
+    assert traj.states.shape[0] == 4
+    gap_tol = 0.25 * 1e-8**2 * h * h  # resolvent default tol 1e-8, masses h^2
+    assert np.all(traj.step_residuals[1:] <= gap_tol)
+    assert np.all(np.isfinite(traj.states))

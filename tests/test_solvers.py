@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from jflow.solvers import (
@@ -12,6 +14,7 @@ from jflow.solvers import (
     partial_anchor_tv,
     tv_prox,
 )
+from jflow import problems as P
 from jflow.pairs import _weighted_gram
 
 
@@ -232,17 +235,17 @@ def test_tv_prox_optimality_certificate():
 
 def test_partial_anchor_tv_free_nodes():
     # nodes 0, 1 anchored; node 2 free: the free node settles inside the hull
-    x, _ = partial_anchor_tv(
+    x = partial_anchor_tv(
         edges=[(0, 1), (1, 2)], weights=[1.0, 1.0], anchored=[0, 1], anchor_values=[0.0, 2.0],
         node_weights_anchored=[1.0, 1.0], lam=0.2, n=3, tol=1e-11,
-    )
+    ).x
     assert x[2] == pytest.approx(x[1], abs=1e-6)  # free endpoint matches its only neighbour
 
 
 def test_constrained_tv_min_interpolates():
-    x, _ = constrained_tv_min(
+    x = constrained_tv_min(
         edges=[(0, 1), (1, 2)], weights=[1.0, 1.0], fixed=[0, 2], fixed_values=[0.0, 1.0], n=3, tol=1e-12
-    )
+    ).x
     assert x[0] == 0.0 and x[2] == 1.0
     assert 0.0 - 1e-9 <= x[1] <= 1.0 + 1e-9  # any monotone value is optimal; must stay in hull
 
@@ -281,9 +284,66 @@ def test_tv_prox_grounded_chain_certified_and_positive():
     for lam in (0.01, 0.1):
         for _ in range(5):
             anchor = np.abs(rng.normal(size=n))
-            x, gap = tv_prox(edges, np.ones(n + 1), anchor, lam, tol=1e-16, node_weights=masses, full_output=True)
+            res = tv_prox(edges, np.ones(n + 1), anchor, lam, tol=1e-16, node_weights=masses, full_output=True)
+            x, gap = res.x, res.residual
             assert gap <= 1e-16
             worst_dual = max(worst_dual, _chain_dual_violation(x, anchor, masses, lam))
             lowest = min(lowest, float(x.min()))
     assert worst_dual <= 1e-12
     assert lowest >= 0.0
+
+
+def _tv_step_dual_residual(edges, weights, masses, lam, g, x):
+    """Optimality certificate of a full-anchor TV step, built from scratch.
+
+    ``x`` minimizes ``lam sum_e w_e |(Dx)_e| + 1/2 |x - g|_M^2`` iff an edge
+    field ``z`` with ``z_e = lam w_e sign((Dx)_e)`` on edges with a jump and
+    ``|z_e| <= lam w_e`` on flat ones satisfies ``M (x - g) + D^T z = 0``.
+    In units ``zeta = z / (lam w)`` and relative to the data-term scale, a
+    HiGHS LP minimizes the largest residual of that equation over the flat
+    edges' ``zeta`` in [-1, 1]; least squares over the edges strictly
+    inside the box then removes the LP's feasibility slack.  Returns the
+    refined residual and the box excess.
+    """
+    e = np.asarray(edges)
+    rows = np.arange(e.shape[0])
+    live = e[:, 1] >= 0
+    D = scipy.sparse.csr_matrix(
+        (np.r_[np.ones(rows.size), -np.ones(live.sum())], (np.r_[rows, rows[live]], np.r_[e[:, 0], e[live, 1]])),
+        shape=(e.shape[0], x.size),
+    )
+    jump = D @ x
+    flat = jump == 0.0  # plateaus of an exact step are exactly flat
+    bound = lam * np.asarray(weights, float)
+    b = -masses * (x - g) - D[~flat].T @ (bound[~flat] * np.sign(jump[~flat]))
+    scale = max(float(np.max(np.abs(masses * (x - g)))), float(np.max(bound)))
+    A = (D[flat].T @ scipy.sparse.diags(bound[flat])).tocsr() / scale
+    beta = b / scale
+    n, nf = A.shape
+    ones = scipy.sparse.csr_matrix(np.ones((n, 1)))
+    lp = scipy.optimize.linprog(
+        np.r_[np.zeros(nf), 1.0], A_ub=scipy.sparse.bmat([[A, -ones], [-A, -ones]]), b_ub=np.r_[beta, -beta],
+        bounds=[(-1.0, 1.0)] * nf + [(0, None)], method="highs",
+    )
+    assert lp.status == 0
+    zeta = np.clip(lp.x[:nf], -1.0, 1.0)
+    inner = np.abs(zeta) < 1.0 - 1e-6
+    zeta[inner] -= scipy.sparse.linalg.lsqr(A[:, inner], A @ zeta - beta, atol=0.0, btol=0.0, iter_lim=20000)[0]
+    return float(np.max(np.abs(A @ zeta - beta))), float(np.max(np.abs(zeta))) - 1.0
+
+
+def test_tv_prox_32x32_grid_step_has_independent_dual_certificate():
+    # the full-anchor step of a 32x32 TV pair at lam = 0.01, from a smooth
+    # field of sine modes (at this size a dense BVLS dual took about a minute)
+    n, h, lam = 32, 1.0 / 31.0, 0.01
+    pair = P.build_tv(P.grid(n, n, h))
+    term = pair.E.tv_terms[0]
+    s = np.sin(np.pi * np.arange(1, 4)[:, None] * np.linspace(0.0, 1.0, n)[None, 1:-1])
+    g = (2.0 * np.einsum("ab,ai,bj->ij", np.random.default_rng(7).normal(size=(3, 3)), s, s)).ravel()
+    masses = pair.space.weights
+    res = tv_prox(term.edges, term.weights, g, lam, tol=1e-20, node_weights=masses, full_output=True)
+    assert res.residual <= 1e-20
+    flat_share = float(np.mean(term.diff(res.x) == 0.0))
+    assert 0.1 < flat_share < 0.9  # the step has real plateaus and real jumps
+    residual, excess = _tv_step_dual_residual(term.edges, term.weights, masses, lam, g, res.x)
+    assert residual <= 1e-11 and excess <= 1e-11
