@@ -5,7 +5,9 @@ of scalar laws, quadratics, discrete total variation, affine-subspace
 indicators and linear tilts.  Terms expose values, gradients where they
 are smooth, and a semiconvexity constant ``omega_term >= 0`` such that
 the term plus ``omega_term/2`` times the weighted square of its node
-values is convex (zero for convex terms).
+values is convex (zero for convex terms).  Smooth terms give their
+Hessian in the Gram form ``B diag(w(u)) B^T``: a sparse factor ``B``
+fixed per term and weights ``w(u)`` (:meth:`EnergyTerm.hessian_factor`).
 
 Convexity and coercivity are *sampled* diagnostics, never certificates:
 :func:`sample_convexity` probes midpoint-type inequalities on random
@@ -19,9 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .hilbert import WeightedSpace
-from .solvers import _plateau_levels, edge_incidence
+from .solvers import edge_incidence
 
 __all__ = [
     "ScalarPrimitive",
@@ -99,6 +102,10 @@ class EnergyTerm:
     def grad(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} term has no gradient")
 
+    def hessian_factor(self, n: int):
+        """Sparse ``B`` (``n`` rows, fixed) with Hessian ``B diag(hessian_weights(u)) B^T``."""
+        raise NotImplementedError(f"{self.kind} term has no Hessian")
+
 
 class _EdgeTerm(EnergyTerm):
     """A term of weighted edge differences ``u_a - u_b``; a second endpoint
@@ -112,10 +119,10 @@ class _EdgeTerm(EnergyTerm):
         self._incidence = None
 
     def _signed_incidence(self, n):
-        """``(D, D^T, |D|^T)`` of ``edge_incidence`` for ``n`` nodes, built once."""
+        """``(D, D^T)`` of ``edge_incidence`` for ``n`` nodes, built once."""
         if self._incidence is None or self._incidence[0].shape[1] != n:
             D = edge_incidence(self.edges, n)
-            self._incidence = (D, D.T.tocsr(), abs(D).T.tocsr())
+            self._incidence = (D, D.T.tocsr())
         return self._incidence
 
     def diff(self, u):
@@ -149,9 +156,15 @@ class PEdgeEnergy(_EdgeTerm):
         d = self.diff(u)
         return self._signed_incidence(u.size)[1] @ (self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d))
 
-    def diag_curvature(self, u):
-        d = np.maximum(np.abs(self.diff(u)), 1e-12)
-        return self._signed_incidence(u.size)[2] @ (self.weights * (self.p - 1.0) * d ** (self.p - 2.0))
+    def hessian_factor(self, n):
+        return self._signed_incidence(n)[1]
+
+    def hessian_weights(self, u):
+        """``w_e (p - 1) |d_e|^(p-2)``, with ``|d_e|`` floored at 1e-16 below ``p = 2``."""
+        d = np.abs(self.diff(u))
+        if self.p < 2.0:
+            d = np.maximum(d, 1e-16)
+        return self.weights * (self.p - 1.0) * d ** (self.p - 2.0)
 
 
 class TotalVariationTerm(_EdgeTerm):
@@ -186,10 +199,13 @@ class NodewiseIntegral(EnergyTerm):
         g[self.nodes] = self.weights * self.primitive.deriv(u[self.nodes])
         return g
 
-    def diag_curvature(self, u):
-        out = np.zeros_like(u)
-        out[self.nodes] = self.weights * np.maximum(self.primitive.curvature(u[self.nodes]), 0.0)
-        return out
+    def hessian_factor(self, n):
+        cols = np.arange(self.nodes.size)
+        return scipy.sparse.csc_matrix((np.ones(cols.size), (self.nodes, cols)), (n, cols.size))
+
+    def hessian_weights(self, u):
+        """The curvature at each node, clipped at zero so the Gram form stays semidefinite."""
+        return self.weights * np.maximum(self.primitive.curvature(u[self.nodes]), 0.0)
 
 
 class QuadraticTerm(EnergyTerm):
@@ -200,6 +216,7 @@ class QuadraticTerm(EnergyTerm):
 
     def __init__(self, matrix):
         self.matrix = matrix  # dense array or scipy sparse, symmetric PSD
+        self._factor = None
 
     def value(self, u):
         return 0.5 * float(u @ (self.matrix @ u))
@@ -207,9 +224,17 @@ class QuadraticTerm(EnergyTerm):
     def grad(self, u):
         return np.asarray(self.matrix @ u, float)
 
-    def diag_curvature(self, u):
-        diag = self.matrix.diagonal() if hasattr(self.matrix, "diagonal") else np.diag(self.matrix)
-        return np.asarray(diag, float).copy()
+    def hessian_factor(self, n):
+        """``L`` with ``L L^T = Q`` from the eigen-decomposition of ``Q``, found once."""
+        if self._factor is None:
+            Q = self.matrix.toarray() if scipy.sparse.issparse(self.matrix) else np.asarray(self.matrix, float)
+            lam, V = np.linalg.eigh(0.5 * (Q + Q.T))
+            keep = lam > 1e-14 * np.max(np.abs(lam), initial=0.0)
+            self._factor = scipy.sparse.csc_matrix(V[:, keep] * np.sqrt(lam[keep]))
+        return self._factor
+
+    def hessian_weights(self, u):
+        return np.ones(self.hessian_factor(u.size).shape[1])
 
 
 class LinearTerm(EnergyTerm):
@@ -224,6 +249,12 @@ class LinearTerm(EnergyTerm):
 
     def grad(self, u):
         return self.c.copy()
+
+    def hessian_factor(self, n):
+        return scipy.sparse.csc_matrix((n, 0))
+
+    def hessian_weights(self, u):
+        return np.zeros(0)
 
 
 class AffineIndicatorTerm(EnergyTerm):
@@ -305,44 +336,13 @@ class ExtendedFunctional:
     def omega_total(self) -> float:
         return float(sum(t.omega_term for t in self.terms))
 
-    def smooth_diag_curvature(self, u) -> np.ndarray:
-        """Diagonal curvature estimate of the smooth part; nonnegative by
-        construction."""
-        out = np.zeros(self.dim)
-        for t in self.smooth_terms:
-            fn = getattr(t, "diag_curvature", None)
-            if fn is not None:
-                out += fn(u)
-        return out
+    def hessian_factor(self):
+        """``B`` with smooth-part Hessian ``B diag(hessian_weights(u)) B^T``, the terms' side by side."""
+        factors = [t.hessian_factor(self.dim) for t in self.smooth_terms]
+        return scipy.sparse.hstack([scipy.sparse.csc_matrix((self.dim, 0))] + factors, format="csc")
 
-    def snap_hook(self, default_thresh: float = 1e-9):
-        """Land near-equal plateaus of sub-quadratic edge terms on exact
-        equality, where those terms' gradients vanish identically.
-
-        Float granularity keeps near-kink differences hovering around
-        machine epsilon with gradients ~ |d|^(p-1), a genuine residual
-        floor.  Nodes connected by near-zero differences are merged into
-        components (ground-connected components go to zero, others to
-        their mean).  Callers only adopt the snapped point when it
-        lowers the full gradient norm.  Returns None when no term needs
-        it.
-        """
-        targets = [t for t in self.smooth_terms if isinstance(t, PEdgeEnergy) and t.p < 2]
-        if not targets:
-            return None
-        edges = np.vstack([t.edges for t in targets])
-        ones = np.ones(self.dim)
-
-        def snap(x, thresh: float = default_thresh):
-            near = np.concatenate([np.abs(t.diff(x)) < thresh for t in targets])
-            if not near.any():
-                return x.copy(), None
-            snapped, label = _plateau_levels(edges[near], x, ones)
-            # collapse basis: one column per non-grounded plateau component
-            live = np.setdiff1d(label[:-1], label[-1:])
-            return snapped, (label[:-1, None] == live[None, :]).astype(float)
-
-        return snap
+    def hessian_weights(self, u) -> np.ndarray:
+        return np.concatenate([np.zeros(0)] + [t.hessian_weights(u) for t in self.smooth_terms])
 
     def finite_point(self, tries: int = 32, seed: int = 0) -> np.ndarray:
         """A point of the effective domain (indicator-feasible if possible)."""

@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import solvers
-from .pairs import JEllipticPair, _edge_newton, lifted_value
+from .energy import PEdgeEnergy
+from .pairs import JEllipticPair, _slice_newton, lifted_value
 
 __all__ = [
     "ResolventResult",
@@ -50,8 +51,6 @@ def _effective_tol(E, tol):
     if tol is not None:
         return tol
     tol = default_resolvent_tol()
-    from .energy import PEdgeEnergy
-
     if any(isinstance(t, PEdgeEnergy) and 1.0 < t.p < 2.0 for t in E.smooth_terms):
         tol = max(tol, _SUBQUADRATIC_TOL)
     return tol
@@ -89,14 +88,16 @@ def resolvent(
     g,
     tol: Optional[float] = None,
     start=None,
-    max_iter: int = 200000,
 ) -> ResolventResult:
     """One backward step: minimize the energy plus the proximal data term.
 
-    Restriction maps of edge powers plus nodewise laws take sparse Newton
-    (:func:`_edge_newton`, observed nodes anchored at their data); other
-    steps, and steps Newton leaves above ``tol``, take the plateau snap and
-    :func:`solvers.minimize`.  The residual is the measured gradient norm.
+    Smooth energies take banded Newton (:func:`_slice_newton`) in the free
+    coordinates, or the null-space coordinates of the indicator constraints
+    (:attr:`JEllipticPair.step_slice`).  A step Newton leaves above ``tol``
+    (edge powers below two, at their float floor) takes plateau collapse
+    refined by Newton, then the Barzilai-Borwein polish that collapses at
+    stalls (:func:`solvers._bb_descent`), or raises.
+    The residual is the measured gradient norm of the step objective.
 
     Requires ``lam < 1/omega`` for shifted-convex pairs so that the step
     objective stays convex (strongly convex along data directions).
@@ -110,51 +111,18 @@ def resolvent(
     tol = _effective_tol(pair.E, tol)
     g = np.asarray(g, float)
     pair.space.check_dim(g)
-
-    E = pair.E
-    if E.tv_terms:
+    if pair.E.tv_terms:
         return _tv_resolvent(pair, lam, g, tol, start)
 
-    w = pair.space.weights
-    observed = pair.j.observed
-    cand = None
-    if observed is not None:
-        a = np.bincount(observed, weights=w / lam, minlength=E.dim)
-        target = np.bincount(observed, weights=w * g / lam, minlength=E.dim) / np.where(a > 0, a, 1.0)
-        newton = _edge_newton(pair, [], [], tol, start, anchor=(a, target))
-        if newton is not None:
-            cand, nres = newton
-            data_grad = np.bincount(observed, weights=w * (cand[observed] - g) / lam, minlength=E.dim)
-            gn = float(np.linalg.norm(E.smooth_grad(cand) + data_grad))
-            if gn <= tol:
-                return _step(pair, lam, g, cand, gn, nres.iterations)
-
-    J = pair.j.matrix
-    JTw = J.T * w
-    obj = solvers.Objective(
-        smooth_value=lambda x: E.smooth_value(x) + 0.5 / lam * float(np.sum(w * (J @ x - g) ** 2)),
-        smooth_grad=lambda x: E.smooth_grad(x) + JTw @ (J @ x - g) / lam,
-        prox=pair.indicator_prox,
-        snap=E.snap_hook(),
-    )
-    if cand is not None:
-        # Newton got close: the plateau snap may land it, else the
-        # first-order phases certify from there
-        cand, gn = solvers._try_snap(obj, cand, gn)
-        if gn <= tol:
-            return _step(pair, lam, g, cand, gn, nres.iterations)
-        x_start = cand
-    elif start is not None:
-        x_start = np.asarray(start, float).copy()
-    else:
-        x_start = pair.j.particular_preimage(g)
-
-    res = solvers.minimize(solvers.SolveSpec(objective=obj, start=x_start, tol=tol, max_iter=max_iter))
-    if not res.converged:
-        raise RuntimeError(
-            f"resolvent solve failed: residual {res.residual:g} after {res.iterations} iterations"
-        )
-    return _step(pair, lam, g, res.x, res.residual, res.iterations)
+    x0, Z = pair.step_slice
+    x, res, objective = _slice_newton(pair, x0, Z, tol, start, data=(lam, g))
+    gn, iterations = res.residual, res.iterations
+    if not gn <= tol and Z.ndim == 1:
+        x, gn, used = solvers._bb_descent(objective, x)
+        iterations += used
+    if not gn <= tol:
+        raise RuntimeError(f"resolvent solve failed: residual {gn:g} after {iterations} iterations")
+    return _step(pair, lam, g, x, gn, iterations)
 
 
 def _step(pair, lam, g, x, residual, iterations) -> ResolventResult:
@@ -262,30 +230,14 @@ def evolve(
 
 
 def _project_onto_image(pair, u0):
-    """Weighted projection of the datum onto the image of the domain slice."""
-    from .pairs import _fiber_slice
-
-    x0, _ = _fiber_slice(pair, np.zeros(pair.space.dim))
-    if x0 is None:
-        # image affine set: parametrize feasible x and least-squares match
-        raise ValueError("cannot project: effective domain is empty")
-    inds = pair.E.indicator_terms
-    if inds:
-        A = np.vstack([t.A for t in inds])
-        b = np.concatenate([t.b for t in inds])
-        import scipy.linalg
-
-        xpart, *_ = np.linalg.lstsq(A, b, rcond=None)
-        N = scipy.linalg.null_space(A)
-    else:
-        xpart = np.zeros(pair.E.dim)
-        N = np.eye(pair.E.dim)
-    # minimize || j(xpart + N w) - u0 ||_W
+    """Weighted projection of the datum onto the image of the affine set
+    of the indicator constraints (:attr:`JEllipticPair.step_slice`)."""
+    x0, Z = pair.step_slice
+    N = np.eye(pair.E.dim)[:, Z] if Z.ndim == 1 else Z
+    # minimize || j(x0 + N w) - u0 ||_W
     sw = np.sqrt(pair.space.weights)
-    M = sw[:, None] * (pair.j.matrix @ N)
-    r = sw * (u0 - pair.j.apply(xpart))
-    wsol, *_ = np.linalg.lstsq(M, r, rcond=None)
-    return pair.j.apply(xpart + N @ wsol)
+    w, *_ = np.linalg.lstsq(sw[:, None] * (pair.j.matrix @ N), sw * (u0 - pair.j.apply(x0)), rcond=None)
+    return pair.j.apply(x0 + N @ w)
 
 
 def semigroup_distance(pair: JEllipticPair, u0, v0, T: float, tau: float, tol=None) -> np.ndarray:

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.csgraph
 
 from . import solvers
 from .energy import (
@@ -39,6 +38,7 @@ from .energy import (
     shifted_value,
 )
 from .hilbert import WeightedSpace
+from .solvers import _weighted_gram
 
 __all__ = [
     "JMap",
@@ -79,7 +79,6 @@ class JMap:
         self.domain = domain
         self.observed = _restriction_indices(self.matrix)
         self._kernel = None
-        self._pinv = None
 
     @property
     def target_dim(self) -> int:
@@ -90,7 +89,14 @@ class JMap:
         return self.matrix.shape[1]
 
     def apply(self, u):
-        return self.matrix @ np.asarray(u, float)
+        u = np.asarray(u, float)
+        return u[self.observed] if self.observed is not None else self.matrix @ u
+
+    def adjoint(self, r):
+        """``J^T r``."""
+        if self.observed is not None:
+            return np.bincount(self.observed, weights=r, minlength=self.source_dim)
+        return self.matrix.T @ r
 
     def kernel_basis(self) -> np.ndarray:
         """Orthonormal basis of the null space (columns)."""
@@ -100,11 +106,6 @@ class JMap:
 
     def rank(self) -> int:
         return self.source_dim - self.kernel_basis().shape[1]
-
-    def particular_preimage(self, u):
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(self.matrix)
-        return self._pinv @ np.asarray(u, float)
 
 
 def kernel_basis(j: JMap) -> np.ndarray:
@@ -130,26 +131,33 @@ class JEllipticPair:
             raise ValueError("map target dimension does not match the data space")
 
     @functools.cached_property
-    def indicator_prox(self):
-        """Projection onto the energy's affine constraints, ``(v, step) ->
-        x``, built once per pair; None without indicator terms."""
-        inds = self.E.indicator_terms
-        if not inds:
-            return None
-        A = np.vstack([t.A for t in inds])
-        b = np.concatenate([t.b for t in inds])
-        pinv = np.linalg.pinv(A)
-        return lambda v, step: v - pinv @ (A @ v - b)
+    def edge_system(self):
+        """The :class:`_EdgeSystem` of the energy's smooth part and the map."""
+        return _EdgeSystem(self.E, self.j)
 
     @functools.cached_property
-    def edge_system(self):
-        """The energy's :class:`_EdgeSystem` when it is a sum of smooth
-        edge powers and nodewise laws; None otherwise."""
-        edge_terms = [t for t in self.E.terms if isinstance(t, PEdgeEnergy) and t.smooth]
-        laws = [t for t in self.E.terms if isinstance(t, NodewiseIntegral)]
-        if not edge_terms or len(edge_terms) + len(laws) != len(self.E.terms):
-            return None
-        return _EdgeSystem(edge_terms, laws, self.E.dim)
+    def fiber_geometry(self):
+        """``(A, A^+, N, b)``, computed once: the fiber above ``u`` is ``{A x = (u, b)}``
+        (the map over the indicator rows), ``N`` an orthonormal null basis."""
+        inds = self.E.indicator_terms
+        A = np.vstack([self.j.matrix] + [t.A for t in inds])
+        b = np.concatenate([np.zeros(0)] + [t.b for t in inds])
+        return A, np.linalg.pinv(A), scipy.linalg.null_space(A) if inds else self.j.kernel_basis(), b
+
+    @functools.cached_property
+    def step_slice(self):
+        """``(x0, Z)``, computed once: the indicator constraints' affine set
+        ``x0 + range(Z)`` (``Z`` an orthonormal null basis, or the index array
+        of all coordinates without indicators); ``ValueError`` when empty."""
+        inds = self.E.indicator_terms
+        if not inds:
+            return np.zeros(self.E.dim), np.arange(self.E.dim)
+        A = np.vstack([t.A for t in inds])
+        b = np.concatenate([t.b for t in inds])
+        x0 = np.linalg.pinv(A) @ b
+        if not _fits(A @ x0, b):
+            raise ValueError("effective domain is empty: the indicator constraints have no common point")
+        return x0, scipy.linalg.null_space(A)
 
     def shifted(self, u_hat) -> float:
         return shifted_value(self.E, self.j.matrix, self.space, self.omega, u_hat)
@@ -192,6 +200,12 @@ class _ComposedSmoothTerm(EnergyTerm):
 
     def grad(self, u):
         return self.T.T @ self.base.smooth_grad(self.T @ u)
+
+    def hessian_factor(self, n):
+        return scipy.sparse.csc_matrix((self.base.hessian_factor().T @ self.T).T)
+
+    def hessian_weights(self, u):
+        return self.base.hessian_weights(self.T @ u)
 
 
 def graph_reduce(E: ExtendedFunctional, j: JMap, space: WeightedSpace, omega: float = 0.0) -> JEllipticPair:
@@ -243,19 +257,12 @@ class LiftedResult:
 
 
 def _fiber_slice(pair: JEllipticPair, u):
-    """Particular point and orthonormal basis of the affine set where the
-    map equals ``u`` and every indicator constraint holds; None when empty."""
-    mats = [pair.j.matrix]
-    rhs = [np.asarray(u, float)]
-    for ind in pair.E.indicator_terms:
-        mats.append(ind.A)
-        rhs.append(ind.b)
-    A = np.vstack(mats)
-    r = np.concatenate(rhs)
-    x0, *_ = np.linalg.lstsq(A, r, rcond=None)
-    if not _fits(A @ x0, r):
-        return None, None
-    return x0, scipy.linalg.null_space(A)
+    """Particular point and orthonormal basis of the affine set where the map
+    equals ``u`` and every indicator holds, ``(None, None)`` when it is empty."""
+    A, pinv, Z, b = pair.fiber_geometry
+    r = np.concatenate([np.asarray(u, float), b])
+    x0 = pinv @ r
+    return (x0, Z) if _fits(A @ x0, r) else (None, None)
 
 
 def _fits(image, target) -> bool:
@@ -265,8 +272,8 @@ def _fits(image, target) -> bool:
 
 def _fiber_coordinates(pair: JEllipticPair, u):
     """``(x0, Z)`` with fiber ``x0 + range(Z)``, ``(None, None)`` when empty:
-    for a restriction map without indicator terms, ``Z`` selects the
-    unobserved coordinates; other pairs go through :func:`_fiber_slice`."""
+    for a restriction map without indicator terms, ``Z`` is the index array
+    of the unobserved coordinates; other pairs go through :func:`_fiber_slice`."""
     observed = pair.j.observed
     if observed is None or pair.E.indicator_terms:
         return _fiber_slice(pair, u)
@@ -274,184 +281,208 @@ def _fiber_coordinates(pair: JEllipticPair, u):
     x0[observed] = u
     if not _fits(x0[observed], u):  # a node observed twice with two values
         return None, None
-    free = np.ones(pair.E.dim, dtype=bool)
-    free[observed] = False
-    return x0, scipy.sparse.identity(pair.E.dim, format="csc")[:, free]
+    return x0, np.flatnonzero(np.bincount(observed, minlength=pair.E.dim) == 0)
 
 
 def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> LiftedResult:
     """Infimum of the energy over the fiber above ``u``; +inf off the range.
 
     The fiber is parametrized by :func:`_fiber_coordinates` (the free
-    coordinates of a restriction map, otherwise a least-squares particular
-    point plus an orthonormal null-space basis), and the reduced problem
-    is solved to optimality residual ``tol``: the gradient norm in fiber
-    coordinates (a measured KKT residual for total variation).  The
-    minimizer attains the value, so any two returned extensions agree in
-    energy to twice the tolerance.  Restriction maps of edge powers plus
-    nodewise laws are solved by sparse Newton (:func:`_edge_newton`),
-    other fibers by :func:`solvers.minimize`; a fiber that misses ``tol``
-    raises.
+    coordinates of a restriction map, otherwise a particular point plus an
+    orthonormal null-space basis, computed once per pair) and solved to
+    optimality residual ``tol``, the gradient norm in fiber coordinates (a
+    measured KKT residual for total variation), by banded Newton
+    (:func:`_slice_newton`); a fiber that misses ``tol`` raises.  Two
+    returned extensions agree in energy to twice the tolerance.
     """
     u = np.asarray(u, float)
     pair.space.check_dim(u)
     x0, Z = _fiber_coordinates(pair, u)
     if x0 is None:
         return LiftedResult(value=math.inf, minimizer=None)
-    if Z.shape[1] == 0:
+    if Z.shape[-1] == 0:
         return LiftedResult(value=pair.E.value(x0), minimizer=x0)
 
-    observed = None if pair.E.indicator_terms else pair.j.observed
     tv = pair.E.tv_terms
     if tv:
         if pair.E.smooth_terms:
             raise NotImplementedError("mixed smooth + total-variation fibers")
-        if observed is None:
+        if Z.ndim != 1:
             raise NotImplementedError("total-variation fibers need a restriction map")
         edges = np.vstack([t.edges for t in tv])
         weights = np.concatenate([t.weights for t in tv])
-        res = solvers.constrained_tv_min(edges, weights, observed, u, pair.E.dim, tol=tol)
+        res = solvers.constrained_tv_min(edges, weights, pair.j.observed, u, pair.E.dim, tol=tol)
         return LiftedResult(value=pair.E.value(res.x), minimizer=res.x, residual=res.residual)
 
-    newton = None if observed is None else _edge_newton(pair, observed, u, tol, start)
-    if newton is not None:
-        x, res = newton
-        if not res.converged:
-            raise RuntimeError(
-                f"fiber Newton solve stalled: residual {res.residual:g} after {res.iterations} iterations"
-            )
-        return LiftedResult(value=pair.E.value(x), minimizer=x, residual=res.residual)
-
-    w0 = np.zeros(Z.shape[1])
-    if start is not None:
-        w0 = Z.T @ (np.asarray(start, float) - x0)
-    obj = solvers.Objective(
-        smooth_value=lambda w: pair.E.smooth_value(x0 + Z @ w),
-        smooth_grad=lambda w: Z.T @ pair.E.smooth_grad(x0 + Z @ w),
-    )
-    res = solvers.minimize(solvers.SolveSpec(objective=obj, start=w0, tol=tol, max_iter=200000))
+    x, res, _ = _slice_newton(pair, x0, Z, tol, start)
     if not res.converged:
-        raise RuntimeError(
-            f"fiber minimization stalled: residual {res.residual:g} after {res.iterations} iterations"
-        )
-    x = x0 + Z @ res.x
+        raise RuntimeError(f"fiber Newton solve stalled: residual {res.residual:g} after {res.iterations} iterations")
     return LiftedResult(value=pair.E.value(x), minimizer=x, residual=res.residual)
 
 
 class _EdgeSystem:
-    """An energy of smooth edge powers plus nodewise laws, assembled once
-    per pair: the signed incidence ``D``, edge weights ``c``, exponents
-    ``p`` and laws, and for each set of free coordinates the incidence
-    blocks and Gram operators of the primal and edge-dual Newton systems.
+    """The Hessian of the smooth energy plus ``1/(2 lam) |j x - g|_H^2`` in
+    the Gram form ``B diag(w) B^T``, assembled once per pair.  ``B`` stacks
+    the incidence ``D^T`` of the edge powers (weights ``c``, exponents
+    ``p``), the identity, whose weight sums every single-entry factor column
+    (nodewise laws, diagonal quadratics, the data of a restriction map) per
+    node, and the other factor columns ``G`` (quadratics, composed terms,
+    ``J^T`` of a general map).  Each slice's block ``Z^T B`` is built once.
     """
 
-    def __init__(self, edge_terms, laws, n):
-        self.D = solvers.edge_incidence(np.vstack([t.edges for t in edge_terms]), n).tocsc()
-        self.c = np.concatenate([t.weights for t in edge_terms])
-        self.p = np.concatenate([np.full(t.weights.size, t.p) for t in edge_terms])
-        self.laws = laws
+    def __init__(self, E, j):
+        n = self.n = E.dim
+        self.edge_terms = [t for t in E.smooth_terms if isinstance(t, PEdgeEnergy)]
+        self.others = [t for t in E.smooth_terms if not isinstance(t, PEdgeEnergy)]
+        self.laws = [t for t in self.others if isinstance(t, NodewiseIntegral)]
+        self.convex_nodes = np.zeros(n, dtype=bool)  # under a convex nodewise law
+        for t in self.laws:
+            self.convex_nodes[t.nodes] |= t.primitive.omega == 0.0
+        Dt = scipy.sparse.hstack([scipy.sparse.csc_matrix((n, 0))] + [t.hessian_factor(n) for t in self.edge_terms])
+        self.D = Dt.T.tocsc()
+        self.c = np.concatenate([np.zeros(0)] + [t.weights for t in self.edge_terms])
+        self.p = np.concatenate([np.zeros(0)] + [np.full(t.weights.size, t.p) for t in self.edge_terms])
+        self.subquadratic = np.vstack([np.zeros((0, 2), dtype=int)] + [t.edges for t in self.edge_terms if t.p < 2.0])
+        factors = [t.hessian_factor(n) for t in self.others] + [scipy.sparse.csc_matrix(j.matrix.T)]
+        F = scipy.sparse.hstack(factors, format="csc")
+        F.eliminate_zeros()
+        count = np.diff(F.indptr)
+        single = np.flatnonzero(count == 1)  # summed per node into the nodewise curvature
+        self.fold = (F.indices[F.indptr[single]], F.data[F.indptr[single]] ** 2, single)
+        self.gen_cols = np.flatnonzero(count > 1)
+        self.G = F[:, self.gen_cols]
+        self.B = scipy.sparse.hstack([Dt, scipy.sparse.identity(n), self.G], format="csr")
+        # the conjugate edge dual needs every p < 2, and only nodewise laws and data besides
+        laws_only = len(self.laws) == len(self.others) and not self.gen_cols.size
+        self.has_dual = laws_only and self.p.size > 0 and bool(np.all(self.p < 2.0))
         self._blocks = {}
 
-    def block(self, is_free):
-        """``(D_free, gram, dual)``: the free nodes' incidence columns, the
-        primal Gram operator, and for ``p < 2`` the edges touching a free
-        node with their block, its transpose and the dual Gram operator."""
-        key = is_free.tobytes()
+    def nodal(self, w):  # the nodewise curvature from the weights of the non-edge columns
+        rows, squares, cols = self.fold
+        return np.bincount(rows, weights=squares * w[cols], minlength=self.n)
+
+    def weights(self, x, dw, pick=slice(None)):
+        """Weights of ``B`` at ``x`` (``dw`` those of the data), its nodewise
+        block at the coordinates ``pick``."""
+        w = np.concatenate([t.hessian_weights(x) for t in self.others] + [dw])
+        edge = [t.hessian_weights(x) for t in self.edge_terms]
+        return np.concatenate([np.zeros(0)] + edge + [self.nodal(w)[pick], w[self.gen_cols]])
+
+    def block(self, Z):
+        """``(D Z, gram, dual)`` for slice coordinates ``Z`` (free coordinates
+        as a mask or index array, or an orthonormal basis): the Gram operator
+        of ``Z^T B`` and, for free coordinates with the edge dual, the edges
+        touching a free node with their block, its transpose and the dual
+        Gram operator."""
+        key = (Z.shape, Z.dtype.str, Z.tobytes())
         if key not in self._blocks:
-            D_free = self.D[:, is_free]
-            gram = _weighted_gram(scipy.sparse.hstack([D_free.T, scipy.sparse.identity(D_free.shape[1])]))
+            if Z.ndim == 1:
+                DZ = self.D[:, Z]
+                gram = _weighted_gram(scipy.sparse.hstack([DZ.T, scipy.sparse.identity(DZ.shape[1]), self.G[Z]]))
+            else:
+                DZ = self.D @ Z
+                gram = _weighted_gram(np.vstack([DZ, Z, self.G.T @ Z]).T)
             dual = None
-            if np.all(self.p < 2.0):
-                keep = np.asarray(abs(D_free).sum(axis=1)).ravel() > 0
-                D_keep = D_free[keep]
+            if Z.ndim == 1 and self.has_dual:
+                keep = np.asarray(abs(DZ).sum(axis=1)).ravel() > 0
+                D_keep = DZ[keep]
                 gram_dual = _weighted_gram(scipy.sparse.hstack([scipy.sparse.identity(D_keep.shape[0]), D_keep]))
                 dual = (keep, D_keep, D_keep.T, gram_dual)
-            self._blocks[key] = (D_free, gram, dual)
+            self._blocks[key] = (DZ, gram, dual)
         return self._blocks[key]
 
 
-def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=None):
-    """Banded damped Newton (:func:`solvers.newton`) for edge powers plus nodewise laws.
+def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None):
+    """Banded damped Newton (:func:`solvers.newton`) on the slice ``x0 + Z y``.
 
-    Minimizes ``E`` over the coordinates outside ``fixed`` with
-    ``x[fixed] = values``, plus ``1/2 sum_i a_i (x_i - g_i)^2`` when
-    ``anchor = (a, g)`` (a backward step is the case with nothing fixed).
-    Applies when ``E`` is a sum of smooth edge powers and nodewise laws
-    (``pair.edge_system``); returns None otherwise, and
-    ``(x, SolveResult)`` when it applies.
-
-    With every exponent ``p >= 2`` the primal is solved with the exact
-    Hessian ``D^T diag(c) D`` plus the nodewise curvature, restricted to
-    the free block.  With every ``1 < p < 2`` the primal curvature blows
-    up on vanishing differences, so the conjugate edge dual is solved
-    instead (exponent ``q = p/(p-1) > 2``); it needs a convex law or an
-    anchor on every free node, and edges between two fixed nodes drop
-    out.  Without ``start``, Newton starts from one step of the ``p = 2``
-    model.  The certificate is the primal gradient norm on the free
-    coordinates.
+    Minimizes the smooth energy, plus ``1/(2 lam) |j x - g|_H^2`` for
+    ``data = (lam, g)`` (a backward step), over ``y``; ``Z`` is the index
+    array of the free coordinates or an orthonormal basis.  Values and
+    gradients go through ``E.smooth_value``/``E.smooth_grad``, the Hessian
+    is the Gram form of ``pair.edge_system``.  With every ``1 < p < 2`` the
+    primal curvature blows up on vanishing differences, so on free
+    coordinates with only nodewise laws besides, and a convex law or data
+    on every free node, the conjugate edge dual (``q = p/(p-1)``) is solved
+    instead.  Without ``start``, Newton starts from one step of the ``p = 2``
+    model.  Certified by the gradient norm in slice coordinates; returns
+    ``(x, SolveResult, objective)``, the objective in source coordinates.
     """
-    system, E = pair.edge_system, pair.E
-    if system is None:
-        return None
-    D, c, p, laws = system.D, system.c, system.p, system.laws
-    a, g = (np.zeros(E.dim), np.zeros(E.dim)) if anchor is None else anchor
-    is_free = np.ones(E.dim, dtype=bool)
-    is_free[fixed] = False
-    free = np.nonzero(is_free)[0]
-    D_free, gram, dual = system.block(is_free)
+    system, E, j = pair.edge_system, pair.E, pair.j
+    D, c, p = system.D, system.c, system.p
+    DZ, gram, dual = system.block(Z)
+    pick = Z if Z.ndim == 1 else slice(None)
+    if data is None:
+        data_value, data_grad, dw = (lambda x: 0.0), np.zeros_like, np.zeros(j.target_dim)
+    else:
+        lam, g = data
+        w, dw = pair.space.weights, pair.space.weights / lam
+        apply, adjoint = j.apply, j.adjoint
+        if j.observed is not None and np.unique(j.observed).size == j.observed.size:
+            w, g = j.adjoint(w), j.adjoint(g)  # nodewise, in the same arithmetic at observed nodes
+            apply = adjoint = np.asarray
 
-    base = np.zeros(E.dim) if start is None else np.asarray(start, float).copy()
-    base[fixed] = values
+        def data_value(x):
+            r = apply(x) - g
+            return 0.5 / lam * float(np.sum(w * r * r))
+
+        def data_grad(x):
+            return adjoint(w * (apply(x) - g)) / lam
+
+    objective = solvers.Collapsible(
+        smooth_value=lambda x: E.smooth_value(x) + data_value(x),
+        smooth_grad=lambda x: E.smooth_grad(x) + data_grad(x),
+        factor=system.B,
+        weights=lambda x: system.weights(x, dw),
+        edges=system.subquadratic,
+        tol=tol,
+    )
 
     def at(y):
-        x = base.copy()
-        x[free] = y
+        if Z.ndim == 2:
+            return x0 + Z @ y
+        x = x0.copy()
+        x[Z] = y
         return x
 
-    def law_grad(x):
-        return (sum((t.grad(x) for t in laws), a * (x - g)))[free]
+    def restrict(v):
+        return v @ Z if Z.ndim == 2 else v[Z]
 
-    def law_curvature(x):
-        return (sum((t.diag_curvature(x) for t in laws), a.copy()))[free]
+    def law_grad(x):  # the gradient of every term but the edge powers
+        return restrict(sum((t.grad(x) for t in system.others), data_grad(x)))
 
     def value(y):
-        x = at(y)
-        return E.smooth_value(x) + 0.5 * float(np.sum(a * (x - g) ** 2))
+        return objective.smooth_value(at(y))
 
     def grad(y):
-        x = at(y)
-        return (E.smooth_grad(x) + a * (x - g))[free]
+        return restrict(objective.smooth_grad(at(y)))
 
+    def hess(y):
+        return gram(system.weights(at(y), dw, pick))
+
+    y0 = np.zeros(Z.shape[-1]) if start is None else restrict(np.asarray(start, float) - x0)
     if start is None:
         # one Newton step of the p = 2 model: a harmonic-type extension,
         # away from the degenerate curvature of a flat start
-        x = at(np.zeros(free.size))
+        x = at(y0)
+        model = system.weights(x, dw, pick)
+        model[: c.size] = c
         with contextlib.suppress(np.linalg.LinAlgError):
-            y = gram(np.concatenate([c, law_curvature(x)])).solve(-(D_free.T @ (c * (D @ x)) + law_grad(x)), 0.0)
+            y = gram(model).solve(-(DZ.T @ (c * (D @ x)) + law_grad(x)), 0.0)
             if np.all(np.isfinite(y)):
-                base[free] = y
+                y0 = y
 
-    if np.all(p >= 2.0):
-
-        def hess(y):
-            x = at(y)
-            return gram(np.concatenate([c * (p - 1.0) * np.abs(D @ x) ** (p - 2.0), law_curvature(x)]))
-
-        res = solvers.newton(value, grad, hess, base[free], tol)
-        return at(res.x), res
-
-    covered = a > 0
-    for t in laws:
-        if t.primitive.omega == 0.0:
-            covered[t.nodes] = True
-    if dual is None or not covered[free].all():
-        return None
+    if dual is None or not (system.convex_nodes | (pair.j.adjoint(dw) > 0))[Z].all():
+        res = solvers.newton(value, grad, hess, y0, tol)
+        return at(res.x), res, objective
 
     keep, D_free, D_free_T, dual_gram = dual
-    b = D[keep] @ at(np.zeros(free.size))  # contribution of the fixed nodes
+    b = D[keep] @ at(np.zeros(Z.size))  # contribution of the fixed nodes
     c, q = c[keep], p[keep] / (p[keep] - 1.0)
     cq = c ** (1.0 - q)
-    last = {"z": None, "y": base[free]}
+    last = {"z": None, "y": y0}
+
+    def law_curvature(x):
+        return system.nodal(np.concatenate([t.hessian_weights(x) for t in system.laws] + [dw]))[Z]
 
     def primal_of(z):
         # invert the strictly increasing nodewise derivative map; Newton asks
@@ -472,7 +503,7 @@ def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=N
     def dual_value(z):
         v, y = primal_of(z)
         x = at(y)
-        laws_value = sum(t.value(x) for t in laws) + 0.5 * float(np.sum(a * (x - g) ** 2))
+        laws_value = sum(t.value(x) for t in system.laws) + data_value(x)
         return float(np.sum(cq * np.abs(z) ** q / q) - z @ b + v @ y) - laws_value
 
     def dual_grad(z):
@@ -484,71 +515,22 @@ def _edge_newton(pair: JEllipticPair, fixed, values, tol: float, start, anchor=N
         inv_curv = 1.0 / np.maximum(law_curvature(at(y)), 1e-14)
         return dual_gram(np.concatenate([cq * (q - 1.0) * np.abs(z) ** (q - 2.0), inv_curv]))
 
-    d0 = D_free @ base[free] + b
+    d0 = D_free @ y0 + b
     z0 = c * np.abs(d0) ** (p[keep] - 1.0) * np.sign(d0)
     res = solvers.newton(
         dual_value, dual_grad, dual_hess, z0, tol, certificate=lambda z: float(np.linalg.norm(grad(primal_of(z)[1])))
     )
     y = primal_of(res.x)[1]
-    if not res.converged and anchor is None:
-        # a fibre has no fallback: the dual's answer resolves small
+    if not res.converged and data is None:
+        # a fibre has no rescue: the dual's answer resolves small
         # differences only to the accuracy of primal_of, and primal Newton
         # from there, where the curvature is finite unless a difference
         # vanishes, often certifies what it leaves
-        def primal_hess(y):
-            d = np.maximum(np.abs(D @ at(y)), 1e-16)
-            return gram(np.concatenate([system.c * (system.p - 1.0) * d ** (system.p - 2.0), law_curvature(at(y))]))
-
-        polish = solvers.newton(value, grad, primal_hess, y, tol)
+        polish = solvers.newton(value, grad, hess, y, tol)
         if polish.residual < res.residual:
             y = polish.x
             res = solvers.SolveResult(y, polish.residual, res.iterations + polish.iterations, polish.converged, polish.value)
-    return at(y), res
-
-
-def _weighted_gram(B):
-    """``w -> B diag(w) B^T`` for a fixed sparse ``B``, as a :class:`_Banded`.
-
-    A reverse Cuthill-McKee ordering of the product, its bandwidth and the
-    band slot of every product of two entries in one column of ``B`` are
-    found once; a call sums the weighted products into their slots.
-    """
-    B = scipy.sparse.csc_matrix(B)
-    B.sum_duplicates()
-    B.eliminate_zeros()
-    n = B.shape[0]
-    pattern = (abs(B) @ abs(B).T).tocsr()
-    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else np.arange(0)
-    rank = np.argsort(perm)  # position of each row in the ordering
-    col = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))  # column of each entry
-    count = np.diff(B.indptr)[col]
-    left = np.repeat(np.arange(B.nnz), count)
-    right = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count) + B.indptr[col[left]]
-    i, j = rank[B.indices[left]], rank[B.indices[right]]
-    upper = i <= j
-    bw = int(np.max(j - i, initial=0))
-    slot = ((bw + i - j) * n + j)[upper]
-    coef, src = (B.data[left] * B.data[right])[upper], col[left][upper]
-    size = (bw + 1) * n
-    return lambda w: _Banded(np.bincount(slot, weights=coef * w[src], minlength=size).reshape(bw + 1, n), perm, rank)
-
-
-class _Banded:
-    """Symmetric ``A`` as the upper band of ``A[perm][:, perm]`` in LAPACK's
-    layout (``ab[bw + i - j, j]`` for ``i <= j``); ``rank`` inverts ``perm``."""
-
-    def __init__(self, ab, perm, rank):
-        self.ab, self.perm, self.rank = ab, perm, rank
-
-    def diagonal(self):
-        return self.ab[-1][self.rank]
-
-    def solve(self, rhs, shift):
-        """``(A + shift I)^{-1} rhs`` by banded Cholesky (``LinAlgError`` unless definite)."""
-        ab = self.ab.copy()
-        ab[-1] += shift
-        y = scipy.linalg.solveh_banded(ab, rhs[self.perm], overwrite_ab=True, overwrite_b=True, check_finite=False)
-        return y[self.rank]
+    return at(y), res, objective
 
 
 def _restriction_indices(mat: np.ndarray):

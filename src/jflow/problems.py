@@ -138,7 +138,6 @@ class ScalarRule:
     lipschitz: float
     monotone: bool
     tag: str
-    params: dict = field(default_factory=dict)
 
     def energy_primitive(self) -> ScalarPrimitive:
         omega = 0.0 if self.monotone else float(self.lipschitz)
@@ -161,7 +160,6 @@ def g_linear(a: float) -> ScalarRule:
         abs(a),
         a >= 0,
         "linear",
-        {"a": a},
     )
 
 
@@ -174,7 +172,6 @@ def g_affine(a: float, b: float) -> ScalarRule:
         abs(a),
         a >= 0,
         "affine",
-        {"a": a, "b": b},
     )
 
 
@@ -187,7 +184,6 @@ def g_arctan(a: float) -> ScalarRule:
         a,
         True,
         "arctan",
-        {"a": a},
     )
 
 
@@ -199,7 +195,6 @@ def g_sine(a: float) -> ScalarRule:
         abs(a),
         a == 0.0,
         "sine",
-        {"a": a},
     )
 
 
@@ -211,7 +206,7 @@ def beta_linear(a: float) -> ScalarRule:
     if a < 0:
         raise ValueError("boundary law must be increasing")
     rule = g_linear(a)
-    return ScalarRule(rule.fn, rule.primitive, rule.lipschitz, True, "linear", {"a": a, "r": 2, "alpha": a})
+    return ScalarRule(rule.fn, rule.primitive, rule.lipschitz, True, "linear")
 
 
 def beta_power(a: float, r: float) -> ScalarRule:
@@ -225,7 +220,6 @@ def beta_power(a: float, r: float) -> ScalarRule:
         lip,
         True,
         "power",
-        {"a": a, "r": r, "alpha": a},
     )
 
 
@@ -250,12 +244,6 @@ class ScalarLaw:
     def shift(self) -> float:
         """Convexity shift the pair declares for this law."""
         return 0.0 if self.g.monotone else self.g.lipschitz + COERCIVITY_MARGIN
-
-    def describe(self) -> dict:
-        return {
-            "g": {"kind": self.g.tag, **self.g.params, "L": self.g.lipschitz, "monotone": self.g.monotone},
-            "beta": {"kind": self.beta.tag, **self.beta.params},
-        }
 
 
 def _law_from_config(cfg: Optional[dict]) -> ScalarLaw:

@@ -1,22 +1,21 @@
 """Convex minimization with an explicit accuracy contract.
 
-The main path is :func:`newton`, damped Newton with a Levenberg shift on
-a banded Cholesky in reverse Cuthill-McKee order, for edge powers plus
-nodewise laws (the fiber solves and backward steps of restriction maps).
-It is certified by the measured gradient norm.
+Smooth objectives take :func:`newton`: damped Newton on a banded
+Cholesky of a Hessian in the Gram form ``B diag(w) B^T``
+(:func:`_weighted_gram`), certified by the measured gradient norm.  Edge
+powers below two have a float floor; a step Newton leaves above its
+tolerance takes plateau collapse refined by Newton (:func:`_try_snap`),
+then a Barzilai-Borwein polish that collapses at stalls (:func:`_bb_descent`).
 
-Other objectives go to :func:`minimize`, certified by the Euclidean norm
-of an *explicit subgradient* of the full objective at the returned
-point: for a proximal step ``z = prox_s(y - s grad f(y))``,
+:func:`minimize` is accelerated proximal gradient for prox composites,
+certified by the Euclidean norm of an *explicit subgradient* of the full
+objective at the returned point: for a proximal step
+``z = prox_s(y - s grad f(y))``,
 
     (y - z)/s - grad f(y) + grad f(z)  in  (grad f + d g)(z),
 
 so for a strongly convex objective with modulus ``mu`` the returned
-point satisfies ``|x - x*| <= residual / mu`` unconditionally.  It runs
-limited-memory quasi-Newton, a Barzilai-Borwein polish that never
-compares function values, and an accelerated proximal-gradient loop (the
-engine for prox composites), with a ``snap`` hook for the float floor of
-edge powers below two.
+point satisfies ``|x - x*| <= residual / mu`` unconditionally.
 
 The three total-variation problems share one exact, sparse core.  The
 steps, :func:`tv_prox` (every node anchored, certified by a measured
@@ -37,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
@@ -56,21 +56,19 @@ __all__ = [
 
 _MACHINE_SLACK = 1e-13
 _NEWTON_MAX_ITER = 200
+_SNAP_THRESHOLDS = (1e-13, 1e-11, 1e-9, 1e-7)  # plateau merge thresholds on |d_e|, cautious first
+_SNAP_NEWTON_MAX_ITER = 30
+_BB_MAX_ITER = 8000
 
 
 @dataclass
 class Objective:
-    """Composite objective: smooth part plus an optional prox-friendly part.
-
-    ``snap`` is an optional structure hook that lands near-kink plateaus
-    on exact equality.
-    """
+    """Composite objective: smooth part plus an optional prox-friendly part."""
 
     smooth_value: Callable[[np.ndarray], float]
     smooth_grad: Callable[[np.ndarray], np.ndarray]
     prox: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     nonsmooth_value: Callable[[np.ndarray], float] = field(default=lambda x: 0.0)
-    snap: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def apply_prox(self, v, step):
         return v if self.prox is None else self.prox(v, step)
@@ -85,7 +83,6 @@ class SolveSpec:
     start: np.ndarray
     tol: float = 1e-8
     max_iter: int = 200000
-    method: str = "auto"  # auto | accelerated | proximal-gradient-backtracking | subgradient-averaging
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -103,7 +100,20 @@ class SolveResult:
     value: float
 
 
-def _probe_step(obj: Objective, x: np.ndarray) -> float:
+@dataclass
+class Collapsible:
+    """A smooth convex objective with Hessian ``factor diag(weights(x)) factor^T`` and edge powers
+    below two on ``edges`` (-1 the ground): what :func:`_try_snap` and :func:`_bb_descent` solve."""
+
+    smooth_value: Callable[[np.ndarray], float]
+    smooth_grad: Callable[[np.ndarray], np.ndarray]
+    factor: scipy.sparse.spmatrix
+    weights: Callable[[np.ndarray], np.ndarray]
+    edges: np.ndarray
+    tol: float
+
+
+def _probe_step(obj, x: np.ndarray) -> float:
     g = obj.smooth_grad(x)
     h = 1e-6 * (1.0 + np.linalg.norm(x))
     d = np.ones_like(x) / math.sqrt(max(x.size, 1))
@@ -114,77 +124,79 @@ def _probe_step(obj: Objective, x: np.ndarray) -> float:
     return min(1.0 / lip, 1e6)
 
 
-def _try_snap(obj: Objective, x, gn):
-    """Adopt a snapped point when it genuinely lowers the gradient norm.
+def _collapse(edges, x, thresh):
+    """Join the ``edges`` with ``|x_a - x_b| < thresh`` into plateaus: ``x``
+    with each plateau at its mean (zero on the ground, endpoint -1) and the
+    0/1 basis ``P`` of the plateaus off the ground; ``(x, None)`` if none."""
+    d = x[edges[:, 0]] - np.where(edges[:, 1] >= 0, x[edges[:, 1]], 0.0)
+    near = np.abs(d) < thresh
+    if not near.any():
+        return x, None
+    snapped, label = _plateau_levels(edges[near], x, np.ones(x.size))
+    live = np.setdiff1d(label[:-1], label[-1:])
+    nodes = np.flatnonzero(label[:-1] != label[-1])
+    cols = np.searchsorted(live, label[nodes])
+    P = scipy.sparse.csc_matrix((np.ones(nodes.size), (nodes, cols)), shape=(x.size, live.size))
+    return snapped, P
 
-    A ladder of merge thresholds is tried from cautious to aggressive;
-    each plateau pattern is additionally refined by re-minimizing over
-    the collapsed coordinates (within-plateau differences are exact
-    zeros there, so the reduced problem has no degenerate edges).
+
+def _try_snap(problem: Collapsible, x, gn):
+    """Adopt a plateau collapse of ``x`` when it lowers the gradient norm ``gn``.
+
+    Near-kink differences of edge powers below two hover at rounding level,
+    with gradients ``~ |d|^(p-1)``: a residual floor.  For each merge
+    threshold, cautious first, :func:`_collapse` lands the flatter edges on
+    exact plateaus and Newton refines the levels in the coordinates
+    ``x = P y`` (Hessian ``P^T H P``, certified by the full gradient norm).
     """
-    if obj.snap is None:
-        return x, gn
-    for thresh in (1e-13, 1e-11, 1e-9, 1e-7):
-        cand, basis = obj.snap(x, thresh)
-        gn_cand = float(np.linalg.norm(obj.smooth_grad(cand)))
-        if basis is not None and 0 < basis.shape[1] < x.size:
-            counts = basis.sum(axis=0)
-            y0 = (basis.T @ cand) / counts
-            reduced = Objective(
-                smooth_value=lambda y: obj.smooth_value(basis @ y),
-                smooth_grad=lambda y: basis.T @ obj.smooth_grad(basis @ y),
+    tried = set()
+    for thresh in _SNAP_THRESHOLDS:
+        cand, P = _collapse(problem.edges, x, thresh)
+        key = None if P is None else (P.shape[1], P.indices.tobytes())
+        if key is None or key in tried:
+            continue
+        tried.add(key)
+        gn_cand = float(np.linalg.norm(problem.smooth_grad(cand)))
+        if 0 < P.shape[1] < x.size:
+            Pt = P.T.tocsr()
+            gram = _weighted_gram(Pt @ problem.factor)
+            res = newton(
+                lambda y: problem.smooth_value(P @ y),
+                lambda y: Pt @ problem.smooth_grad(P @ y),
+                lambda y: gram(problem.weights(P @ y)),
+                (Pt @ cand) / np.asarray(P.sum(axis=0)).ravel(),
+                problem.tol,
+                certificate=lambda y: float(np.linalg.norm(problem.smooth_grad(P @ y))),
+                max_iter=_SNAP_NEWTON_MAX_ITER,
             )
-            y_ref, _ = _lbfgs_bulk(reduced, y0, 1e-14, 2000)
-            y_ref, _, _ = _bb_descent(reduced, y_ref, 1e-14, 500)
-            cand_ref = basis @ y_ref
-            gn_ref = float(np.linalg.norm(obj.smooth_grad(cand_ref)))
-            if gn_ref < gn_cand:
-                cand, gn_cand = cand_ref, gn_ref
+            if res.residual < gn_cand:
+                cand, gn_cand = P @ res.x, res.residual
         if gn_cand < gn:
             x, gn = cand, gn_cand
+        if gn <= problem.tol:
+            break
     return x, gn
 
 
-def _lbfgs_bulk(obj: Objective, x: np.ndarray, tol: float, max_iter: int):
-    """Quasi-Newton bulk phase; returns its best point (never raises)."""
-
-    def fg(v):
-        return obj.smooth_value(v), obj.smooth_grad(v)
-
-    try:
-        out = scipy.optimize.minimize(
-            fg,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=max_iter, ftol=1e-18, gtol=0.1 * tol, maxcor=30, maxls=60),
-        )
-        nit = int(out.nit)
-        cand = np.asarray(out.x, float)
-        if np.all(np.isfinite(cand)) and obj.smooth_value(cand) <= obj.smooth_value(x):
-            return cand, nit
-    except (ValueError, FloatingPointError):
-        pass
-    return x, 0
-
-
-def _bb_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: int):
-    """Spectral (Barzilai-Borwein) descent monitored by the gradient norm.
+def _bb_descent(problem: Collapsible, x: np.ndarray):
+    """Plateau collapse (:func:`_try_snap`), then spectral (Barzilai-Borwein)
+    descent monitored by the gradient norm.
 
     Acceptance never compares objective values, so it keeps working in
     the regime where ``f`` differences drown in rounding; divergence is
-    handled by rewinding to the best-known point with a smaller step.
+    handled by rewinding to the best-known point with a smaller step, and
+    a stall by another collapse.
     """
-    g = obj.smooth_grad(x)
-    gn = float(np.linalg.norm(g))
+    x, gn = _try_snap(problem, x, float(np.linalg.norm(problem.smooth_grad(x))))
+    g = problem.smooth_grad(x)
     best_x, best_gn = x.copy(), gn
     stall = 0
-    s = 1e-3 * _probe_step(obj, x)
-    for k in range(max_iter):
-        if gn <= tol:
+    s = 1e-3 * _probe_step(problem, x)
+    for k in range(_BB_MAX_ITER):
+        if gn <= problem.tol:
             return x, gn, k
         x_new = x - s * g
-        g_new = obj.smooth_grad(x_new)
+        g_new = problem.smooth_grad(x_new)
         gn_new = float(np.linalg.norm(g_new))
         if gn_new < best_gn:
             best_x, best_gn = x_new.copy(), gn_new
@@ -193,7 +205,7 @@ def _bb_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: int):
             stall += 1
         if not np.isfinite(gn_new) or gn_new > 30.0 * best_gn:
             x = best_x.copy()
-            g = obj.smooth_grad(x)
+            g = problem.smooth_grad(x)
             gn = best_gn
             s *= 0.3
             continue
@@ -204,38 +216,16 @@ def _bb_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: int):
             s = float(dx @ dx) / dxdg if (k % 2 == 0) else dxdg / float(dg @ dg)
         x, g, gn = x_new, g_new, gn_new
         if stall >= 250:
-            best_x, best_gn = _try_snap(obj, best_x, best_gn)
-            if best_gn <= tol:
+            best_x, best_gn = _try_snap(problem, best_x, best_gn)
+            if best_gn <= problem.tol:
                 return best_x, best_gn, k + 1
             stall = 0
             s *= 0.5
-    best_x, best_gn = _try_snap(obj, best_x, best_gn)
-    return best_x, best_gn, max_iter
+    best_x, best_gn = _try_snap(problem, best_x, best_gn)
+    return best_x, best_gn, _BB_MAX_ITER
 
 
-def _subgradient_averaging(obj: Objective, x: np.ndarray, tol: float, iters: int):
-    """Diminishing-step fallback; returns the best iterate by value."""
-    best = x.copy()
-    fbest = obj.total_value(x)
-    scale = 1.0 + np.linalg.norm(x)
-    for k in range(iters):
-        g = obj.smooth_grad(x)
-        if obj.prox is not None:
-            s = 1.0
-            g = g + (x - obj.apply_prox(x, s)) / s
-        gn = np.linalg.norm(g)
-        if gn <= tol:
-            return x, k + 1
-        x = x - (0.1 * scale / ((k + 1) ** 0.75 * gn)) * g
-        if obj.prox is not None:
-            x = obj.apply_prox(x, 1.0)
-        fx = obj.total_value(x)
-        if fx < fbest:
-            fbest, best = fx, x.copy()
-    return best, iters
-
-
-def _accelerated_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: int, accelerated: bool):
+def _accelerated_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: int):
     """Proximal gradient with backtracking, momentum and gradient restart."""
     s = _probe_step(obj, x)
     s_cap = math.inf
@@ -244,7 +234,6 @@ def _accelerated_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: in
     t_mom = 1.0
     best = x.copy()
     best_res = math.inf
-    stall = 0
     k = 0
     while k < max_iter:
         k += 1
@@ -254,8 +243,12 @@ def _accelerated_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: in
         while True:
             z = obj.apply_prox(y - s * gy, s)
             dz = z - y
+            gz = obj.smooth_grad(z)
             quad = fy + float(gy @ dz) + float(dz @ dz) / (2.0 * s)
-            if obj.smooth_value(z) <= quad + _MACHINE_SLACK * (1.0 + abs(fy)):
+            # the descent test on values, and one on gradients (s below the
+            # inverse local Lipschitz constant) that rounding in f cannot fool
+            lipschitz = s * np.linalg.norm(gz - gy) <= np.linalg.norm(dz)
+            if lipschitz and obj.smooth_value(z) <= quad + _MACHINE_SLACK * (1.0 + abs(fy)):
                 break
             s *= 0.5
             halvings += 1
@@ -264,16 +257,12 @@ def _accelerated_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: in
         if halvings:
             # remember the ceiling; growing past it just limit-cycles
             s_cap = 1.99 * s
-        gz = obj.smooth_grad(z)
         xi = (y - z) / s - gy + gz
         res = float(np.linalg.norm(xi))
         if res <= tol:
             return z, res, k
         if res < best_res:
             best_res, best = res, z.copy()
-            stall = 0
-        else:
-            stall += 1
 
         if best_res < math.inf and res > 100.0 * best_res:
             # runaway momentum or an unstable step: rewind
@@ -285,7 +274,7 @@ def _accelerated_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: in
 
         # momentum with gradient-based restart: drop it when the step
         # direction turns against the latest progress (kills ripples)
-        if accelerated and float((y - z) @ (z - z_prev)) <= 0.0:
+        if float((y - z) @ (z - z_prev)) <= 0.0:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2))
             y = z + ((t_mom - 1.0) / t_next) * (z - z_prev)
             t_mom = t_next
@@ -298,70 +287,33 @@ def _accelerated_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: in
             if math.isfinite(s_cap):
                 s_cap = min(s_cap * 1.02, 1e12)  # the ceiling may track changing curvature
 
-        if stall >= 400 and s < 1e-14:
-            # non-Lipschitz kink pinned the step size: average subgradients
-            z, used = _subgradient_averaging(obj, best, tol, min(2000, max_iter - k))
-            k += used
-            y = z.copy()
-            z_prev = z.copy()
-            t_mom = 1.0
-            s = max(_probe_step(obj, z), 1e-12)
-            stall = 0
-
     return best, best_res, max_iter
 
 
 def minimize(spec: SolveSpec) -> SolveResult:
-    """Minimize a composite convex objective to a subgradient residual."""
+    """Accelerated proximal gradient for a composite objective, to a subgradient residual."""
     obj = spec.objective
-    x = np.asarray(spec.start, float).copy()
-    if obj.prox is not None:
-        x = obj.apply_prox(x, 1.0)
-
-    if spec.method == "subgradient-averaging":
-        x, used = _subgradient_averaging(obj, x, spec.tol, spec.max_iter)
-        g = obj.smooth_grad(x)
-        res = float(np.linalg.norm(g))
-        return SolveResult(x, res, used, res <= spec.tol, obj.total_value(x))
-
-    iters = 0
-    if obj.prox is None and spec.method == "auto":
-        x, used = _lbfgs_bulk(obj, x, spec.tol, min(spec.max_iter, 20000))
-        iters += used
-        gn = float(np.linalg.norm(obj.smooth_grad(x)))
-        x, gn = _try_snap(obj, x, gn)
-        if gn <= spec.tol:
-            return SolveResult(x, gn, iters, True, obj.total_value(x))
-        x, gn, used = _bb_descent(obj, x, spec.tol, min(spec.max_iter - iters, 8000))
-        iters += used
-        if gn <= spec.tol:
-            return SolveResult(x, gn, iters, True, obj.total_value(x))
-
-    accelerated = spec.method in ("auto", "accelerated")
-    budget = max(spec.max_iter - iters, 1000)
-    x, res, used = _accelerated_descent(obj, x, spec.tol, budget, accelerated)
-    iters += used
-    if obj.prox is None:
-        x, res = _try_snap(obj, x, res)
-    return SolveResult(x, res, iters, res <= spec.tol, obj.total_value(x))
+    x = obj.apply_prox(np.asarray(spec.start, float).copy(), 1.0)
+    x, res, used = _accelerated_descent(obj, x, spec.tol, spec.max_iter)
+    return SolveResult(x, res, used, res <= spec.tol, obj.total_value(x))
 
 
 # ---------------------------------------------------------------------------
 # damped Newton on banded Hessians
 
 
-def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResult:
+def newton(value, grad, hess, start, tol: float, certificate=None, max_iter: int = _NEWTON_MAX_ITER) -> SolveResult:
     """Damped Newton for smooth convex objectives with banded Hessians.
 
     ``hess(x)`` returns the Hessian ``H`` as an operator with ``diagonal()``
     and ``solve(rhs, shift)``, which raises ``LinAlgError`` unless
-    ``H + shift I`` is positive definite (``pairs._weighted_gram``).  The
+    ``H + shift I`` is positive definite (:func:`_weighted_gram`).  The
     shift, ``min(|grad|, 1)`` plus a relative floor, keeps the system
     solvable where the curvature degenerates and fades out with the
     gradient.  Armijo backtracking on ``value`` globalizes; a step whose
     predicted decrease lies below the rounding level of ``value`` is taken
-    in full.  A failed factorization or a non-finite step stops the
-    iteration.  The result is certified by ``certificate(x)`` (default: the
+    in full.  A failed factorization, a non-finite step or ``max_iter``
+    iterations stop the iteration.  The result is certified by ``certificate(x)`` (default: the
     gradient norm) at the best iterate; a non-finite certificate never
     counts as converged.
     """
@@ -370,7 +322,7 @@ def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResul
     f, g = value(x), grad(x)
     best_x, best_r = x.copy(), cert(x)
     k = 0
-    while k < _NEWTON_MAX_ITER and not best_r <= tol:
+    while k < max_iter and not best_r <= tol:
         k += 1
         H = hess(x)
         shift = min(float(np.linalg.norm(g)), 1.0) + 1e-13 * float(np.max(np.abs(H.diagonal()), initial=0.0))
@@ -397,6 +349,52 @@ def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResul
         if r < best_r or (np.isfinite(r) and not np.isfinite(best_r)):
             best_x, best_r = x.copy(), r
     return SolveResult(best_x, best_r, k, bool(best_r <= tol), value(best_x))
+
+
+
+def _weighted_gram(B):
+    """``w -> B diag(w) B^T`` for a fixed sparse ``B``, as a :class:`_Banded`.
+
+    A reverse Cuthill-McKee ordering of the product, its bandwidth and the
+    band slot of every product of two entries in one column of ``B`` are
+    found once; a call sums the weighted products into their slots.
+    """
+    B = scipy.sparse.csc_matrix(B)
+    B.sum_duplicates()
+    B.eliminate_zeros()
+    n = B.shape[0]
+    pattern = (abs(B) @ abs(B).T).tocsr()
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else np.arange(0)
+    rank = np.argsort(perm)  # position of each row in the ordering
+    col = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))  # column of each entry
+    count = np.diff(B.indptr)[col]
+    left = np.repeat(np.arange(B.nnz), count)
+    right = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count) + B.indptr[col[left]]
+    i, j = rank[B.indices[left]], rank[B.indices[right]]
+    upper = i <= j
+    bw = int(np.max(j - i, initial=0))
+    slot = ((bw + i - j) * n + j)[upper]
+    coef, src = (B.data[left] * B.data[right])[upper], col[left][upper]
+    size = (bw + 1) * n
+    return lambda w: _Banded(np.bincount(slot, weights=coef * w[src], minlength=size).reshape(bw + 1, n), perm, rank)
+
+
+class _Banded:
+    """Symmetric ``A`` as the upper band of ``A[perm][:, perm]`` in LAPACK's
+    layout (``ab[bw + i - j, j]`` for ``i <= j``); ``rank`` inverts ``perm``."""
+
+    def __init__(self, ab, perm, rank):
+        self.ab, self.perm, self.rank = ab, perm, rank
+
+    def diagonal(self):
+        return self.ab[-1][self.rank]
+
+    def solve(self, rhs, shift):
+        """``(A + shift I)^{-1} rhs`` by banded Cholesky (``LinAlgError`` unless definite)."""
+        ab = self.ab.copy()
+        ab[-1] += shift
+        y = scipy.linalg.solveh_banded(ab, rhs[self.perm], overwrite_ab=True, overwrite_b=True, check_finite=False)
+        return y[self.rank]
 
 
 # ---------------------------------------------------------------------------

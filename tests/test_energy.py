@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from jflow.energy import (
@@ -153,35 +154,27 @@ def test_quadratic_and_linear_terms():
     assert np.allclose(E.smooth_grad(u), Q @ u)
 
 
-def test_diag_curvature_matches_finite_differences():
+def test_gram_hessian_matches_finite_differences():
+    from jflow.pairs import _ComposedSmoothTerm
+
     law = ScalarPrimitive(
         value_fn=lambda z: np.cosh(z), deriv_fn=lambda z: np.sinh(z), curvature_fn=lambda z: np.cosh(z)
     )
+    Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
     E = ExtendedFunctional(
-        [PEdgeEnergy([(0, 1), (1, 2)], [0.7, 1.3], 3.0), NodewiseIntegral([0, 2], [2.0, 0.5], law)], 3
+        [PEdgeEnergy([(0, 1), (1, 2)], [0.7, 1.3], 3.0), NodewiseIntegral([0, 2], [2.0, 0.5], law), QuadraticTerm(Q)], 3
     )
-    u = np.array([0.4, -0.2, 1.1])
-    diag = E.smooth_diag_curvature(u)
+    composed = ExtendedFunctional([_ComposedSmoothTerm(E, np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]]))], 2)
     h = 1e-5
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        fd = (E.smooth_grad(u + e)[i] - E.smooth_grad(u - e)[i]) / (2 * h)
-        assert diag[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-
-def test_snap_hook_equalizes_plateaus():
-    E = ExtendedFunctional([PEdgeEnergy([(0, 1), (1, 2), (2, -1)], np.ones(3), 1.5)], 3)
-    snap = E.snap_hook()
-    x = np.array([1.0, 1.0 + 1e-14, 5.0])
-    snapped, basis = snap(x, 1e-12)
-    assert snapped[0] == snapped[1]
-    assert snapped[2] == 5.0
-    assert basis is not None
-    # grounded component collapses to zero
-    x2 = np.array([1.0, 2.0, 1e-15])
-    snapped2, _ = snap(x2, 1e-12)
-    assert snapped2[2] == 0.0
+    for F, u in ((E, np.array([0.4, -0.2, 1.1])), (composed, np.array([0.3, 0.6]))):
+        B = F.hessian_factor()
+        H = (B @ scipy.sparse.diags(F.hessian_weights(u)) @ B.T).toarray()
+        for i in range(F.dim):
+            e = np.zeros(F.dim)
+            e[i] = h
+            fd = (F.smooth_grad(u + e) - F.smooth_grad(u - e)) / (2 * h)
+            for k in range(F.dim):
+                assert H[k, i] == pytest.approx(fd[k], rel=1e-4, abs=1e-6)
 
 
 def test_finite_point_respects_indicators():

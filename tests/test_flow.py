@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jflow.energy import ExtendedFunctional, QuadraticTerm
+from jflow.energy import AffineIndicatorTerm, ExtendedFunctional, QuadraticTerm
 from jflow.flow import (
     EvolveError,
     cyclic_monotonicity_gap,
@@ -104,6 +104,18 @@ def test_evolve_initial_datum_out_of_range():
     traj = evolve(pair, u0, 0.2, 0.1, project_initial=True)
     assert traj.states[0][0] == pytest.approx(traj.states[0][1])
     assert traj.states[0][0] == pytest.approx(1.5)  # plain projection onto the diagonal
+
+
+def test_evolve_projects_onto_the_constraint_image():
+    # E = |x|^2/2 on {x_2 = 1}, j = I: the image of the effective domain is
+    # the line x_2 = 1, so the datum projects to (0.3, 1) and the first
+    # coordinate decays like a quadratic flow
+    E = ExtendedFunctional([QuadraticTerm(np.eye(2)), AffineIndicatorTerm(np.array([[0.0, 1.0]]), np.array([1.0]))], 2)
+    pair = JEllipticPair(E, JMap(np.eye(2)), WeightedSpace(np.ones(2)))
+    traj = evolve(pair, np.array([0.3, 2.0]), 0.2, 0.1, project_initial=True)
+    np.testing.assert_allclose(traj.states[0], [0.3, 1.0], rtol=0.0, atol=1e-12)
+    for k, state in enumerate(traj.states):
+        assert state == pytest.approx([0.3 / 1.1**k, 1.0], abs=1e-9)
 
 
 def test_evolve_energy_dissipation_inequality():
@@ -223,6 +235,34 @@ def test_subquadratic_resolvent_reaches_tight_tolerance():
         step_grad = pair.E.smooth_grad(r.u_hat) + (J.T * w) @ (J @ r.u_hat - g) / lam
         assert np.linalg.norm(step_grad) <= 1e-9
         assert r.residual == pytest.approx(np.linalg.norm(step_grad), rel=1e-9)
+
+
+def test_subquadratic_orbit_rescue_certifies_every_step(monkeypatch):
+    # tau = 0.2 robin_p1.5 steps where Newton stops at the float floor: the
+    # plateau rescue must run and certify each step at the default tolerance
+    from jflow import solvers
+    from jflow.flow import _effective_tol
+
+    pair = P.load_problem(P.builtin_problems()["robin_p1.5"]).pair
+    snaps = []
+    real = solvers._try_snap
+
+    def counted(*args):
+        snaps.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_try_snap", counted)
+    tau = 0.2
+    u0 = np.random.default_rng(101).normal(size=pair.space.dim)
+    traj = evolve(pair, u0, 20 * tau, tau, record_energies=False, keep_extensions=True)
+    assert traj.states.shape[0] == 21
+    assert snaps
+    J, w = pair.j.matrix, pair.space.weights
+    for k in range(1, 21):
+        x = traj.extensions[k]
+        step_grad = pair.E.smooth_grad(x) + (J.T * w) @ (J @ x - traj.states[k - 1]) / tau
+        assert traj.step_residuals[k] <= _effective_tol(pair.E, None)
+        assert traj.step_residuals[k] == pytest.approx(np.linalg.norm(step_grad), rel=1e-9)
 
 
 def test_coupled_p2_step_matches_schur_solve():

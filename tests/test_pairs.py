@@ -337,10 +337,13 @@ def test_lifted_value_reaches_tight_tolerance(name, seed):
 
 
 def _fiber_slice_minimize(pair, u, tol):
-    # the general-map route: null-space parametrization and first-order descent
-    from jflow import pairs, solvers
+    # an independent reference: least-squares particular point, SciPy's
+    # null-space basis and first-order descent
+    import scipy.linalg
+    from jflow import solvers
 
-    x0, Z = pairs._fiber_slice(pair, u)
+    x0 = np.linalg.lstsq(pair.j.matrix, u, rcond=None)[0]
+    Z = scipy.linalg.null_space(pair.j.matrix)
     obj = solvers.Objective(
         smooth_value=lambda w: pair.E.smooth_value(x0 + Z @ w),
         smooth_grad=lambda w: Z.T @ pair.E.smooth_grad(x0 + Z @ w),
@@ -390,3 +393,44 @@ def test_general_map_fiber_uses_fiber_slice(monkeypatch):
     # min x^2/2 + y^2 on x + y = 1.5 is at (1, 0.5): value 0.75
     assert lifted_value(pair, np.array([1.5]), tol=1e-10).value == pytest.approx(0.75, abs=1e-12)
     assert len(calls) == 1
+
+
+def test_smooth_pairs_run_newton_on_geometry_computed_once(monkeypatch):
+    # a QuadraticTerm on a restriction map, a general map and a graph-reduced
+    # pair: backward steps and fibers run Newton, never the first-order
+    # minimize, and no SVD is repeated after the first step and fiber
+    import scipy.linalg
+    from jflow import solvers
+
+    Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+    E = ExtendedFunctional([QuadraticTerm(Q)], 3)
+    pairs = [
+        JEllipticPair(E, JMap(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])), WeightedSpace(np.ones(2))),
+        JEllipticPair(E, JMap(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])), WeightedSpace(np.array([1.0, 2.0]))),
+        graph_reduce(
+            E, JMap(np.array([[1.0, 0.0, 2.0]]), domain=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])), WeightedSpace(np.ones(1))
+        ),
+    ]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solvers, "minimize", counted("minimize", solvers.minimize))
+    for mod, name in ((scipy.linalg, "null_space"), (np.linalg, "pinv"), (np.linalg, "lstsq"), (np.linalg, "svd")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    for pair in pairs:
+        g = np.linspace(-1.0, 1.5, pair.space.dim)
+        for round_ in range(2):
+            before = len(calls)
+            step = resolvent(pair, 0.5, g, tol=1e-10)
+            fiber = lifted_value(pair, step.u, tol=1e-10)
+            assert step.residual <= 1e-10 and fiber.residual <= 1e-10
+            assert fiber.value == pytest.approx(pair.E.value(step.u_hat), abs=1e-9)
+            if round_:
+                assert calls[before:] == []
+    assert "minimize" not in calls

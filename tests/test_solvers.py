@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from jflow.solvers import (
     Objective,
     SolveSpec,
+    _collapse,
     constrained_tv_min,
     minimize,
     newton,
@@ -86,12 +87,6 @@ def test_cauchy_consistency_under_tol_halving():
     assert np.linalg.norm(r_loose.x - r_tight.x) <= bound
 
 
-def test_subgradient_averaging_method_runs():
-    obj = quadratic_objective([1.0, -1.0])
-    res = minimize(SolveSpec(objective=obj, start=np.zeros(2), tol=1e-3, max_iter=5000, method="subgradient-averaging"))
-    assert np.linalg.norm(res.x - [1.0, -1.0]) < 0.1
-
-
 def test_spec_validation():
     obj = quadratic_objective([0.0])
     with pytest.raises(ValueError):
@@ -142,6 +137,19 @@ def test_newton_indefinite_hessian_stops_unconverged():
     assert not res.converged and res.iterations == 1
     np.testing.assert_array_equal(res.x, start)
     assert res.residual == np.linalg.norm(start)
+
+
+def test_collapse_equalizes_plateaus():
+    edges = np.array([(0, 1), (1, 2), (2, -1)])
+    x = np.array([1.0, 1.0 + 1e-14, 5.0])
+    snapped, basis = _collapse(edges, x, 1e-12)
+    assert snapped[0] == snapped[1]
+    assert snapped[2] == 5.0
+    assert basis is not None
+    # grounded component collapses to zero
+    x2 = np.array([1.0, 2.0, 1e-15])
+    snapped2, _ = _collapse(edges, x2, 1e-12)
+    assert snapped2[2] == 0.0
 
 
 def _free_block(pair):
