@@ -393,7 +393,7 @@ class _EdgeSystem:
 
 
 def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None):
-    """Banded damped Newton (:func:`solvers.newton`) on the slice ``x0 + Z y``.
+    """Banded Newton (:func:`solvers.newton`) on the slice ``x0 + Z y``.
 
     Minimizes the smooth energy, plus ``1/(2 lam) |j x - g|_H^2`` for
     ``data = (lam, g)`` (a backward step), over ``y``; ``Z`` is the index

@@ -138,10 +138,13 @@ class ScalarRule:
     lipschitz: float
     monotone: bool
     tag: str
+    curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None  # derivative of ``fn``
 
     def energy_primitive(self) -> ScalarPrimitive:
         omega = 0.0 if self.monotone else float(self.lipschitz)
-        return ScalarPrimitive(value_fn=self.primitive, deriv_fn=self.fn, omega=omega, tag=self.tag)
+        return ScalarPrimitive(
+            value_fn=self.primitive, deriv_fn=self.fn, omega=omega, tag=self.tag, curvature_fn=self.curvature
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -150,7 +153,7 @@ class ScalarRule:
 
 def g_zero() -> ScalarRule:
     zero = lambda z: np.zeros_like(np.asarray(z, float))
-    return ScalarRule(zero, zero, 0.0, True, "zero")
+    return ScalarRule(zero, zero, 0.0, True, "zero", zero)
 
 
 def g_linear(a: float) -> ScalarRule:
@@ -160,6 +163,7 @@ def g_linear(a: float) -> ScalarRule:
         abs(a),
         a >= 0,
         "linear",
+        lambda z: np.full_like(np.asarray(z, float), a),
     )
 
 
@@ -172,6 +176,7 @@ def g_affine(a: float, b: float) -> ScalarRule:
         abs(a),
         a >= 0,
         "affine",
+        lambda z: np.full_like(np.asarray(z, float), a),
     )
 
 
@@ -184,6 +189,7 @@ def g_arctan(a: float) -> ScalarRule:
         a,
         True,
         "arctan",
+        lambda z: a / (1.0 + z * z),
     )
 
 
@@ -195,6 +201,7 @@ def g_sine(a: float) -> ScalarRule:
         abs(a),
         a == 0.0,
         "sine",
+        lambda z: a * np.cos(z),
     )
 
 
@@ -206,11 +213,12 @@ def beta_linear(a: float) -> ScalarRule:
     if a < 0:
         raise ValueError("boundary law must be increasing")
     rule = g_linear(a)
-    return ScalarRule(rule.fn, rule.primitive, rule.lipschitz, True, "linear")
+    return ScalarRule(rule.fn, rule.primitive, rule.lipschitz, True, "linear", rule.curvature)
 
 
 def beta_power(a: float, r: float) -> ScalarRule:
-    """``a |z|^(r-1) sign z``; increasing, growth exponent ``r``."""
+    """``a |z|^(r-1) sign z``; increasing, growth exponent ``r``.  Below
+    ``r = 2`` the curvature is unbounded at 0 and is left to differencing."""
     if a <= 0 or r <= 1:
         raise ValueError("power boundary law needs a > 0 and r > 1")
     lip = a if r == 2 else math.inf  # derivative unbounded away from r = 2
@@ -220,6 +228,7 @@ def beta_power(a: float, r: float) -> ScalarRule:
         lip,
         True,
         "power",
+        (lambda z: a * (r - 1.0) * np.abs(z) ** (r - 2.0)) if r >= 2 else None,
     )
 
 

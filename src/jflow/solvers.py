@@ -1,8 +1,9 @@
 """Convex minimization with an explicit accuracy contract.
 
-Smooth objectives take :func:`newton`: damped Newton on a banded
-Cholesky of a Hessian in the Gram form ``B diag(w) B^T``
-(:func:`_weighted_gram`), certified by the measured gradient norm.  Edge
+Smooth objectives take :func:`newton`: Newton on a banded Cholesky
+(LAPACK ``dpbsv``) of a Hessian in the Gram form ``B diag(w) B^T``
+(:func:`_weighted_gram`), plain steps first and a Levenberg shift only
+where they fail, certified by the measured gradient norm.  Edge
 powers below two have a float floor; a step Newton leaves above its
 tolerance takes plateau collapse refined by Newton (:func:`_try_snap`),
 then a Barzilai-Borwein polish that collapses at stalls (:func:`_bb_descent`).
@@ -37,6 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
@@ -56,6 +58,7 @@ __all__ = [
 
 _MACHINE_SLACK = 1e-13
 _NEWTON_MAX_ITER = 200
+_BACKTRACK = 0.5 ** np.arange(40)  # halved step lengths down to 1e-12
 _SNAP_THRESHOLDS = (1e-13, 1e-11, 1e-9, 1e-7)  # plateau merge thresholds on |d_e|, cautious first
 _SNAP_NEWTON_MAX_ITER = 30
 _BB_MAX_ITER = 8000
@@ -299,57 +302,70 @@ def minimize(spec: SolveSpec) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# damped Newton on banded Hessians
+# Newton on banded Hessians
 
 
 def newton(value, grad, hess, start, tol: float, certificate=None, max_iter: int = _NEWTON_MAX_ITER) -> SolveResult:
-    """Damped Newton for smooth convex objectives with banded Hessians.
+    """Newton for smooth convex objectives with banded Hessians.
 
     ``hess(x)`` returns the Hessian ``H`` as an operator with ``diagonal()``
     and ``solve(rhs, shift)``, which raises ``LinAlgError`` unless
-    ``H + shift I`` is positive definite (:func:`_weighted_gram`).  The
-    shift, ``min(|grad|, 1)`` plus a relative floor, keeps the system
-    solvable where the curvature degenerates and fades out with the
-    gradient.  Armijo backtracking on ``value`` globalizes; a step whose
-    predicted decrease lies below the rounding level of ``value`` is taken
-    in full.  A failed factorization, a non-finite step or ``max_iter``
-    iterations stop the iteration.  The result is certified by ``certificate(x)`` (default: the
-    gradient norm) at the best iterate; a non-finite certificate never
+    ``H + shift I`` is positive definite (:func:`_weighted_gram`).  Each
+    iteration first tries the plain step on ``H + floor I``, with the
+    relative floor ``1e-13 max|diag H|``, and takes it in full when it
+    factors, descends and passes Armijo at unit length.  Otherwise the
+    Levenberg shift ``min(|grad|, 1)`` is added to the floor, which keeps
+    the system solvable where the curvature degenerates, and Armijo
+    backtracking on ``value`` globalizes.  A step whose predicted decrease
+    lies below the rounding level of ``value`` passes Armijo.  A failed
+    factorization, a non-finite step or ``max_iter`` iterations stop the
+    iteration.  The result is certified by ``certificate(x)`` (default: the
+    norm of the gradient already held at ``x``) at the best iterate, and
+    carries that iterate's tracked value; a non-finite certificate never
     counts as converged.
     """
-    cert = certificate or (lambda v: float(np.linalg.norm(grad(v))))
+
+    def certify(x, g):
+        return float(np.linalg.norm(g)) if certificate is None else certificate(x)
+
     x = np.asarray(start, float).copy()
     f, g = value(x), grad(x)
-    best_x, best_r = x.copy(), cert(x)
+    best_x, best_r, best_f = x.copy(), certify(x, g), f
     k = 0
     while k < max_iter and not best_r <= tol:
         k += 1
         H = hess(x)
-        shift = min(float(np.linalg.norm(g)), 1.0) + 1e-13 * float(np.max(np.abs(H.diagonal()), initial=0.0))
-        try:
-            step = H.solve(-g, shift)
-        except np.linalg.LinAlgError:
-            break
-        slope = float(g @ step)
-        if not np.all(np.isfinite(step)) or not slope < 0.0:
-            break
-        alpha = 1.0
-        while alpha >= 1e-12:
-            x_new = x + alpha * step
-            f_new = value(x_new)
-            if np.isfinite(f_new) and (
-                f_new <= f + 1e-4 * alpha * slope or -alpha * slope <= 1e-15 * (1.0 + abs(f))
-            ):
+        floor = 1e-13 * float(np.max(np.abs(H.diagonal()), initial=0.0))
+        moved = None
+        for shift, lengths in ((floor, (1.0,)), (min(float(np.linalg.norm(g)), 1.0) + floor, _BACKTRACK)):
+            try:
+                step = H.solve(-g, shift)
+            except np.linalg.LinAlgError:
+                continue
+            slope = float(g @ step)
+            if np.all(np.isfinite(step)) and slope < 0.0:
+                moved = _armijo(value, x, f, step, slope, lengths)
+            if moved is not None:
                 break
-            alpha *= 0.5
-        else:
+        if moved is None:
             break
-        x, f, g = x_new, f_new, grad(x_new)
-        r = cert(x)
+        x, f = moved
+        g = grad(x)
+        r = certify(x, g)
         if r < best_r or (np.isfinite(r) and not np.isfinite(best_r)):
-            best_x, best_r = x.copy(), r
-    return SolveResult(best_x, best_r, k, bool(best_r <= tol), value(best_x))
+            best_x, best_r, best_f = x.copy(), r, f
+    return SolveResult(best_x, best_r, k, bool(best_r <= tol), best_f)
 
+
+def _armijo(value, x, f, step, slope, lengths):
+    """The first ``x + alpha step``, ``alpha`` in ``lengths``, that passes
+    Armijo on ``value``, with its value; ``None`` if none does."""
+    for alpha in lengths:
+        x_new = x + alpha * step
+        f_new = value(x_new)
+        if np.isfinite(f_new) and (f_new <= f + 1e-4 * alpha * slope or -alpha * slope <= 1e-15 * (1.0 + abs(f))):
+            return x_new, f_new
+    return None
 
 
 def _weighted_gram(B):
@@ -393,7 +409,9 @@ class _Banded:
         """``(A + shift I)^{-1} rhs`` by banded Cholesky (``LinAlgError`` unless definite)."""
         ab = self.ab.copy()
         ab[-1] += shift
-        y = scipy.linalg.solveh_banded(ab, rhs[self.perm], overwrite_ab=True, overwrite_b=True, check_finite=False)
+        _, y, info = scipy.linalg.lapack.dpbsv(ab, rhs[self.perm], overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
         return y[self.rank]
 
 

@@ -325,3 +325,32 @@ def test_grid_spec_validation():
     assert g.node_count == 12
     assert g.edges().shape == (2 * 4 + 3 * 3, 2)
     assert set(g.boundary_nodes()) | set(g.interior_nodes()) == set(range(12))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        P.g_zero(),
+        P.g_linear(-1.5),
+        P.g_affine(2.0, 0.3),
+        P.g_arctan(0.5),
+        P.g_sine(0.7),
+        P.beta_linear(1.0),
+        P.beta_power(0.8, 2.0),
+        P.beta_power(1.3, 3.0),
+        P.beta_power(0.6, 4.5),
+    ],
+    ids=lambda rule: rule.tag,
+)
+def test_rule_curvature_matches_central_differences(rule):
+    z = np.random.default_rng(11).uniform(0.2, 3.0, size=20) * np.resize([1.0, -1.0], 20)
+    h = 1e-5
+    fd = (rule.fn(z + h) - rule.fn(z - h)) / (2.0 * h)
+    np.testing.assert_allclose(rule.curvature(z), fd, rtol=1e-7, atol=1e-9)
+    np.testing.assert_array_equal(rule.energy_primitive().curvature(z), rule.curvature(z))
+
+
+def test_subquadratic_power_rule_keeps_difference_curvature():
+    rule = P.beta_power(1.0, 1.5)
+    assert rule.curvature is None
+    assert rule.energy_primitive().curvature(np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-6)

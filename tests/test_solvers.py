@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
@@ -10,6 +11,7 @@ from jflow.solvers import (
     SolveSpec,
     _collapse,
     constrained_tv_min,
+    edge_incidence,
     minimize,
     newton,
     partial_anchor_tv,
@@ -139,6 +141,62 @@ def test_newton_indefinite_hessian_stops_unconverged():
     assert res.residual == np.linalg.norm(start)
 
 
+def test_newton_quadratic_takes_one_plain_step():
+    # a strictly convex banded quadratic: the unshifted step lands on the
+    # minimizer, with one gradient at the start and one at the iterate
+    n = 12
+    D = edge_incidence(np.column_stack([np.arange(n), np.r_[np.arange(1, n), -1]]), n)
+    gram = _weighted_gram(scipy.sparse.hstack([D.T, scipy.sparse.identity(n)]))
+    w = np.r_[np.full(n, 50.0), np.full(n, 0.5)]
+    A = (D.T @ scipy.sparse.diags(w[:n]) @ D).toarray() + 0.5 * np.eye(n)
+    b = np.random.default_rng(4).normal(size=n)
+    grads = []
+
+    def grad(x):
+        grads.append(1)
+        return A @ x - b
+
+    res = newton(lambda x: 0.5 * float(x @ A @ x) - float(b @ x), grad, lambda x: gram(w), np.zeros(n), tol=1e-10)
+    assert res.converged and res.iterations == 1
+    assert len(grads) == 1 + res.iterations
+    np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=1e-9)
+    assert res.value == 0.5 * float(res.x @ A @ res.x) - float(b @ res.x)
+
+
+def test_newton_overshooting_plain_step_falls_back_to_shift():
+    # sum log cosh(x - c) from 2: the plain step jumps far past c and fails
+    # Armijo, so the shifted, backtracked step carries the iteration
+    c = np.array([0.0, 0.5, -0.5])
+    gram = _weighted_gram(scipy.sparse.identity(3))
+    shifts = []
+
+    class Recording:
+        def __init__(self, H):
+            self.H = H
+
+        def diagonal(self):
+            return self.H.diagonal()
+
+        def solve(self, rhs, shift):
+            shifts.append(shift)
+            return self.H.solve(rhs, shift)
+
+    def grad(x):
+        return np.tanh(x - c)
+
+    res = newton(
+        lambda x: float(np.sum(np.log(np.cosh(x - c)))),
+        grad,
+        lambda x: Recording(gram(1.0 - np.tanh(x - c) ** 2)),
+        np.full(3, 2.0),
+        tol=1e-10,
+    )
+    assert res.converged and res.residual == np.linalg.norm(grad(res.x))
+    np.testing.assert_allclose(res.x, c, atol=1e-10)
+    assert max(shifts) > 0.5  # the Levenberg shift min(|grad|, 1) was used
+    assert len(shifts) > res.iterations  # some iterations solved twice
+
+
 def test_collapse_equalizes_plateaus():
     edges = np.array([(0, 1), (1, 2), (2, -1)])
     x = np.array([1.0, 1.0 + 1e-14, 5.0])
@@ -179,6 +237,9 @@ def test_banded_gram_solve_matches_dense(nx):
         x = H.solve(rhs, shift)
         ref = np.linalg.solve(dense + shift * np.eye(dense.shape[0]), rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        ab = H.ab.copy()
+        ab[-1] += shift
+        np.testing.assert_array_equal(x, scipy.linalg.solveh_banded(ab, rhs[H.perm])[H.rank])
     if nx is not None:
         assert H.ab.shape[0] - 1 <= nx  # bandwidth of the RCM ordering
 
@@ -355,3 +416,13 @@ def test_tv_prox_32x32_grid_step_has_independent_dual_certificate():
     assert 0.1 < flat_share < 0.9  # the step has real plateaus and real jumps
     residual, excess = _tv_step_dual_residual(term.edges, term.weights, masses, lam, g, res.x)
     assert residual <= 1e-11 and excess <= 1e-11
+
+
+def test_banded_solve_raises_on_indefinite_band():
+    n = 6
+    D = edge_incidence(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
+    gram = _weighted_gram(scipy.sparse.hstack([D.T, scipy.sparse.identity(n)]))
+    H = gram(np.r_[np.ones(n - 1), np.full(n, -0.5)])  # D^T D - I/2: the constant vector sees -1/2
+    with pytest.raises(np.linalg.LinAlgError):
+        H.solve(np.ones(n), 0.0)
+    np.testing.assert_allclose(H.solve(np.ones(n), 1.0), np.full(n, 2.0))
