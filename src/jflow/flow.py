@@ -94,10 +94,11 @@ def resolvent(
     Smooth energies take banded Newton (:func:`_slice_newton`) in the free
     coordinates, or the null-space coordinates of the indicator constraints
     (:attr:`JEllipticPair.step_slice`).  A step Newton leaves above ``tol``
-    (edge powers below two, at their float floor) takes plateau collapse
-    refined by Newton, then the Barzilai-Borwein polish that collapses at
-    stalls (:func:`solvers._bb_descent`), or raises.
-    The residual is the measured gradient norm of the step objective.
+    (edge powers below two, whose Newton steps overshoot across the kink)
+    is rescued there by Newton on the lagged-diffusivity majorant of the
+    Hessian, then on the Hessian (:func:`solvers._try_snap`); a step still
+    above ``tol`` raises.  The residual is the measured gradient norm of
+    the step objective in slice coordinates.
 
     Requires ``lam < 1/omega`` for shifted-convex pairs so that the step
     objective stays convex (strongly convex along data directions).
@@ -115,14 +116,10 @@ def resolvent(
         return _tv_resolvent(pair, lam, g, tol, start)
 
     x0, Z = pair.step_slice
-    x, res, objective = _slice_newton(pair, x0, Z, tol, start, data=(lam, g))
-    gn, iterations = res.residual, res.iterations
-    if not gn <= tol and Z.ndim == 1:
-        x, gn, used = solvers._bb_descent(objective, x)
-        iterations += used
-    if not gn <= tol:
-        raise RuntimeError(f"resolvent solve failed: residual {gn:g} after {iterations} iterations")
-    return _step(pair, lam, g, x, gn, iterations)
+    x, res = _slice_newton(pair, x0, Z, tol, start, data=(lam, g))
+    if not res.converged:
+        raise RuntimeError(f"resolvent solve failed: residual {res.residual:g} after {res.iterations} iterations")
+    return _step(pair, lam, g, x, res.residual, res.iterations)
 
 
 def _step(pair, lam, g, x, residual, iterations) -> ResolventResult:

@@ -314,7 +314,7 @@ def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> Lifte
         res = solvers.constrained_tv_min(edges, weights, pair.j.observed, u, pair.E.dim, tol=tol)
         return LiftedResult(value=pair.E.value(res.x), minimizer=res.x, residual=res.residual)
 
-    x, res, _ = _slice_newton(pair, x0, Z, tol, start)
+    x, res = _slice_newton(pair, x0, Z, tol, start)
     if not res.converged:
         raise RuntimeError(f"fiber Newton solve stalled: residual {res.residual:g} after {res.iterations} iterations")
     return LiftedResult(value=pair.E.value(x), minimizer=x, residual=res.residual)
@@ -342,7 +342,8 @@ class _EdgeSystem:
         self.D = Dt.T.tocsc()
         self.c = np.concatenate([np.zeros(0)] + [t.weights for t in self.edge_terms])
         self.p = np.concatenate([np.zeros(0)] + [np.full(t.weights.size, t.p) for t in self.edge_terms])
-        self.subquadratic = np.vstack([np.zeros((0, 2), dtype=int)] + [t.edges for t in self.edge_terms if t.p < 2.0])
+        # the lagged-diffusivity weight f'(d)/d of an edge power below two over its curvature f''
+        self.majorant_scale = np.where(self.p < 2.0, 1.0 / (self.p - 1.0), 1.0)
         factors = [t.hessian_factor(n) for t in self.others] + [scipy.sparse.csc_matrix(j.matrix.T)]
         F = scipy.sparse.hstack(factors, format="csc")
         F.eliminate_zeros()
@@ -404,8 +405,11 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
     coordinates with only nodewise laws besides, and a convex law or data
     on every free node, the conjugate edge dual (``q = p/(p-1)``) is solved
     instead.  Without ``start``, Newton starts from one step of the ``p = 2``
-    model.  Certified by the gradient norm in slice coordinates; returns
-    ``(x, SolveResult, objective)``, the objective in source coordinates.
+    model.  A solve that stalls above ``tol`` continues in slice coordinates
+    from its primal point with :func:`solvers._try_snap`: Newton on the
+    lagged-diffusivity majorant of the Hessian, then on the Hessian.
+    Certified by the gradient norm in slice coordinates; returns
+    ``(x, SolveResult)``.
     """
     system, E, j = pair.edge_system, pair.E, pair.j
     D, c, p = system.D, system.c, system.p
@@ -428,15 +432,6 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
         def data_grad(x):
             return adjoint(w * (apply(x) - g)) / lam
 
-    objective = solvers.Collapsible(
-        smooth_value=lambda x: E.smooth_value(x) + data_value(x),
-        smooth_grad=lambda x: E.smooth_grad(x) + data_grad(x),
-        factor=system.B,
-        weights=lambda x: system.weights(x, dw),
-        edges=system.subquadratic,
-        tol=tol,
-    )
-
     def at(y):
         if Z.ndim == 2:
             return x0 + Z @ y
@@ -451,13 +446,28 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
         return restrict(sum((t.grad(x) for t in system.others), data_grad(x)))
 
     def value(y):
-        return objective.smooth_value(at(y))
+        x = at(y)
+        return E.smooth_value(x) + data_value(x)
 
     def grad(y):
-        return restrict(objective.smooth_grad(at(y)))
+        x = at(y)
+        return restrict(E.smooth_grad(x) + data_grad(x))
 
     def hess(y):
         return gram(system.weights(at(y), dw, pick))
+
+    def rescued(y, res):
+        # the point and result of a solve, through solvers._try_snap when it stalled
+        if res.converged:
+            return at(y), res
+
+        def majorant(y):
+            weights = system.weights(at(y), dw, pick)
+            weights[: system.majorant_scale.size] *= system.majorant_scale
+            return gram(weights)
+
+        y, gn, used = solvers._try_snap(solvers.Majorized(value, grad, hess, majorant, tol), y, res.residual)
+        return at(y), solvers.SolveResult(y, gn, res.iterations + used, gn <= tol, value(y))
 
     y0 = np.zeros(Z.shape[-1]) if start is None else restrict(np.asarray(start, float) - x0)
     if start is None:
@@ -473,7 +483,7 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
 
     if dual is None or not (system.convex_nodes | (pair.j.adjoint(dw) > 0))[Z].all():
         res = solvers.newton(value, grad, hess, y0, tol)
-        return at(res.x), res, objective
+        return rescued(res.x, res)
 
     keep, D_free, D_free_T, dual_gram = dual
     b = D[keep] @ at(np.zeros(Z.size))  # contribution of the fixed nodes
@@ -520,17 +530,7 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
     res = solvers.newton(
         dual_value, dual_grad, dual_hess, z0, tol, certificate=lambda z: float(np.linalg.norm(grad(primal_of(z)[1])))
     )
-    y = primal_of(res.x)[1]
-    if not res.converged and data is None:
-        # a fibre has no rescue: the dual's answer resolves small
-        # differences only to the accuracy of primal_of, and primal Newton
-        # from there, where the curvature is finite unless a difference
-        # vanishes, often certifies what it leaves
-        polish = solvers.newton(value, grad, hess, y, tol)
-        if polish.residual < res.residual:
-            y = polish.x
-            res = solvers.SolveResult(y, polish.residual, res.iterations + polish.iterations, polish.converged, polish.value)
-    return at(y), res, objective
+    return rescued(primal_of(res.x)[1], res)
 
 
 def _restriction_indices(mat: np.ndarray):

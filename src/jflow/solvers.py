@@ -3,10 +3,10 @@
 Smooth objectives take :func:`newton`: Newton on a banded Cholesky
 (LAPACK ``dpbsv``) of a Hessian in the Gram form ``B diag(w) B^T``
 (:func:`_weighted_gram`), plain steps first and a Levenberg shift only
-where they fail, certified by the measured gradient norm.  Edge
-powers below two have a float floor; a step Newton leaves above its
-tolerance takes plateau collapse refined by Newton (:func:`_try_snap`),
-then a Barzilai-Borwein polish that collapses at stalls (:func:`_bb_descent`).
+where they fail, certified by the measured gradient norm.  Edge powers
+below two overshoot across their kink; a solve Newton leaves above its
+tolerance is rescued by Newton on the lagged-diffusivity majorant of
+the Hessian, then on the Hessian itself (:func:`_try_snap`).
 
 :func:`minimize` is accelerated proximal gradient for prox composites,
 certified by the Euclidean norm of an *explicit subgradient* of the full
@@ -59,9 +59,6 @@ __all__ = [
 _MACHINE_SLACK = 1e-13
 _NEWTON_MAX_ITER = 200
 _BACKTRACK = 0.5 ** np.arange(40)  # halved step lengths down to 1e-12
-_SNAP_THRESHOLDS = (1e-13, 1e-11, 1e-9, 1e-7)  # plateau merge thresholds on |d_e|, cautious first
-_SNAP_NEWTON_MAX_ITER = 30
-_BB_MAX_ITER = 8000
 
 
 @dataclass
@@ -104,15 +101,14 @@ class SolveResult:
 
 
 @dataclass
-class Collapsible:
-    """A smooth convex objective with Hessian ``factor diag(weights(x)) factor^T`` and edge powers
-    below two on ``edges`` (-1 the ground): what :func:`_try_snap` and :func:`_bb_descent` solve."""
+class Majorized:
+    """A smooth convex objective with its Hessian and a majorant of it,
+    each ``x -> H`` as :func:`newton` takes them: what :func:`_try_snap` solves."""
 
-    smooth_value: Callable[[np.ndarray], float]
-    smooth_grad: Callable[[np.ndarray], np.ndarray]
-    factor: scipy.sparse.spmatrix
-    weights: Callable[[np.ndarray], np.ndarray]
-    edges: np.ndarray
+    value: Callable[[np.ndarray], float]
+    grad: Callable[[np.ndarray], np.ndarray]
+    hess: Callable
+    majorant: Callable
     tol: float
 
 
@@ -125,107 +121,6 @@ def _probe_step(obj, x: np.ndarray) -> float:
     if not np.isfinite(lip) or lip <= 1e-12:
         return 1.0
     return min(1.0 / lip, 1e6)
-
-
-def _collapse(edges, x, thresh):
-    """Join the ``edges`` with ``|x_a - x_b| < thresh`` into plateaus: ``x``
-    with each plateau at its mean (zero on the ground, endpoint -1) and the
-    0/1 basis ``P`` of the plateaus off the ground; ``(x, None)`` if none."""
-    d = x[edges[:, 0]] - np.where(edges[:, 1] >= 0, x[edges[:, 1]], 0.0)
-    near = np.abs(d) < thresh
-    if not near.any():
-        return x, None
-    snapped, label = _plateau_levels(edges[near], x, np.ones(x.size))
-    live = np.setdiff1d(label[:-1], label[-1:])
-    nodes = np.flatnonzero(label[:-1] != label[-1])
-    cols = np.searchsorted(live, label[nodes])
-    P = scipy.sparse.csc_matrix((np.ones(nodes.size), (nodes, cols)), shape=(x.size, live.size))
-    return snapped, P
-
-
-def _try_snap(problem: Collapsible, x, gn):
-    """Adopt a plateau collapse of ``x`` when it lowers the gradient norm ``gn``.
-
-    Near-kink differences of edge powers below two hover at rounding level,
-    with gradients ``~ |d|^(p-1)``: a residual floor.  For each merge
-    threshold, cautious first, :func:`_collapse` lands the flatter edges on
-    exact plateaus and Newton refines the levels in the coordinates
-    ``x = P y`` (Hessian ``P^T H P``, certified by the full gradient norm).
-    """
-    tried = set()
-    for thresh in _SNAP_THRESHOLDS:
-        cand, P = _collapse(problem.edges, x, thresh)
-        key = None if P is None else (P.shape[1], P.indices.tobytes())
-        if key is None or key in tried:
-            continue
-        tried.add(key)
-        gn_cand = float(np.linalg.norm(problem.smooth_grad(cand)))
-        if 0 < P.shape[1] < x.size:
-            Pt = P.T.tocsr()
-            gram = _weighted_gram(Pt @ problem.factor)
-            res = newton(
-                lambda y: problem.smooth_value(P @ y),
-                lambda y: Pt @ problem.smooth_grad(P @ y),
-                lambda y: gram(problem.weights(P @ y)),
-                (Pt @ cand) / np.asarray(P.sum(axis=0)).ravel(),
-                problem.tol,
-                certificate=lambda y: float(np.linalg.norm(problem.smooth_grad(P @ y))),
-                max_iter=_SNAP_NEWTON_MAX_ITER,
-            )
-            if res.residual < gn_cand:
-                cand, gn_cand = P @ res.x, res.residual
-        if gn_cand < gn:
-            x, gn = cand, gn_cand
-        if gn <= problem.tol:
-            break
-    return x, gn
-
-
-def _bb_descent(problem: Collapsible, x: np.ndarray):
-    """Plateau collapse (:func:`_try_snap`), then spectral (Barzilai-Borwein)
-    descent monitored by the gradient norm.
-
-    Acceptance never compares objective values, so it keeps working in
-    the regime where ``f`` differences drown in rounding; divergence is
-    handled by rewinding to the best-known point with a smaller step, and
-    a stall by another collapse.
-    """
-    x, gn = _try_snap(problem, x, float(np.linalg.norm(problem.smooth_grad(x))))
-    g = problem.smooth_grad(x)
-    best_x, best_gn = x.copy(), gn
-    stall = 0
-    s = 1e-3 * _probe_step(problem, x)
-    for k in range(_BB_MAX_ITER):
-        if gn <= problem.tol:
-            return x, gn, k
-        x_new = x - s * g
-        g_new = problem.smooth_grad(x_new)
-        gn_new = float(np.linalg.norm(g_new))
-        if gn_new < best_gn:
-            best_x, best_gn = x_new.copy(), gn_new
-            stall = 0
-        else:
-            stall += 1
-        if not np.isfinite(gn_new) or gn_new > 30.0 * best_gn:
-            x = best_x.copy()
-            g = problem.smooth_grad(x)
-            gn = best_gn
-            s *= 0.3
-            continue
-        dx = x_new - x
-        dg = g_new - g
-        dxdg = float(dx @ dg)
-        if dxdg > 0:
-            s = float(dx @ dx) / dxdg if (k % 2 == 0) else dxdg / float(dg @ dg)
-        x, g, gn = x_new, g_new, gn_new
-        if stall >= 250:
-            best_x, best_gn = _try_snap(problem, best_x, best_gn)
-            if best_gn <= problem.tol:
-                return best_x, best_gn, k + 1
-            stall = 0
-            s *= 0.5
-    best_x, best_gn = _try_snap(problem, best_x, best_gn)
-    return best_x, best_gn, _BB_MAX_ITER
 
 
 def _accelerated_descent(obj: Objective, x: np.ndarray, tol: float, max_iter: int):
@@ -366,6 +261,29 @@ def _armijo(value, x, f, step, slope, lengths):
         if np.isfinite(f_new) and (f_new <= f + 1e-4 * alpha * slope or -alpha * slope <= 1e-15 * (1.0 + abs(f))):
             return x_new, f_new
     return None
+
+
+def _try_snap(problem: Majorized, x, gn):
+    """Rescue a :func:`newton` solve that stalled at ``x`` with gradient norm ``gn``.
+
+    Across the kink of an edge power ``|d|^p`` with ``1 < p < 2``, a Newton
+    step maps a difference ``d`` to about ``d (p-2)/(p-1)``: it overshoots,
+    and differences near rounding level keep the gradient at a floor.  The
+    lagged-diffusivity (IRLS) majorant, edge weights ``c |d|^(p-2)`` in
+    place of ``c (p-1) |d|^(p-2)`` (Vogel & Oman 1996), does not overshoot:
+    Newton on it runs from ``x``, then, only while above ``tol``, Newton on
+    the true Hessian from there.  Returns the point of the lowest measured
+    gradient norm, that norm and the iterations used.
+    """
+    used = 0
+    for hess in (problem.majorant, problem.hess):
+        if gn <= problem.tol:
+            break
+        res = newton(problem.value, problem.grad, hess, x, problem.tol)
+        used += res.iterations
+        if res.residual < gn:
+            x, gn = res.x, res.residual
+    return x, gn, used
 
 
 def _weighted_gram(B):
@@ -676,19 +594,6 @@ def _components(joined, n):
     ends = np.where(joined[:, 1] >= 0, joined[:, 1], n)
     adjacency = scipy.sparse.coo_matrix((np.ones(len(joined)), (joined[:, 0], ends)), shape=(n + 1, n + 1))
     return scipy.sparse.csgraph.connected_components(adjacency, directed=False)
-
-
-def _plateau_levels(joined, values, masses):
-    """Mass-weighted mean of ``values`` over each component of the graph
-    of ``joined`` edges; components touching the ground (-1) get zero.
-    Returns the levels and the component labels of the nodes, with the
-    ground's label appended."""
-    n = values.size
-    count, label = _components(joined, n)
-    mass = np.bincount(label[:n], weights=masses, minlength=count)
-    level = np.bincount(label[:n], weights=masses * values, minlength=count) / np.where(mass > 0, mass, 1.0)
-    level[label[n]] = 0.0
-    return level[label[:n]], label
 
 
 def _pdhg(D, Dt, mult, coef, anchor, x, z, step, tol, max_iter):

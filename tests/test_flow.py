@@ -264,6 +264,29 @@ def test_subquadratic_orbit_rescue_certifies_every_step(monkeypatch):
         assert traj.step_residuals[k] == pytest.approx(np.linalg.norm(step_grad), rel=1e-9)
 
 
+def test_subquadratic_primal_orbits_certify_every_step():
+    # p = 1.5 pairs that take primal Newton (free nodes without a law or
+    # data, or a general map), whose steps stall near 1e-3 unless the
+    # majorized rescue certifies them
+    from jflow.flow import _effective_tol
+
+    coupled = P.load_problem(dict(P.builtin_problems()["coupled_p2"], p=1.5)).pair
+    robin = P.load_problem(P.builtin_problems()["robin_p1.5"]).pair
+    J = robin.j.matrix
+    averaged = JEllipticPair(robin.E, JMap(0.5 * (J + np.roll(J, 1, axis=0))), robin.space, robin.omega)
+    tau = 0.2
+    for pair in (coupled, averaged):
+        u0 = np.random.default_rng(100).normal(size=pair.space.dim)
+        traj = evolve(pair, u0, 10 * tau, tau, project_initial=True, record_energies=False, keep_extensions=True)
+        assert traj.states.shape[0] == 11
+        J, w = pair.j.matrix, pair.space.weights
+        for k in range(1, 11):
+            x = traj.extensions[k]
+            step_grad = pair.E.smooth_grad(x) + (J.T * w) @ (J @ x - traj.states[k - 1]) / tau
+            assert traj.step_residuals[k] <= _effective_tol(pair.E, None)
+            assert traj.step_residuals[k] == pytest.approx(np.linalg.norm(step_grad), rel=1e-9)
+
+
 def test_coupled_p2_step_matches_schur_solve():
     # p = 2 and no law: the energy is 1/2 x^T L x, and eliminating the
     # unobserved nodes leaves the linear step (S + M/tau) u = M g / tau

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from jflow.solvers import (
     Objective,
     SolveSpec,
-    _collapse,
     constrained_tv_min,
     edge_incidence,
     minimize,
@@ -195,19 +194,6 @@ def test_newton_overshooting_plain_step_falls_back_to_shift():
     np.testing.assert_allclose(res.x, c, atol=1e-10)
     assert max(shifts) > 0.5  # the Levenberg shift min(|grad|, 1) was used
     assert len(shifts) > res.iterations  # some iterations solved twice
-
-
-def test_collapse_equalizes_plateaus():
-    edges = np.array([(0, 1), (1, 2), (2, -1)])
-    x = np.array([1.0, 1.0 + 1e-14, 5.0])
-    snapped, basis = _collapse(edges, x, 1e-12)
-    assert snapped[0] == snapped[1]
-    assert snapped[2] == 5.0
-    assert basis is not None
-    # grounded component collapses to zero
-    x2 = np.array([1.0, 2.0, 1e-15])
-    snapped2, _ = _collapse(edges, x2, 1e-12)
-    assert snapped2[2] == 0.0
 
 
 def _free_block(pair):
