@@ -1,8 +1,9 @@
 """Command-line front end: run orbits, run property suites, emit tables.
 
-Exit codes: 0 success / all checks pass, 1 property violation or solver
-failure, 2 usage or configuration error, 3 inapplicable request (e.g. a
-domination suite without a reference problem in the file).
+Exit codes: 0 success / all checks pass, 1 property violation, solver
+failure or failed checker hypothesis, 2 usage or configuration error, 3
+inapplicable request (e.g. a domination suite without a reference
+problem in the file).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .flow import EvolveError, evolve, semigroup_distance
+from .flow import EvolveError, evolve
 from .hilbert import positive_cone
 from .problems import PROBLEM_KINDS, builtin_problems, load_problem
 
@@ -125,9 +126,11 @@ def cmd_run(args) -> int:
         np.max(energies[1:] + step_norms2 / (2.0 * args.tau) - energies[:-1], initial=-math.inf)
     )
 
+    # the contraction test pairs the run's own orbit with one from a perturbed start
     rng = np.random.default_rng(args.seed + 1)
     v0 = u0 + 0.1 * checks.sample_states(bundle.pair, 1, rng, scale=1.0)[0]
-    dists = semigroup_distance(bundle.pair, u0, v0, args.T, args.tau, tol=args.tol)
+    diff = traj.states - evolve(bundle.pair, v0, args.T, args.tau, tol=args.tol, record_energies=False).states
+    dists = np.sqrt(np.maximum((diff * diff) @ w, 0.0))
     contraction_gap = float(np.max(np.diff(dists), initial=-math.inf))
 
     summary = {
@@ -193,7 +196,7 @@ def cmd_check(args) -> int:
     for suite in suites:
         try:
             report = _run_suite(bundle, suite, args)
-        except RuntimeError as exc:  # a solver failure, EvolveError included
+        except (RuntimeError, ValueError) as exc:  # a solver failure or a failed checker hypothesis
             print(f"jflow: suite {suite!r} failed: {exc}", file=sys.stderr)
             failure = {"suite": suite, "error": str(exc)}
             break

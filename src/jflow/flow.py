@@ -17,7 +17,6 @@ checkers consume.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,25 +34,18 @@ __all__ = [
     "evolve",
     "semigroup_distance",
     "cyclic_monotonicity_gap",
-    "default_resolvent_tol",
 ]
 
 _FALLBACK_TOL = 1e-8
 _SUBQUADRATIC_TOL = 1e-7  # float floor: edge gradients scale like |d|^(p-1), p < 2
 
 
-def default_resolvent_tol() -> float:
-    """Solver tolerance for resolvent steps; JFLOW_TOL overrides it."""
-    return float(os.environ.get("JFLOW_TOL", _FALLBACK_TOL))
-
-
 def _effective_tol(E, tol):
     if tol is not None:
         return tol
-    tol = default_resolvent_tol()
     if any(isinstance(t, PEdgeEnergy) and 1.0 < t.p < 2.0 for t in E.smooth_terms):
-        tol = max(tol, _SUBQUADRATIC_TOL)
-    return tol
+        return _SUBQUADRATIC_TOL
+    return _FALLBACK_TOL
 
 
 @dataclass
@@ -184,12 +176,13 @@ def evolve(
     u0 = np.asarray(u0, float)
     pair.space.check_dim(u0)
 
-    first = lifted_value(pair, u0, tol=tol if tol is not None else 1e-8)
+    lifted_tol = tol if tol is not None else _FALLBACK_TOL
+    first = lifted_value(pair, u0, tol=lifted_tol)
     if math.isinf(first.value):
         if not project_initial:
             raise ValueError("initial datum is outside the image of the effective domain")
         u0 = _project_onto_image(pair, u0)
-        first = lifted_value(pair, u0)
+        first = lifted_value(pair, u0, tol=lifted_tol)
 
     steps = int(math.ceil(T / tau - 1e-12))
     times = tau * np.arange(steps + 1)

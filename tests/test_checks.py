@@ -238,3 +238,35 @@ def test_reports_are_deterministic(robin_small):
 def test_report_invariant_passed_iff_within_tolerance(robin_small):
     rep = checks.check_invariance(robin_small, positive_cone(), seed=42, resolvent_samples=2, **FAST)
     assert rep.passed == (rep.max_violation <= rep.tolerance)
+
+
+def _spy_lifted(monkeypatch):
+    """Record ``(pair, point, tol)`` of every fiber the checkers solve."""
+    calls = []
+    original = checks.lifted_value
+
+    def spy(pair, u, tol=1e-6, start=None):
+        calls.append((id(pair), np.asarray(u).tobytes(), tol))
+        return original(pair, u, tol=tol, start=start)
+
+    monkeypatch.setattr(checks, "lifted_value", spy)
+    return calls
+
+
+def test_linf_solves_each_fiber_once(robin_small, monkeypatch):
+    calls = _spy_lifted(monkeypatch)
+    checks.check_linf_contractivity(robin_small, samples=4, T=0.2, tau=0.05, seed=18, dynamic_samples=1)
+    assert calls and len(set(calls)) == len(calls)
+
+
+def test_comparison_orbits_solve_no_fiber_outside_evolve(robin_small, monkeypatch):
+    calls = _spy_lifted(monkeypatch)
+    counts = []
+    for dynamic_samples in (0, 2):
+        calls.clear()
+        rep = checks.check_comparison(
+            robin_small, robin_small, samples=4, T=0.2, tau=0.05, seed=9, dynamic_samples=dynamic_samples
+        )
+        counts.append(len(calls))
+    assert rep.details["orbit-order"]["trials"] == 2
+    assert counts[0] == counts[1]

@@ -191,3 +191,40 @@ def test_run_initial_fiber_failure_exit_1(tmp_path, monkeypatch, capsys):
     problem = write(tmp_path, "robin.json", ROBIN_SMALL)
     assert main(["run", "--problem", problem, "--T", "0.1", "--tau", "0.05", "--out", str(tmp_path)]) == 1
     assert "synthetic solver failure" in capsys.readouterr().err
+
+
+def test_check_failed_hypothesis_exit_1_with_failure_entry(tmp_path):
+    # an affine source term makes the dominating flow leave the positive cone
+    cfg = json.loads((Path(__file__).parent.parent / "problems" / "robin_p2.json").read_text())
+    cfg["law"]["g"] = {"kind": "affine", "a": 1.0, "b": 2.0}
+    cfg["reference"] = {**cfg, "law": {**cfg["law"], "g": {"kind": "linear", "a": 1.0}}}
+    problem = write(tmp_path, "robin_affine.json", cfg)
+    out = tmp_path / "rep_hyp"
+    code = main([
+        "check", "--problem", problem, "--seed", "7", "--suite", "domination",
+        "--samples", "4", "--T", "0.2", "--out", str(out),
+    ])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert not report["passed"] and report["checks"] == []
+    assert report["failure"]["suite"] == "domination"
+    assert "not positive" in report["failure"]["error"]
+
+
+def test_run_evolves_two_orbits(tmp_path, monkeypatch):
+    # the contraction test reuses the run's own orbit and adds one more
+    from jflow import cli, flow
+
+    calls = []
+    original = flow.evolve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", counting)
+    monkeypatch.setattr(flow, "evolve", counting)
+    problem = write(tmp_path, "quad.json", QUAD_CHAIN)
+    assert main(["run", "--problem", problem, "--T", "0.5", "--tau", "0.1", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2
+    assert not np.array_equal(calls[0], calls[1])

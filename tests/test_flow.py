@@ -106,6 +106,25 @@ def test_evolve_initial_datum_out_of_range():
     assert traj.states[0][0] == pytest.approx(1.5)  # plain projection onto the diagonal
 
 
+def test_evolve_projected_start_keeps_the_tolerance(monkeypatch):
+    from jflow import flow
+
+    E = ExtendedFunctional([QuadraticTerm(np.eye(2))], 2)
+    pair = JEllipticPair(E, JMap(np.array([[1.0, 0.0], [1.0, 0.0]])), WeightedSpace(np.ones(2)))
+    tols = []
+    original = flow.lifted_value
+
+    def spy(pair, u, tol=1e-6, start=None):
+        tols.append(tol)
+        return original(pair, u, tol=tol, start=start)
+
+    monkeypatch.setattr(flow, "lifted_value", spy)
+    for tol, expected in ((None, 1e-8), (1e-10, 1e-10)):
+        tols.clear()
+        evolve(pair, np.array([1.0, 2.0]), 0.2, 0.1, project_initial=True, tol=tol)
+        assert tols == [expected, expected]
+
+
 def test_evolve_projects_onto_the_constraint_image():
     # E = |x|^2/2 on {x_2 = 1}, j = I: the image of the effective domain is
     # the line x_2 = 1, so the datum projects to (0.3, 1) and the first
