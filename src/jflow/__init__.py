@@ -23,7 +23,6 @@ from .hilbert import (
 from .energy import (
     AffineIndicatorTerm,
     ExtendedFunctional,
-    LinearTerm,
     NodewiseIntegral,
     PEdgeEnergy,
     QuadraticTerm,

@@ -18,7 +18,7 @@ Every sample runs on one core (:class:`_Sampler`): lifted-energy gaps
 among a few related points, and implicit-Euler orbits.  A sample whose
 start lies outside the image of ``j`` (an infinite lifted value, or an
 empty fiber under an orbit start) is skipped and counted.  Each lifted
-value is solved once per checker call.
+value and orbit is solved once per ``memo``, a dict that callers may share.
 """
 
 from __future__ import annotations
@@ -135,18 +135,22 @@ def _bump(part, violation, witness):
 class _Sampler:
     """The sampling core of one checker call: lifted-energy gaps and
     implicit-Euler orbits of step ``tau`` up to ``T``, counting skipped
-    samples.  Lifted values are solved to ``lifted_tol``, each point once."""
+    samples.  Lifted values (to ``lifted_tol``) and orbit states are kept in
+    ``memo`` under their pair, point and tolerance or step."""
 
-    def __init__(self, T, tau, lifted_tol=None):
+    def __init__(self, T, tau, lifted_tol=None, memo=None):
         self.T, self.tau, self.lifted_tol = T, tau, lifted_tol
+        self.memo = {} if memo is None else memo
         self.skipped = 0
-        self._values = {}
+
+    def _once(self, pair, key, solve):
+        key = (id(pair), *key)
+        if key not in self.memo:  # the entry holds its pair, whose id stays unique while the memo lives
+            self.memo[key] = (pair, solve())
+        return self.memo[key][1]
 
     def lifted(self, pair, u):
-        key = (id(pair), u.tobytes())
-        if key not in self._values:
-            self._values[key] = lifted_value(pair, u, tol=self.lifted_tol).value
-        return self._values[key]
+        return self._once(pair, (u.tobytes(), self.lifted_tol), lambda: lifted_value(pair, u, self.lifted_tol).value)
 
     def gap(self, part, plus, minus, witness):
         """Bump ``part`` by the lifted values at the ``(pair, point)`` entries
@@ -175,7 +179,9 @@ class _Sampler:
         list when the sample is skipped."""
         if self.skip(*starts):
             return []
-        return [evolve(pair, u0, self.T, self.tau, record_energies=False).states for pair, u0 in starts]
+        T, tau = self.T, self.tau
+        return [self._once(pair, (u0.tobytes(), T, tau), lambda: evolve(pair, u0, T, tau, record_energies=False).states)
+                for pair, u0 in starts]
 
     def contraction(self, pair, u, v, gauges, first=1):
         """Evolve from ``u`` and ``v`` and bump the part of each ``(part,
@@ -208,6 +214,7 @@ def check_invariance(
     resolvent_samples: int = 10,
     dynamic_samples: int = 5,
     lifted_tol: float = 1e-7,
+    memo: Optional[dict] = None,
 ) -> PropertyReport:
     """Invariance of a closed convex set under the flow.
 
@@ -217,7 +224,7 @@ def check_invariance(
     """
     rng = np.random.default_rng(seed)
     us = sample_states(pair, samples, rng)
-    s = _Sampler(T, tau, lifted_tol)
+    s = _Sampler(T, tau, lifted_tol, memo)
     fun = _max_part("functional", tol_fun)
     for u in us:
         s.gap(fun, [(pair, C.project(u))], [(pair, u)], {"u": u})
@@ -313,6 +320,7 @@ def check_comparison(
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
     lifted_tol: float = 1e-7,
+    memo: Optional[dict] = None,
     name: str = "comparison",
 ) -> PropertyReport:
     """Two-flow comparison: the crossed meet/join energy inequality and
@@ -335,7 +343,7 @@ def check_comparison(
             if not (C.contains(meet, 1e-9) and C.contains(join, 1e-9)):
                 raise ValueError("sampled lattice closure fails: C is not stable under meet/join")
 
-    s = _Sampler(T, tau, lifted_tol)
+    s = _Sampler(T, tau, lifted_tol, memo)
     fun = _max_part("functional", tol_fun)
     for u, v in zip(usA, usB):
         meet, join = np.minimum(u, v), np.maximum(u, v)
@@ -371,6 +379,7 @@ def check_domination(
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
     lifted_tol: float = 1e-7,
+    memo: Optional[dict] = None,
     hypothesis_samples: int = 8,
 ) -> PropertyReport:
     """Pointwise domination of one flow by a positive, order-preserving one.
@@ -380,23 +389,17 @@ def check_domination(
     """
     _require_same_space(pairA, pairB)
     cone = positive_cone()
-    pos = check_invariance(
-        pairB, cone, samples=hypothesis_samples, T=T, tau=tau, seed=seed + 101,
-        resolvent_samples=2, dynamic_samples=2,
-    )
-    if not pos.passed:
+    hyp = dict(samples=hypothesis_samples, T=T, tau=tau, dynamic_samples=2, memo=memo)
+    if not check_invariance(pairB, cone, seed=seed + 101, resolvent_samples=2, **hyp).passed:
         raise ValueError("domination hypothesis fails: dominating flow is not positive")
-    order = check_order_preserving(
-        pairB, C=cone, samples=hypothesis_samples, T=T, tau=tau, seed=seed + 202, dynamic_samples=2,
-    )
-    if not order.passed:
+    if not check_order_preserving(pairB, C=cone, seed=seed + 202, **hyp).passed:
         raise ValueError("domination hypothesis fails: dominating flow is not order preserving")
 
     rng = np.random.default_rng(seed)
     usA = sample_states(pairA, samples, rng)
     usB = np.abs(sample_states(pairB, samples, rng))
 
-    s = _Sampler(T, tau, lifted_tol)
+    s = _Sampler(T, tau, lifted_tol, memo)
     fun = _max_part("functional", tol_fun)
     for u1, u2 in zip(usA, usB):
         trunc = np.minimum(np.abs(u1), u2) * np.sign(u1)
@@ -427,6 +430,7 @@ def check_linf_contractivity(
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
     lifted_tol: float = 1e-7,
+    memo: Optional[dict] = None,
 ) -> PropertyReport:
     """Sup-norm contraction: the two-sided median truncation inequality
     on the lifted energy, and orbit distances in the max norm."""
@@ -434,7 +438,7 @@ def check_linf_contractivity(
     us = sample_states(pair, samples, rng)
     vs = sample_states(pair, samples, rng)
 
-    s = _Sampler(T, tau, lifted_tol)
+    s = _Sampler(T, tau, lifted_tol, memo)
     fun = _max_part("functional", tol_fun)
     for u1, u2 in zip(us, vs):
         mid = 0.5 * (u1 + u2)
@@ -481,6 +485,7 @@ def check_complete_contractivity(
     tau: float = 0.05,
     seed: int = 0,
     tol: float = DYNAMIC_TOL,
+    memo: Optional[dict] = None,
 ) -> PropertyReport:
     """Modular contraction along orbits for a family of convex gauges.
 
@@ -493,7 +498,7 @@ def check_complete_contractivity(
     us = sample_states(pair, samples, rng)
     vs = sample_states(pair, samples, rng)
 
-    s = _Sampler(T, tau)
+    s = _Sampler(T, tau, memo=memo)
     parts = {psi.tag: _max_part(psi.tag, tol) for psi in family}
     gauges = [(parts[psi.tag], integral_functional(pair.space, psi), {"psi": psi.tag}) for psi in family]
     for u, v in zip(us, vs):

@@ -158,9 +158,9 @@ def _applicable_suites(bundle) -> list[str]:
     return suites
 
 
-def _run_suite(bundle, suite: str, args) -> checks.PropertyReport:
+def _run_suite(bundle, suite: str, args, memo) -> checks.PropertyReport:
     pair = bundle.pair
-    kw = dict(samples=args.samples, T=args.T, tau=args.tau, seed=args.seed)
+    kw = dict(samples=args.samples, T=args.T, tau=args.tau, seed=args.seed, memo=memo)
     if suite == "positivity":
         return checks.check_invariance(pair, positive_cone(), **kw)
     if suite == "order":
@@ -168,9 +168,7 @@ def _run_suite(bundle, suite: str, args) -> checks.PropertyReport:
     if suite == "linf":
         return checks.check_linf_contractivity(pair, **kw)
     if suite == "complete":
-        return checks.check_complete_contractivity(
-            pair, samples=min(args.samples, 6), T=args.T, tau=args.tau, seed=args.seed
-        )
+        return checks.check_complete_contractivity(pair, **{**kw, "samples": min(args.samples, 6)})
     if suite == "comparison":
         return checks.check_comparison(bundle.reference, pair, **kw)
     if suite == "domination":
@@ -193,9 +191,10 @@ def cmd_check(args) -> int:
 
     reports = []
     failure = None
+    memo = {}  # the suites share their lifted values and orbits
     for suite in suites:
         try:
-            report = _run_suite(bundle, suite, args)
+            report = _run_suite(bundle, suite, args, memo)
         except (RuntimeError, ValueError) as exc:  # a solver failure or a failed checker hypothesis
             print(f"jflow: suite {suite!r} failed: {exc}", file=sys.stderr)
             failure = {"suite": suite, "error": str(exc)}

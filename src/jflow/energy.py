@@ -1,13 +1,13 @@
 """Composite convex energies on ``R^n`` with extended-real values.
 
 An energy is a sum of term primitives: edge powers, nodewise integrals
-of scalar laws, quadratics, discrete total variation, affine-subspace
-indicators and linear tilts.  Terms expose values, gradients where they
-are smooth, and a semiconvexity constant ``omega_term >= 0`` such that
-the term plus ``omega_term/2`` times the weighted square of its node
-values is convex (zero for convex terms).  Smooth terms give their
-Hessian in the Gram form ``B diag(w(u)) B^T``: a sparse factor ``B``
-fixed per term and weights ``w(u)`` (:meth:`EnergyTerm.hessian_factor`).
+of scalar laws, quadratics, discrete total variation and affine-subspace
+indicators.  Terms expose values, gradients where they are smooth, and a
+semiconvexity constant ``omega_term >= 0`` such that the term plus
+``omega_term/2`` times the weighted square of its node values is convex
+(zero for convex terms).  Smooth terms give their Hessian in the Gram form
+``B diag(w(u)) B^T``: a sparse factor ``B`` fixed per term and weights
+``w(u)`` (:meth:`EnergyTerm.hessian_factor`).
 
 Convexity and coercivity are *sampled* diagnostics, never certificates:
 :func:`sample_convexity` probes midpoint-type inequalities on random
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .hilbert import WeightedSpace
-from .solvers import edge_incidence
+from .solvers import EdgeOperator, edge_incidence
 
 __all__ = [
     "ScalarPrimitive",
@@ -32,7 +32,6 @@ __all__ = [
     "PEdgeEnergy",
     "NodewiseIntegral",
     "QuadraticTerm",
-    "LinearTerm",
     "TotalVariationTerm",
     "AffineIndicatorTerm",
     "ExtendedFunctional",
@@ -118,15 +117,14 @@ class _EdgeTerm(EnergyTerm):
             raise ValueError("edge weights must match the edge count")
         self._incidence = None
 
-    def _signed_incidence(self, n):
-        """``(D, D^T)`` of ``edge_incidence`` for ``n`` nodes, built once."""
-        if self._incidence is None or self._incidence[0].shape[1] != n:
-            D = edge_incidence(self.edges, n)
-            self._incidence = (D, D.T.tocsr())
+    def incidence(self, n):
+        """The :class:`EdgeOperator` of the edges for ``n`` nodes, built once."""
+        if self._incidence is None or self._incidence.n != n:
+            self._incidence = EdgeOperator(self.edges, n)
         return self._incidence
 
     def diff(self, u):
-        return self._signed_incidence(u.size)[0] @ u
+        return self.incidence(u.size).apply(u)
 
 
 class PEdgeEnergy(_EdgeTerm):
@@ -154,10 +152,10 @@ class PEdgeEnergy(_EdgeTerm):
         if not self.smooth:
             raise NotImplementedError("p = 1 edge energy is not differentiable")
         d = self.diff(u)
-        return self._signed_incidence(u.size)[1] @ (self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d))
+        return self.incidence(u.size).adjoint(self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d))
 
     def hessian_factor(self, n):
-        return self._signed_incidence(n)[1]
+        return edge_incidence(self.edges, n).T
 
     def hessian_weights(self, u):
         """``w_e (p - 1) |d_e|^(p-2)``, with ``|d_e|`` floored at 1e-16 below ``p = 2``."""
@@ -235,26 +233,6 @@ class QuadraticTerm(EnergyTerm):
 
     def hessian_weights(self, u):
         return np.ones(self.hessian_factor(u.size).shape[1])
-
-
-class LinearTerm(EnergyTerm):
-    kind = "linear"
-    smooth = True
-
-    def __init__(self, c):
-        self.c = np.asarray(c, float)
-
-    def value(self, u):
-        return float(self.c @ u)
-
-    def grad(self, u):
-        return self.c.copy()
-
-    def hessian_factor(self, n):
-        return scipy.sparse.csc_matrix((n, 0))
-
-    def hessian_weights(self, u):
-        return np.zeros(0)
 
 
 class AffineIndicatorTerm(EnergyTerm):

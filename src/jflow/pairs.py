@@ -38,7 +38,6 @@ from .energy import (
     shifted_value,
 )
 from .hilbert import WeightedSpace
-from .solvers import _weighted_gram
 
 __all__ = [
     "JMap",
@@ -321,13 +320,13 @@ def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> Lifte
 
 
 class _EdgeSystem:
-    """The Hessian of the smooth energy plus ``1/(2 lam) |j x - g|_H^2`` in
-    the Gram form ``B diag(w) B^T``, assembled once per pair.  ``B`` stacks
-    the incidence ``D^T`` of the edge powers (weights ``c``, exponents
-    ``p``), the identity, whose weight sums every single-entry factor column
-    (nodewise laws, diagonal quadratics, the data of a restriction map) per
-    node, and the other factor columns ``G`` (quadratics, composed terms,
-    ``J^T`` of a general map).  Each slice's block ``Z^T B`` is built once.
+    """The Hessian of the smooth energy plus ``1/(2 lam) |j x - g|_H^2`` in the
+    Gram form ``B diag(w) B^T``, with ``B`` as COO triplets, once per pair.  The
+    columns of ``B``: the edges of the edge powers (:class:`solvers.EdgeOperator`
+    ``D``, weights ``c``, exponents ``p``), the identity, whose weight sums every
+    single-entry factor column (nodewise laws, diagonal quadratics, the data of
+    a restriction map) per node, and the other factor columns (quadratics,
+    composed terms, ``J^T`` of a general map).
     """
 
     def __init__(self, E, j):
@@ -338,21 +337,27 @@ class _EdgeSystem:
         self.convex_nodes = np.zeros(n, dtype=bool)  # under a convex nodewise law
         for t in self.laws:
             self.convex_nodes[t.nodes] |= t.primitive.omega == 0.0
-        Dt = scipy.sparse.hstack([scipy.sparse.csc_matrix((n, 0))] + [t.hessian_factor(n) for t in self.edge_terms])
-        self.D = Dt.T.tocsc()
+        self.D = solvers.EdgeOperator(np.vstack([np.zeros((0, 2), int)] + [t.edges for t in self.edge_terms]), n)
         self.c = np.concatenate([np.zeros(0)] + [t.weights for t in self.edge_terms])
         self.p = np.concatenate([np.zeros(0)] + [np.full(t.weights.size, t.p) for t in self.edge_terms])
         # the lagged-diffusivity weight f'(d)/d of an edge power below two over its curvature f''
         self.majorant_scale = np.where(self.p < 2.0, 1.0 / (self.p - 1.0), 1.0)
-        factors = [t.hessian_factor(n) for t in self.others] + [scipy.sparse.csc_matrix(j.matrix.T)]
-        F = scipy.sparse.hstack(factors, format="csc")
-        F.eliminate_zeros()
-        count = np.diff(F.indptr)
-        single = np.flatnonzero(count == 1)  # summed per node into the nodewise curvature
-        self.fold = (F.indices[F.indptr[single]], F.data[F.indptr[single]] ** 2, single)
+        k = np.arange(j.target_dim)  # J^T, read off the observed nodes of a restriction map
+        J = j.matrix.T if j.observed is None else (j.matrix[k, j.observed], (j.observed, k))
+        factors = [scipy.sparse.coo_matrix(t.hessian_factor(n)) for t in self.others]
+        factors.append(scipy.sparse.coo_matrix(J, (n, k.size)))
+        offset = np.cumsum([0] + [f.shape[1] for f in factors])
+        row, col, val = map(np.concatenate, zip(*[(f.row, f.col + o, f.data) for f, o in zip(factors, offset)]))
+        live = val != 0
+        row, col, val = row[live], col[live], val[live]
+        count = np.bincount(col, minlength=offset[-1])
+        single = count[col] == 1  # summed per node into the nodewise curvature
+        self.fold = (row[single], val[single] ** 2, col[single])
         self.gen_cols = np.flatnonzero(count > 1)
-        self.G = F[:, self.gen_cols]
-        self.B = scipy.sparse.hstack([Dt, scipy.sparse.identity(n), self.G], format="csr")
+        edge, node, sign = self.D.entries()
+        m, general = self.D.head.size, np.searchsorted(self.gen_cols, col[~single])
+        self.B = (np.r_[node, np.arange(n), row[~single]], np.r_[edge, m + np.arange(n), m + n + general],
+                  np.r_[sign, np.ones(n), val[~single]])
         # the conjugate edge dual needs every p < 2, and only nodewise laws and data besides
         laws_only = len(self.laws) == len(self.others) and not self.gen_cols.size
         self.has_dual = laws_only and self.p.size > 0 and bool(np.all(self.p < 2.0))
@@ -362,34 +367,40 @@ class _EdgeSystem:
         rows, squares, cols = self.fold
         return np.bincount(rows, weights=squares * w[cols], minlength=self.n)
 
-    def weights(self, x, dw, pick=slice(None)):
-        """Weights of ``B`` at ``x`` (``dw`` those of the data), its nodewise
-        block at the coordinates ``pick``."""
+    def weights(self, x, dw):
+        """Weights of the columns of ``B`` at ``x``, ``dw`` those of the data."""
         w = np.concatenate([t.hessian_weights(x) for t in self.others] + [dw])
         edge = [t.hessian_weights(x) for t in self.edge_terms]
-        return np.concatenate([np.zeros(0)] + edge + [self.nodal(w)[pick], w[self.gen_cols]])
+        return np.concatenate([np.zeros(0)] + edge + [self.nodal(w), w[self.gen_cols]])
 
     def block(self, Z):
-        """``(D Z, gram, dual)`` for slice coordinates ``Z`` (free coordinates
-        as a mask or index array, or an orthonormal basis): the Gram operator
-        of ``Z^T B`` and, for free coordinates with the edge dual, the edges
-        touching a free node with their block, its transpose and the dual
-        Gram operator."""
+        """``(gram, dual)``, built once per slice ``Z`` (free coordinates as a mask or
+        index array, or an orthonormal basis): the Gram operator of ``Z^T B`` and,
+        for free coordinates with the edge dual, the edges touching a free node,
+        their :class:`solvers.EdgeOperator` ``D_keep`` on the free coordinates
+        (fixed endpoints grounded) and the Gram operator of ``[I, D_keep]``."""
         key = (Z.shape, Z.dtype.str, Z.tobytes())
         if key not in self._blocks:
-            if Z.ndim == 1:
-                DZ = self.D[:, Z]
-                gram = _weighted_gram(scipy.sparse.hstack([DZ.T, scipy.sparse.identity(DZ.shape[1]), self.G[Z]]))
+            (row, col, val), dual = self.B, None
+            if Z.ndim == 2:  # (Z^T B)^T, dense
+                M = np.zeros((col.max() + 1, Z.shape[1]))
+                np.add.at(M, col, val[:, None] * Z[row])
+                col, row = np.nonzero(M)
+                val, k = M[col, row], Z.shape[1]
             else:
-                DZ = self.D @ Z
-                gram = _weighted_gram(np.vstack([DZ, Z, self.G.T @ Z]).T)
-            dual = None
-            if Z.ndim == 1 and self.has_dual:
-                keep = np.asarray(abs(DZ).sum(axis=1)).ravel() > 0
-                D_keep = DZ[keep]
-                gram_dual = _weighted_gram(scipy.sparse.hstack([scipy.sparse.identity(D_keep.shape[0]), D_keep]))
-                dual = (keep, D_keep, D_keep.T, gram_dual)
-            self._blocks[key] = (DZ, gram, dual)
+                free = np.arange(self.n)[Z]
+                k, pos = free.size, np.full(self.n + 1, -1)  # the position of each free node, -1 elsewhere
+                pos[free] = np.arange(k)  # pos[-1] = -1: the ground stays grounded
+                row = pos[row]  # rows of fixed nodes drop out
+                if self.has_dual:
+                    ends = pos[self.D.ends]
+                    keep = np.any(ends >= 0, axis=1)
+                    D_keep = solvers.EdgeOperator(ends[keep], k)
+                    edge, node, sign = D_keep.entries()
+                    kk = D_keep.head.size  # rows: the kept edges; columns: I, then D_keep
+                    rows, cols = np.r_[np.arange(kk), edge], np.r_[np.arange(kk), kk + node]
+                    dual = (keep, D_keep, solvers._weighted_gram(rows, cols, np.r_[np.ones(kk), sign], kk))
+            self._blocks[key] = (solvers._weighted_gram(row, col, val, k), dual)
         return self._blocks[key]
 
 
@@ -413,8 +424,7 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
     """
     system, E, j = pair.edge_system, pair.E, pair.j
     D, c, p = system.D, system.c, system.p
-    DZ, gram, dual = system.block(Z)
-    pick = Z if Z.ndim == 1 else slice(None)
+    gram, dual = system.block(Z)
     if data is None:
         data_value, data_grad, dw = (lambda x: 0.0), np.zeros_like, np.zeros(j.target_dim)
     else:
@@ -454,7 +464,7 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
         return restrict(E.smooth_grad(x) + data_grad(x))
 
     def hess(y):
-        return gram(system.weights(at(y), dw, pick))
+        return gram(system.weights(at(y), dw))
 
     def rescued(y, res):
         # the point and result of a solve, through solvers._try_snap when it stalled
@@ -462,7 +472,7 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
             return at(y), res
 
         def majorant(y):
-            weights = system.weights(at(y), dw, pick)
+            weights = system.weights(at(y), dw)
             weights[: system.majorant_scale.size] *= system.majorant_scale
             return gram(weights)
 
@@ -474,10 +484,10 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
         # one Newton step of the p = 2 model: a harmonic-type extension,
         # away from the degenerate curvature of a flat start
         x = at(y0)
-        model = system.weights(x, dw, pick)
+        model = system.weights(x, dw)
         model[: c.size] = c
         with contextlib.suppress(np.linalg.LinAlgError):
-            y = gram(model).solve(-(DZ.T @ (c * (D @ x)) + law_grad(x)), 0.0)
+            y = gram(model).solve(-(restrict(D.adjoint(c * D.apply(x))) + law_grad(x)), 0.0)
             if np.all(np.isfinite(y)):
                 y0 = y
 
@@ -485,8 +495,8 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
         res = solvers.newton(value, grad, hess, y0, tol)
         return rescued(res.x, res)
 
-    keep, D_free, D_free_T, dual_gram = dual
-    b = D[keep] @ at(np.zeros(Z.size))  # contribution of the fixed nodes
+    keep, D_free, dual_gram = dual
+    b = D.apply(at(np.zeros(Z.size)))[keep]  # contribution of the fixed nodes
     c, q = c[keep], p[keep] / (p[keep] - 1.0)
     cq = c ** (1.0 - q)
     last = {"z": None, "y": y0}
@@ -499,7 +509,7 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
         # again at the same z, so the last answer is kept (and warm-starts)
         if last["z"] is not None and np.array_equal(z, last["z"]):
             return last["v"], last["y"]
-        v = -(D_free_T @ z)
+        v = -D_free.adjoint(z)
         y = last["y"].copy()
         for _ in range(60):
             x = at(y)
@@ -518,14 +528,14 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
 
     def dual_grad(z):
         _, y = primal_of(z)
-        return cq * np.abs(z) ** (q - 1.0) * np.sign(z) - b - D_free @ y
+        return cq * np.abs(z) ** (q - 1.0) * np.sign(z) - b - D_free.apply(y)
 
     def dual_hess(z):
         _, y = primal_of(z)
         inv_curv = 1.0 / np.maximum(law_curvature(at(y)), 1e-14)
         return dual_gram(np.concatenate([cq * (q - 1.0) * np.abs(z) ** (q - 2.0), inv_curv]))
 
-    d0 = D_free @ y0 + b
+    d0 = D_free.apply(y0) + b
     z0 = c * np.abs(d0) ** (p[keep] - 1.0) * np.sign(d0)
     res = solvers.newton(
         dual_value, dual_grad, dual_hess, z0, tol, certificate=lambda z: float(np.linalg.norm(grad(primal_of(z)[1])))

@@ -282,19 +282,11 @@ def _restriction(indices, n) -> np.ndarray:
 
 def _eliminate(edges: np.ndarray, keep: np.ndarray, n: int):
     """Reindex edges onto ``keep``; edges leaving it become grounded."""
-    new_id = -np.ones(n, dtype=int)
+    new_id = np.full(n, -1)
     new_id[keep] = np.arange(keep.size)
-    a = new_id[edges[:, 0]]
-    b = new_id[edges[:, 1]]
-    out = []
-    for i in range(edges.shape[0]):
-        if a[i] >= 0 and b[i] >= 0:
-            out.append((a[i], b[i]))
-        elif a[i] >= 0:
-            out.append((a[i], -1))
-        elif b[i] >= 0:
-            out.append((b[i], -1))
-    return np.asarray(out, dtype=int).reshape(-1, 2)
+    e = new_id[edges].reshape(-1, 2)
+    e = e[np.any(e >= 0, axis=1)]
+    return np.where(e[:, :1] >= 0, e, e[:, ::-1])  # a grounded first endpoint swaps with the second
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ least-norm solve or a HiGHS feasibility problem finds the edge field of
 the certificate (:func:`_tv_polish`).  The fiber :func:`constrained_tv_min` is a linear
 program solved by HiGHS, certified by its edge dual.  Each reports a
 :class:`SolveResult` with the measured certificate (``tv_prox`` with
-``full_output``), or raises.
+``full_output``), or raises.  HiGHS (``scipy.optimize``) loads on the first
+TV linear program, not with this module.  Edge differences go through
+:class:`EdgeOperator`, a gather and a ``bincount`` scatter.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
@@ -51,6 +51,7 @@ __all__ = [
     "minimize",
     "newton",
     "tv_prox",
+    "EdgeOperator",
     "edge_incidence",
     "partial_anchor_tv",
     "constrained_tv_min",
@@ -286,29 +287,30 @@ def _try_snap(problem: Majorized, x, gn):
     return x, gn, used
 
 
-def _weighted_gram(B):
-    """``w -> B diag(w) B^T`` for a fixed sparse ``B``, as a :class:`_Banded`.
+def _weighted_gram(row, col, val, n: int):
+    """``w -> B diag(w) B^T`` as a :class:`_Banded`, for a fixed sparse ``B`` with
+    ``n`` rows given by COO triplets (entries in a negative row dropped).
 
     A reverse Cuthill-McKee ordering of the product, its bandwidth and the
     band slot of every product of two entries in one column of ``B`` are
-    found once; a call sums the weighted products into their slots.
+    found once; a call sums the weighted products into their slots, column
+    by column, rows ascending.
     """
-    B = scipy.sparse.csc_matrix(B)
-    B.sum_duplicates()
-    B.eliminate_zeros()
-    n = B.shape[0]
-    pattern = (abs(B) @ abs(B).T).tocsr()
+    live = (val != 0) & (row >= 0)
+    order = np.lexsort((row[live], col[live]))
+    row, col, val = row[live][order], col[live][order], val[live][order]
+    indptr = np.r_[0, np.cumsum(np.bincount(col))]
+    count = np.diff(indptr)[col]  # entries in the column of each entry
+    left = np.repeat(np.arange(row.size), count)
+    right = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count) + indptr[col[left]]
+    pattern = scipy.sparse.csr_matrix((np.ones(left.size), (row[left], row[right])), shape=(n, n))
     perm = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else np.arange(0)
     rank = np.argsort(perm)  # position of each row in the ordering
-    col = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))  # column of each entry
-    count = np.diff(B.indptr)[col]
-    left = np.repeat(np.arange(B.nnz), count)
-    right = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count) + B.indptr[col[left]]
-    i, j = rank[B.indices[left]], rank[B.indices[right]]
+    i, j = rank[row[left]], rank[row[right]]
     upper = i <= j
     bw = int(np.max(j - i, initial=0))
     slot = ((bw + i - j) * n + j)[upper]
-    coef, src = (B.data[left] * B.data[right])[upper], col[left][upper]
+    coef, src = (val[left] * val[right])[upper], col[left][upper]
     size = (bw + 1) * n
     return lambda w: _Banded(np.bincount(slot, weights=coef * w[src], minlength=size).reshape(bw + 1, n), perm, rank)
 
@@ -347,17 +349,38 @@ _PDHG_MAX_ITER = 200000
 _HIGHS = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
 
 
-def edge_incidence(edges, n: int) -> scipy.sparse.csr_matrix:
-    """Signed edge-node incidence ``D`` with rows ``(Dx)_e = x_a - x_b``.
+class EdgeOperator:
+    """The signed edge-node incidence ``D``, ``(Dx)_e = x_a - x_b`` on ``n`` nodes,
+    from endpoint arrays; an endpoint of -1 is grounded (read as 0, never
+    written).  :meth:`apply` gathers over the rows of ``x``; :meth:`adjoint`
+    scatters ``z`` and ``-z`` in one ``bincount``, edge by edge as CSR sums."""
 
-    A second endpoint of -1 grounds the edge at zero.
-    """
-    e = np.asarray(edges, dtype=int).reshape(-1, 2)
-    rows = np.arange(e.shape[0])
-    live = e[:, 1] >= 0
-    data = np.concatenate([np.ones(rows.size), -np.ones(int(live.sum()))])
-    ij = (np.concatenate([rows, rows[live]]), np.concatenate([e[:, 0], e[live, 1]]))
-    return scipy.sparse.csr_matrix((data, ij), shape=(e.shape[0], int(n)))
+    def __init__(self, edges, n: int):
+        self.ends, self.n = np.asarray(edges, dtype=int).reshape(-1, 2), int(n)
+        self.head, self.tail = self.ends[:, 0].copy(), self.ends[:, 1].copy()
+        self._slots = np.where(self.ends >= 0, self.ends, self.n).ravel()  # the ground is slot n
+
+    def apply(self, x):
+        padded = np.concatenate([x, np.zeros((1,) + np.shape(x)[1:])])  # padded[-1] = 0
+        return padded[self.head] - padded[self.tail]
+
+    def adjoint(self, z):
+        signed = np.empty(2 * z.size)
+        signed[0::2], signed[1::2] = z, -z
+        return np.bincount(self._slots, signed, minlength=self.n + 1)[: self.n]
+
+    def entries(self):
+        """``(edge, node, sign)`` of the nonzero entries, edge by edge."""
+        m, node = self.head.size, self.ends.ravel()
+        live = node >= 0
+        return np.repeat(np.arange(m), 2)[live], node[live], np.tile([1.0, -1.0], m)[live]
+
+
+def edge_incidence(edges, n: int) -> scipy.sparse.csr_matrix:
+    """:class:`EdgeOperator` as a CSR matrix, for the sparse systems of HiGHS and ``spsolve``."""
+    D = EdgeOperator(edges, n)
+    edge, node, sign = D.entries()
+    return scipy.sparse.csr_matrix((sign, (edge, node)), shape=(D.head.size, D.n))
 
 
 def tv_prox(
@@ -443,7 +466,6 @@ def partial_anchor_tv(
     def kkt(x, d, z, dtz):
         return max(float(np.sum(w * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef * (x - a_vec))))
 
-    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     return _tv_polish(edges, w, a_vec, m_vec, lam, kkt, tol, "partial_anchor_tv", x0)
 
 
@@ -471,7 +493,8 @@ def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float =
     eye = scipy.sparse.identity(m, format="csr")
     A = scipy.sparse.vstack([scipy.sparse.hstack([D_free, -eye]), scipy.sparse.hstack([-D_free, -eye])], format="csr")
     bounds = np.vstack([np.tile([-np.inf, np.inf], (nf, 1)), np.tile([0.0, np.inf], (m, 1))])
-    lp = scipy.optimize.linprog(
+    from scipy.optimize import linprog  # HiGHS loads here, on the first TV linear program
+    lp = linprog(
         np.r_[np.zeros(nf), w], A_ub=A, b_ub=np.r_[-shift, shift], bounds=bounds, method="highs", options=_HIGHS
     )
     if lp.status != 0:
@@ -504,30 +527,29 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
     iteration count and the objective value; ``RuntimeError`` when none
     certifies.
     """
-    D = edge_incidence(edges, anchor.size)
-    Dt = D.T.tocsr()
+    D = EdgeOperator(edges, anchor.size)
     coef = masses / lam
-    # Gershgorin bound on |D|^2 keeps the steps admissible
-    step = 0.99 / math.sqrt(max(float(abs(Dt @ D).sum(axis=1).max()), 1e-24))
+    edge, node, _ = D.entries()  # Gershgorin bound on |D|^2 (row sums of |D^T| |D|) keeps the steps admissible
+    step = 0.99 / math.sqrt(max(float(np.max(np.bincount(node, np.bincount(edge)[edge]), initial=0.0)), 1e-24))
     x = anchor.copy() if x0 is None else np.asarray(x0, float).copy()
-    z = np.zeros(D.shape[0])
+    z = np.zeros(D.head.size)
     iterations, best, tried = 0, math.inf, set()
     for rung in _POLISH_RUNGS:
-        x, z, k = _pdhg(D, Dt, weights, coef, anchor, x, z, step, rung, _PDHG_MAX_ITER - iterations)
+        x, z, k = _pdhg(D, weights, coef, anchor, x, z, step, rung, _PDHG_MAX_ITER - iterations)
         iterations += k
-        d = D @ x
+        d = D.apply(x)
         for delta in _POLISH_DELTAS:
             pattern = np.where(np.abs(d) <= delta, 0, np.sign(d)).astype(np.int8)
             key = pattern.tobytes()
             if key in tried:
                 continue
             tried.add(key)
-            cand = _plateau_solution(D, Dt, edges, weights, coef, anchor, x, pattern)
+            cand = _plateau_solution(D, weights, coef, anchor, x, pattern)
             if cand is None:
                 continue
             xp, zp = cand
-            dp = D @ xp
-            r = measure(xp, dp, zp, Dt @ zp)
+            dp = D.apply(xp)
+            r = measure(xp, dp, zp, D.adjoint(zp))
             if r <= tol:
                 value = float(np.sum(weights * np.abs(dp)) + 0.5 * np.sum(coef * (xp - anchor) ** 2))
                 return SolveResult(xp, r, iterations, True, value)
@@ -535,7 +557,7 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
     raise RuntimeError(f"{name}: no plateau polish certified below {tol:g} (best {best:g}) after {iterations} iterations")
 
 
-def _plateau_solution(D, Dt, edges, weights, coef, anchor, x, pattern):
+def _plateau_solution(D, weights, coef, anchor, x, pattern):
     """Exact point and edge field for a guessed plateau structure.
 
     ``pattern`` is 0 on the edges joined into plateaus and the sign of
@@ -553,8 +575,10 @@ def _plateau_solution(D, Dt, edges, weights, coef, anchor, x, pattern):
     n = x.size
     joined = pattern == 0
     z = weights * pattern
-    force = Dt @ z
-    count, label = _components(edges[joined], n)
+    force = D.adjoint(z)
+    a, b = D._slots.reshape(-1, 2)[joined].T  # endpoints, with node n the ground
+    graph = scipy.sparse.coo_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
+    count, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
     nodes = label[:n]
     mass = np.bincount(nodes, weights=coef, minlength=count)
     pulled = np.bincount(nodes, weights=coef * anchor - force, minlength=count) / np.where(mass > 0, mass, 1.0)
@@ -562,10 +586,10 @@ def _plateau_solution(D, Dt, edges, weights, coef, anchor, x, pattern):
     level = np.where(mass > 0, pulled, mean)
     level[label[n]] = 0.0
     x_new = level[nodes]
-    if np.any(z * (D @ x_new) < 0.0):
+    if np.any(z * D.apply(x_new) < 0.0):
         return None
     if joined.any():
-        D_joined = D[joined]
+        D_joined = edge_incidence(D.ends[joined], n)
         touched = np.unique(D_joined.indices)
         keep = np.ones(touched.size, dtype=bool)
         keep[np.unique(nodes[touched], return_index=True)[1]] = False
@@ -577,7 +601,8 @@ def _plateau_solution(D, Dt, edges, weights, coef, anchor, x, pattern):
         # least norm: the only solution on plateaus without cycles
         z_joined = A.T @ scipy.sparse.linalg.spsolve((A @ A.T).tocsc(), b)
         if not np.all(np.abs(z_joined) <= w_joined):
-            lp = scipy.optimize.linprog(
+            from scipy.optimize import linprog  # HiGHS loads here, on the first TV linear program
+            lp = linprog(
                 np.zeros(w_joined.size), A_eq=A, b_eq=b,
                 bounds=np.column_stack([-w_joined, w_joined]), method="highs", options=_HIGHS,
             )
@@ -588,15 +613,7 @@ def _plateau_solution(D, Dt, edges, weights, coef, anchor, x, pattern):
     return x_new, z
 
 
-def _components(joined, n):
-    """Connected components of the nodes and the ground (node ``n``) under
-    the ``joined`` edges: the count and the labels, the ground's last."""
-    ends = np.where(joined[:, 1] >= 0, joined[:, 1], n)
-    adjacency = scipy.sparse.coo_matrix((np.ones(len(joined)), (joined[:, 0], ends)), shape=(n + 1, n + 1))
-    return scipy.sparse.csgraph.connected_components(adjacency, directed=False)
-
-
-def _pdhg(D, Dt, mult, coef, anchor, x, z, step, tol, max_iter):
+def _pdhg(D, mult, coef, anchor, x, z, step, tol, max_iter):
     """Primal-dual iterations for ``min_x sum_e mult_e |(Dx)_e| + 1/2 sum_i coef_i (x_i - a_i)^2``
     from ``(x, z)``, the approximate phase of :func:`_tv_polish`.
 
@@ -609,13 +626,13 @@ def _pdhg(D, Dt, mult, coef, anchor, x, z, step, tol, max_iter):
     xbar = x.copy()
     k = 0
     for k in range(1, max_iter + 1):
-        z = np.clip(z + step * (D @ xbar), -mult, mult)
-        dtz = Dt @ z
+        z = np.clip(z + step * D.apply(xbar), -mult, mult)
+        dtz = D.adjoint(z)
         x_new = (x - step * dtz + step * coef * anchor) / (1.0 + step * coef)
         xbar = 2.0 * x_new - x
         x = x_new
         if k % 10 == 0:
-            d = D @ x
+            d = D.apply(x)
             kkt = max(float(np.sum(mult * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef * (x - anchor))))
             if kkt <= tol:
                 break

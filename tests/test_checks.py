@@ -259,6 +259,39 @@ def test_linf_solves_each_fiber_once(robin_small, monkeypatch):
     assert calls and len(set(calls)) == len(calls)
 
 
+def test_sampler_memo_keys_lifted_values_by_tolerance(robin_small, monkeypatch):
+    calls = _spy_lifted(monkeypatch)
+    memo = {}
+    u = checks.sample_states(robin_small, 1, np.random.default_rng(3))[0]
+    values = [checks._Sampler(0.2, 0.05, tol, memo).lifted(robin_small, u) for tol in (1e-7, 1e-7, 1e-10)]
+    assert [c[2] for c in calls] == [1e-7, 1e-10]  # a tighter tolerance is solved again
+    assert values[0] == values[1] and values[2] == pytest.approx(values[0], abs=1e-8)
+
+
+def test_shared_memo_evolves_each_orbit_once(robin_small, monkeypatch):
+    # linf and complete draw their first starts from one seed; with one
+    # memo their shared orbits are evolved once, and the reports do not change
+    calls = []
+    original = checks.evolve
+
+    def counting(pair, u0, T, tau, **kwargs):
+        calls.append((id(pair), u0.tobytes(), T, tau))
+        return original(pair, u0, T, tau, **kwargs)
+
+    monkeypatch.setattr(checks, "evolve", counting)
+    kw = dict(samples=4, T=0.2, tau=0.05, seed=5)
+    alone = [checks.check_linf_contractivity(robin_small, **kw), checks.check_complete_contractivity(robin_small, **kw)]
+    assert len(set(calls)) < len(calls)
+    calls.clear()
+    memo = {}
+    shared = [
+        checks.check_linf_contractivity(robin_small, memo=memo, **kw),
+        checks.check_complete_contractivity(robin_small, memo=memo, **kw),
+    ]
+    assert calls and len(set(calls)) == len(calls)
+    assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
+
+
 def test_comparison_orbits_solve_no_fiber_outside_evolve(robin_small, monkeypatch):
     calls = _spy_lifted(monkeypatch)
     counts = []

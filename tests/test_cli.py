@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -228,3 +231,38 @@ def test_run_evolves_two_orbits(tmp_path, monkeypatch):
     assert main(["run", "--problem", problem, "--T", "0.5", "--tau", "0.1", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 2
     assert not np.array_equal(calls[0], calls[1])
+
+
+def test_cli_import_leaves_highs_for_the_first_tv_program():
+    # start-up imports no LP solver; the first TV fibre solve loads HiGHS and certifies
+    code = "\n".join([
+        "import sys",
+        "import jflow.cli",
+        "assert 'scipy.optimize' not in sys.modules",
+        "from jflow.solvers import constrained_tv_min",
+        "res = constrained_tv_min([(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 1.0], [0, 3], [0.0, 3.0], 4)",
+        "assert 'scipy.optimize' in sys.modules",
+        "assert res.converged and res.residual <= 1e-9 and abs(res.value - 3.0) <= 1e-9",
+        "assert 0.0 <= res.x[1] <= res.x[2] <= 3.0",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_check_all_evolves_each_orbit_once(tmp_path, monkeypatch):
+    # the suites of one invocation share one memo of lifted values and orbits
+    from jflow import checks
+
+    calls = []
+    original = checks.evolve
+
+    def counting(pair, u0, T, tau, **kwargs):
+        calls.append((id(pair), u0.tobytes(), T, tau))
+        return original(pair, u0, T, tau, **kwargs)
+
+    monkeypatch.setattr(checks, "evolve", counting)
+    problem = write(tmp_path, "robin.json", ROBIN_SMALL)
+    code = main(["check", "--problem", problem, "--seed", "7", "--samples", "6", "--T", "0.2", "--out", str(tmp_path)])
+    assert code == 0
+    assert calls and len(set(calls)) == len(calls)

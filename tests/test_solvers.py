@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from jflow.solvers import (
+    EdgeOperator,
     Objective,
     SolveSpec,
     constrained_tv_min,
@@ -17,7 +18,20 @@ from jflow.solvers import (
     tv_prox,
 )
 from jflow import problems as P
-from jflow.pairs import _weighted_gram
+from jflow.energy import PEdgeEnergy
+from jflow.solvers import _weighted_gram
+
+
+def _identity_gram(n):
+    """``w -> diag(w)``: the Gram operator of the identity, from its triplets."""
+    return _weighted_gram(np.arange(n), np.arange(n), np.ones(n), n)
+
+
+def _edge_gram(edges, n):
+    """The Gram operator of ``[D^T, I]`` for the incidence ``D`` of ``edges``, from triplets."""
+    edge, node, sign = EdgeOperator(edges, n).entries()
+    m = len(edges)
+    return _weighted_gram(np.r_[node, np.arange(n)], np.r_[edge, m + np.arange(n)], np.r_[sign, np.ones(n)], n)
 
 
 def quadratic_objective(center, scale=1.0):
@@ -104,7 +118,7 @@ def test_newton_shift_handles_vanishing_curvature():
     def grad(x):
         return np.array([(x[0] - c[0]) ** 3, x[1] - c[1]])
 
-    gram = _weighted_gram(scipy.sparse.identity(2))
+    gram = _identity_gram(2)
     res = newton(
         lambda x: (x[0] - c[0]) ** 4 / 4 + (x[1] - c[1]) ** 2 / 2,
         grad,
@@ -121,7 +135,7 @@ def test_newton_non_finite_certificate_fails():
     res = newton(
         lambda x: 0.5 * float(x @ x),
         lambda x: x.copy(),
-        lambda x: _weighted_gram(scipy.sparse.identity(2))(np.ones(2)),
+        lambda x: _identity_gram(2)(np.ones(2)),
         np.ones(2),
         tol=1e-8,
         certificate=lambda x: float("nan"),
@@ -132,7 +146,7 @@ def test_newton_non_finite_certificate_fails():
 def test_newton_indefinite_hessian_stops_unconverged():
     # curvature -5 stays negative after the shift: the banded Cholesky
     # fails, and Newton stops at its best iterate without raising
-    gram = _weighted_gram(scipy.sparse.identity(2))
+    gram = _identity_gram(2)
     start = np.array([1.0, -2.0])
     res = newton(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), lambda x: gram(np.full(2, -5.0)), start, tol=1e-8)
     assert not res.converged and res.iterations == 1
@@ -144,8 +158,9 @@ def test_newton_quadratic_takes_one_plain_step():
     # a strictly convex banded quadratic: the unshifted step lands on the
     # minimizer, with one gradient at the start and one at the iterate
     n = 12
-    D = edge_incidence(np.column_stack([np.arange(n), np.r_[np.arange(1, n), -1]]), n)
-    gram = _weighted_gram(scipy.sparse.hstack([D.T, scipy.sparse.identity(n)]))
+    edges = np.column_stack([np.arange(n), np.r_[np.arange(1, n), -1]])
+    D = edge_incidence(edges, n)
+    gram = _edge_gram(edges, n)
     w = np.r_[np.full(n, 50.0), np.full(n, 0.5)]
     A = (D.T @ scipy.sparse.diags(w[:n]) @ D).toarray() + 0.5 * np.eye(n)
     b = np.random.default_rng(4).normal(size=n)
@@ -166,7 +181,7 @@ def test_newton_overshooting_plain_step_falls_back_to_shift():
     # sum log cosh(x - c) from 2: the plain step jumps far past c and fails
     # Armijo, so the shifted, backtracked step carries the iteration
     c = np.array([0.0, 0.5, -0.5])
-    gram = _weighted_gram(scipy.sparse.identity(3))
+    gram = _identity_gram(3)
     shifts = []
 
     class Recording:
@@ -196,23 +211,25 @@ def test_newton_overshooting_plain_step_falls_back_to_shift():
     assert len(shifts) > res.iterations  # some iterations solved twice
 
 
-def _free_block(pair):
-    is_free = np.ones(pair.E.dim, dtype=bool)
-    is_free[pair.j.observed] = False
-    return pair.edge_system.block(is_free)
-
-
 @pytest.mark.parametrize("nx", [8, 24, None], ids=["robin_p3-8x8", "robin_p3-24x24", "robin_p1.5-edge-dual"])
 def test_banded_gram_solve_matches_dense(nx):
-    from jflow import problems as P
-
+    # the block's Gram operators, assembled from triplets, against dense
+    # B diag(w) B^T with B built from the CSR incidence of the pair's edges
+    cfg = P.builtin_problems()["robin_p1.5" if nx is None else "robin_p3"]
+    if nx is not None:
+        cfg = {**cfg, "grid": {"topology": "grid", "nx": nx, "ny": nx, "h": 1.0 / (nx - 1)}}
+    pair = P.load_problem(cfg).pair
+    is_free = np.ones(pair.E.dim, dtype=bool)
+    is_free[pair.j.observed] = False
+    gram, dual = pair.edge_system.block(is_free)
+    edges = np.vstack([t.edges for t in pair.E.smooth_terms if isinstance(t, PEdgeEnergy)])
+    D_free = edge_incidence(edges, pair.E.dim)[:, is_free]
     if nx is None:
-        _, D_keep, _, gram = _free_block(P.load_problem(P.builtin_problems()["robin_p1.5"]).pair)[2]
+        D_keep = D_free[np.asarray(abs(D_free).sum(axis=1)).ravel() > 0]
+        gram = dual[2]
         B = scipy.sparse.hstack([scipy.sparse.identity(D_keep.shape[0]), D_keep])
     else:
-        grid = {"topology": "grid", "nx": nx, "ny": nx, "h": 1.0 / (nx - 1)}
-        D_free, gram, _ = _free_block(P.load_problem({**P.builtin_problems()["robin_p3"], "grid": grid}).pair)
-        B = scipy.sparse.hstack([D_free.T, scipy.sparse.identity(D_free.shape[1])])
+        B = scipy.sparse.hstack([D_free.T, scipy.sparse.identity(pair.E.dim, format="csr")[is_free]])
     rng = np.random.default_rng(3)
     w = rng.uniform(0.1, 2.0, size=B.shape[1])
     H = gram(w)
@@ -228,6 +245,52 @@ def test_banded_gram_solve_matches_dense(nx):
         np.testing.assert_array_equal(x, scipy.linalg.solveh_banded(ab, rhs[H.perm])[H.rank])
     if nx is not None:
         assert H.ab.shape[0] - 1 <= nx  # bandwidth of the RCM ordering
+
+
+def _incidence_reference(edges, n):
+    """The signed incidence, entry by entry: +1 at the first endpoint, -1 at a second one that is not -1."""
+    D = np.zeros((len(edges), n))
+    for e, (a, b) in enumerate(edges):
+        D[e, a] = 1.0
+        if b >= 0:
+            D[e, b] = -1.0
+    return scipy.sparse.csr_matrix(D)
+
+
+@pytest.mark.parametrize("edges, n", [
+    (np.column_stack([np.arange(6), np.r_[np.arange(1, 6), -1]]), 6),  # a chain grounded at its end
+    (P.grid(4, 4, 1.0).edges(), 16),
+], ids=["grounded-chain", "grid-4x4"])
+def test_edge_operator_matches_incidence(edges, n):
+    D, op = _incidence_reference(edges, n), EdgeOperator(edges, n)
+    rng = np.random.default_rng(5)
+    x, z, X = rng.normal(size=n), rng.normal(size=len(edges)), rng.normal(size=(n, 3))
+    # the gather and the scatter sum as the CSR products do, so they agree exactly
+    np.testing.assert_array_equal(op.apply(x), D @ x)
+    np.testing.assert_array_equal(op.apply(X), D @ X)
+    np.testing.assert_array_equal(op.adjoint(z), D.T.tocsr() @ z)
+    assert float(op.apply(x) @ z) == pytest.approx(float(x @ op.adjoint(z)), rel=1e-13)
+    np.testing.assert_array_equal(edge_incidence(edges, n).toarray(), D.toarray())
+
+
+def test_weighted_gram_triplets_match_dense():
+    # columns of varied fill and an empty one, an explicit zero, an entry in
+    # a negative row (dropped), entries in no particular order
+    rng = np.random.default_rng(6)
+    n, cols = 7, 9
+    B = np.where(rng.uniform(size=(n, cols)) < 0.35, rng.normal(size=(n, cols)), 0.0)
+    B[:, 0] = 0.0
+    row, col = np.nonzero(B)
+    row, col, val = np.r_[row, 3, -1][::-1], np.r_[col, 4, 2][::-1], np.r_[B[row, col], 0.0, 5.0][::-1]
+    w = rng.uniform(0.5, 2.0, size=cols)
+    H = _weighted_gram(row, col, val, n)(w)
+    bw = H.ab.shape[0] - 1
+    A = np.zeros((n, n))  # the band, back in the original order
+    for i in range(n):
+        for j in range(i, min(n, i + bw + 1)):
+            A[H.perm[i], H.perm[j]] = A[H.perm[j], H.perm[i]] = H.ab[bw + i - j, j]
+    np.testing.assert_allclose(A, B @ np.diag(w) @ B.T, rtol=1e-13, atol=1e-15)
+    np.testing.assert_array_equal(H.diagonal(), np.diag(A))
 
 
 # --- total-variation proximal maps ---------------------------------------
@@ -406,8 +469,7 @@ def test_tv_prox_32x32_grid_step_has_independent_dual_certificate():
 
 def test_banded_solve_raises_on_indefinite_band():
     n = 6
-    D = edge_incidence(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
-    gram = _weighted_gram(scipy.sparse.hstack([D.T, scipy.sparse.identity(n)]))
+    gram = _edge_gram(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
     H = gram(np.r_[np.ones(n - 1), np.full(n, -0.5)])  # D^T D - I/2: the constant vector sees -1/2
     with pytest.raises(np.linalg.LinAlgError):
         H.solve(np.ones(n), 0.0)
