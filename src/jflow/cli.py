@@ -57,12 +57,26 @@ def _load(path_str: str):
         return None
     try:
         return load_problem(path)
-    except KeyError as exc:
-        print(f"jflow: bad problem file: unknown key {exc}", file=sys.stderr)
+    except (KeyError, TypeError, ValueError) as exc:  # KeyError: an unknown problem kind
+        print(f"jflow: bad problem file: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return None
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"jflow: bad problem file: {exc}", file=sys.stderr)
-        return None
+
+
+def _bad_steps(args, pairs) -> bool:
+    """Report step arguments that no solve of ``pairs`` can take; called before any solve."""
+    omega = max(pair.omega for pair in pairs)
+    if not 0 < args.tau <= args.T < math.inf:
+        why = "need 0 < tau <= T < inf"
+    elif omega > 0 and args.tau > 0.9 / omega:
+        why = f"step tau = {args.tau:g} exceeds 0.9/omega = {0.9 / omega:g}"
+    elif vars(args).get("tol") is not None and not args.tol > 0:
+        why = "need tol > 0"
+    elif vars(args).get("samples", 1) < 1:
+        why = "need samples >= 1"
+    else:
+        return False
+    print(f"jflow: {why}", file=sys.stderr)
+    return True
 
 
 def _initial_state(bundle, seed: int) -> np.ndarray:
@@ -97,17 +111,15 @@ def _write_trajectory(path: Path, traj) -> None:
 
 def cmd_run(args) -> int:
     bundle = _load(args.problem)
-    if bundle is None:
-        return 2
-    if args.tau <= 0 or args.T < args.tau:
-        print("jflow: need tau > 0 and T >= tau", file=sys.stderr)
+    if bundle is None or _bad_steps(args, [bundle.pair]):
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         u0 = _initial_state(bundle, args.seed)
-    except ValueError as exc:
-        print(f"jflow: {exc}", file=sys.stderr)
+    except (KeyError, TypeError, ValueError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"jflow: bad problem file: initial state: {why}", file=sys.stderr)
         return 2
 
     try:
@@ -180,14 +192,15 @@ def cmd_check(args) -> int:
     bundle = _load(args.problem)
     if bundle is None:
         return 2
-    applicable = _applicable_suites(bundle)
-    if args.suite == "all":
-        suites = applicable
-    else:
-        if args.suite not in applicable:
+    suites = _applicable_suites(bundle)
+    if args.suite != "all":
+        if args.suite not in suites:
             print(f"jflow: suite {args.suite!r} is not applicable (no reference pair)", file=sys.stderr)
             return 3
         suites = [args.suite]
+    uses_reference = {"comparison", "domination"} & set(suites)
+    if _bad_steps(args, [bundle.pair] + ([bundle.reference] if uses_reference else [])):
+        return 2
 
     reports = []
     failure = None

@@ -53,8 +53,8 @@ class ScalarPrimitive:
     ``omega`` is the smallest constant making ``z -> value(z) + omega/2 z^2``
     convex; 0 for convex integrands, the Lipschitz constant of the
     derivative's decreasing part otherwise.  ``curvature_fn`` (second
-    derivative) is optional; preconditioners fall back to differencing
-    the derivative.
+    derivative) is optional; without it the Newton Hessian weights
+    difference the derivative (bundled user: ``beta_power`` with r < 2).
     """
 
     value_fn: Callable[[np.ndarray], np.ndarray]

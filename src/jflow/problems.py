@@ -16,15 +16,19 @@ boundary data space    ``h^(d-1)`` per node
 =====================  =============================
 
 Eliminated zero-boundary nodes appear as grounded edges (second
-endpoint -1).  Growth exponents of the boundary law are declared
+endpoint -1).  Scalar laws are ``energy.ScalarPrimitive``s whose
+``omega`` is 0 for a monotone law and the Lipschitz constant otherwise.
+Growth exponents of the boundary law are declared
 metadata; they are sanity-sampled, never enforced analytically.
 """
 
 from __future__ import annotations
 
-import math
+import json
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +46,6 @@ __all__ = [
     "GridSpec",
     "chain",
     "grid",
-    "ScalarRule",
     "ScalarLaw",
     "g_zero",
     "g_linear",
@@ -129,171 +132,151 @@ def grid(nx: int, ny: int, h: float) -> GridSpec:
 # scalar laws
 
 
-@dataclass(frozen=True)
-class ScalarRule:
-    """Scalar nonlinearity with its primitive and declared regularity."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    primitive: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-    monotone: bool
-    tag: str
-    curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None  # derivative of ``fn``
-
-    def energy_primitive(self) -> ScalarPrimitive:
-        omega = 0.0 if self.monotone else float(self.lipschitz)
-        return ScalarPrimitive(
-            value_fn=self.primitive, deriv_fn=self.fn, omega=omega, tag=self.tag, curvature_fn=self.curvature
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return self.tag == "zero"
-
-
-def g_zero() -> ScalarRule:
+def g_zero() -> ScalarPrimitive:
     zero = lambda z: np.zeros_like(np.asarray(z, float))
-    return ScalarRule(zero, zero, 0.0, True, "zero", zero)
+    return ScalarPrimitive(zero, zero, 0.0, "zero", zero)
 
 
-def g_linear(a: float) -> ScalarRule:
-    return ScalarRule(
-        lambda z: a * z,
+def g_linear(a: float) -> ScalarPrimitive:
+    return ScalarPrimitive(
         lambda z: 0.5 * a * z * z,
-        abs(a),
-        a >= 0,
+        lambda z: a * z,
+        0.0 if a >= 0 else float(-a),
         "linear",
         lambda z: np.full_like(np.asarray(z, float), a),
     )
 
 
-def g_affine(a: float, b: float) -> ScalarRule:
+def g_affine(a: float, b: float) -> ScalarPrimitive:
     """``a z + b``: monotone for a >= 0 but with a source offset, so the
     flow it drives is not positivity preserving."""
-    return ScalarRule(
-        lambda z: a * z + b,
+    return ScalarPrimitive(
         lambda z: 0.5 * a * z * z + b * z,
-        abs(a),
-        a >= 0,
+        lambda z: a * z + b,
+        0.0 if a >= 0 else float(-a),
         "affine",
         lambda z: np.full_like(np.asarray(z, float), a),
     )
 
 
-def g_arctan(a: float) -> ScalarRule:
+def g_arctan(a: float) -> ScalarPrimitive:
     if a < 0:
         raise ValueError("arctan law expects a >= 0")
-    return ScalarRule(
-        lambda z: a * np.arctan(z),
+    return ScalarPrimitive(
         lambda z: a * (z * np.arctan(z) - 0.5 * np.log1p(z * z)),
-        a,
-        True,
+        lambda z: a * np.arctan(z),
+        0.0,
         "arctan",
         lambda z: a / (1.0 + z * z),
     )
 
 
-def g_sine(a: float) -> ScalarRule:
+def g_sine(a: float) -> ScalarPrimitive:
     """Lipschitz, non-monotone volume law; curvature deficit equals ``a``."""
-    return ScalarRule(
-        lambda z: a * np.sin(z),
+    return ScalarPrimitive(
         lambda z: a * (1.0 - np.cos(z)),
-        abs(a),
-        a == 0.0,
+        lambda z: a * np.sin(z),
+        float(abs(a)),
         "sine",
         lambda z: a * np.cos(z),
     )
 
 
-def beta_zero() -> ScalarRule:
-    return g_zero()
+beta_zero = g_zero
 
 
-def beta_linear(a: float) -> ScalarRule:
+def beta_linear(a: float) -> ScalarPrimitive:
     if a < 0:
         raise ValueError("boundary law must be increasing")
-    rule = g_linear(a)
-    return ScalarRule(rule.fn, rule.primitive, rule.lipschitz, True, "linear", rule.curvature)
+    return g_linear(a)
 
 
-def beta_power(a: float, r: float) -> ScalarRule:
+def beta_power(a: float, r: float) -> ScalarPrimitive:
     """``a |z|^(r-1) sign z``; increasing, growth exponent ``r``.  Below
     ``r = 2`` the curvature is unbounded at 0 and is left to differencing."""
     if a <= 0 or r <= 1:
         raise ValueError("power boundary law needs a > 0 and r > 1")
-    lip = a if r == 2 else math.inf  # derivative unbounded away from r = 2
-    return ScalarRule(
-        lambda z: a * np.abs(z) ** (r - 1.0) * np.sign(z),
+    return ScalarPrimitive(
         lambda z: a * np.abs(z) ** r / r,
-        lip,
-        True,
+        lambda z: a * np.abs(z) ** (r - 1.0) * np.sign(z),
+        0.0,
         "power",
         (lambda z: a * (r - 1.0) * np.abs(z) ** (r - 2.0)) if r >= 2 else None,
     )
-
-
-_G_RULES = {
-    "zero": lambda **kw: g_zero(),
-    "linear": g_linear,
-    "affine": g_affine,
-    "arctan": g_arctan,
-    "sine": g_sine,
-}
-_BETA_RULES = {"zero": lambda **kw: beta_zero(), "linear": beta_linear, "power": beta_power}
 
 
 @dataclass(frozen=True)
 class ScalarLaw:
     """Volume law (Lipschitz) and boundary law (increasing with growth)."""
 
-    g: ScalarRule = field(default_factory=g_zero)
-    beta: ScalarRule = field(default_factory=beta_zero)
+    g: ScalarPrimitive = field(default_factory=g_zero)
+    beta: ScalarPrimitive = field(default_factory=beta_zero)
 
     @property
     def shift(self) -> float:
         """Convexity shift the pair declares for this law."""
-        return 0.0 if self.g.monotone else self.g.lipschitz + COERCIVITY_MARGIN
-
-
-def _law_from_config(cfg: Optional[dict]) -> ScalarLaw:
-    if not cfg:
-        return ScalarLaw()
-    g_cfg = dict(cfg.get("g", {"kind": "zero"}))
-    b_cfg = dict(cfg.get("beta", {"kind": "zero"}))
-    g_kind = g_cfg.pop("kind")
-    b_kind = b_cfg.pop("kind")
-    g_cfg.pop("L", None)
-    g_cfg.pop("monotone", None)
-    if b_kind == "linear":
-        b_cfg.pop("r", None)
-    b_cfg.pop("alpha", None)
-    return ScalarLaw(g=_G_RULES[g_kind](**g_cfg), beta=_BETA_RULES[b_kind](**b_cfg))
-
-
-# ---------------------------------------------------------------------------
-# assembly helpers
-
-
-def _restriction(indices, n) -> np.ndarray:
-    J = np.zeros((len(indices), n))
-    J[np.arange(len(indices)), indices] = 1.0
-    return J
-
-
-def _eliminate(edges: np.ndarray, keep: np.ndarray, n: int):
-    """Reindex edges onto ``keep``; edges leaving it become grounded."""
-    new_id = np.full(n, -1)
-    new_id[keep] = np.arange(keep.size)
-    e = new_id[edges].reshape(-1, 2)
-    e = e[np.any(e >= 0, axis=1)]
-    return np.where(e[:, :1] >= 0, e, e[:, ::-1])  # a grounded first endpoint swaps with the second
+        return self.g.omega + COERCIVITY_MARGIN if self.g.omega > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
-def build_robin(gridspec: GridSpec, p: float, law: Optional[ScalarLaw] = None) -> JEllipticPair:
+def _interior_ids(gridspec: GridSpec) -> np.ndarray:
+    """Index of each node among the interior nodes; -1 on the ring."""
+    ids = np.full(gridspec.node_count, -1)
+    interior = gridspec.interior_nodes()
+    ids[interior] = np.arange(interior.size)
+    return ids
+
+
+def _subregion(gridspec: GridSpec, nodes) -> np.ndarray:
+    """Interior indices of the grid nodes ``nodes`` (None: the whole interior)."""
+    ids = _interior_ids(gridspec)
+    if nodes is None:
+        return ids[ids >= 0]
+    nodes = np.asarray(nodes, dtype=int)
+    if nodes.size == 0:
+        raise ValueError("subregion is empty")
+    outside = nodes[(nodes < 0) | (nodes >= ids.size)]
+    if outside.size:
+        raise ValueError(f"subregion node {outside[0]} is outside the grid")
+    if np.any(ids[nodes] < 0):
+        raise ValueError("subregion touches the outer ring")
+    return ids[nodes]
+
+
+def _assemble(gridspec: GridSpec, p, data, measure: float, laws=(), keep_ring=False, omega=0.0) -> JEllipticPair:
+    """The pair of an edge energy plus nodewise laws, observed on ``data``.
+
+    Source space: every node with ``keep_ring``, else the interior nodes
+    with the zero ring eliminated into grounded edges.  The edge term is
+    the p-power term, or total variation for ``p=None``.  ``laws`` holds
+    ``(nodes, measure, primitive)`` integrals; zero laws are left out.
+    The map restricts to the source indices ``data``, each of measure
+    ``measure`` in the data space.
+    """
+    if p is not None and not (isinstance(p, numbers.Real) and p > 1):
+        raise ValueError(f"edge exponent p must be a number above 1, not {p!r}; build_tv builds the 1-homogeneous flow")
+    h, d = gridspec.h, gridspec.d
+    edges = gridspec.edges()
+    n = gridspec.node_count
+    if not keep_ring:
+        ids = _interior_ids(gridspec)
+        e = ids[edges]
+        e = e[np.any(e >= 0, axis=1)]
+        edges = np.where(e[:, :1] >= 0, e, e[:, ::-1])  # a grounded first endpoint swaps with the second
+        n = int(np.count_nonzero(ids >= 0))
+    weights = np.full(edges.shape[0], h ** (d - (1 if p is None else p)))  # total variation weighs as p = 1
+    terms = [TotalVariationTerm(edges, weights) if p is None else PEdgeEnergy(edges, weights, p)]
+    terms += [NodewiseIntegral(nodes, np.full(nodes.size, w), g) for nodes, w, g in laws if g.tag != "zero"]
+    J = np.zeros((data.size, n))
+    J[np.arange(data.size), data] = 1.0
+    space = WeightedSpace(np.full(data.size, measure))
+    return JEllipticPair(E=ExtendedFunctional(terms=terms, dim=n), j=JMap(J), space=space, omega=omega)
+
+
+def build_robin(gridspec: GridSpec, p: float, law: ScalarLaw = ScalarLaw()) -> JEllipticPair:
     """Flux through all nodes with a reactive boundary.
 
     Source space: every node.  Data space: interior nodes with volume
@@ -301,28 +284,13 @@ def build_robin(gridspec: GridSpec, p: float, law: Optional[ScalarLaw] = None) -
     power, the volume law on the interior and the boundary law on the
     boundary ring.
     """
-    if p <= 1:
-        raise ValueError("edge exponent must exceed 1 here; use build_tv for the 1-homogeneous flow")
-    law = law or ScalarLaw()
     h, d = gridspec.h, gridspec.d
-    n = gridspec.node_count
     interior = gridspec.interior_nodes()
-    boundary = gridspec.boundary_nodes()
-
-    edges = gridspec.edges()
-    terms = [PEdgeEnergy(edges, np.full(edges.shape[0], h ** (d - p)), p)]
-    if not law.g.is_zero:
-        terms.append(NodewiseIntegral(interior, np.full(interior.size, h**d), law.g.energy_primitive()))
-    if not law.beta.is_zero:
-        terms.append(
-            NodewiseIntegral(boundary, np.full(boundary.size, h ** (d - 1)), law.beta.energy_primitive())
-        )
-    E = ExtendedFunctional(terms=terms, dim=n)
-    space = WeightedSpace(np.full(interior.size, h**d))
-    return JEllipticPair(E=E, j=JMap(_restriction(interior, n)), space=space, omega=law.shift)
+    laws = [(interior, h**d, law.g), (gridspec.boundary_nodes(), h ** (d - 1), law.beta)]
+    return _assemble(gridspec, p, interior, h**d, laws, keep_ring=True, omega=law.shift)
 
 
-def build_dtn(gridspec: GridSpec, p: float, law: Optional[ScalarLaw] = None) -> JEllipticPair:
+def build_dtn(gridspec: GridSpec, p: float, law: ScalarLaw = ScalarLaw()) -> JEllipticPair:
     """Boundary-data flow: the map is the trace onto the boundary ring.
 
     The kernel consists of every interior-supported vector, which makes
@@ -330,23 +298,9 @@ def build_dtn(gridspec: GridSpec, p: float, law: Optional[ScalarLaw] = None) -> 
     volume law the declared shift follows the volume rule, but no trace
     shift can restore interior convexity; validation reports it.
     """
-    law = law or ScalarLaw()
     h, d = gridspec.h, gridspec.d
-    n = gridspec.node_count
-    boundary = gridspec.boundary_nodes()
-    interior = gridspec.interior_nodes()
-    if boundary.size == 0:
-        raise ValueError("grid has no boundary nodes")
-    if p <= 1:
-        raise ValueError("edge exponent must exceed 1")
-
-    edges = gridspec.edges()
-    terms = [PEdgeEnergy(edges, np.full(edges.shape[0], h ** (d - p)), p)]
-    if not law.g.is_zero:
-        terms.append(NodewiseIntegral(interior, np.full(interior.size, h**d), law.g.energy_primitive()))
-    E = ExtendedFunctional(terms=terms, dim=n)
-    space = WeightedSpace(np.full(boundary.size, h ** (d - 1)))
-    return JEllipticPair(E=E, j=JMap(_restriction(boundary, n)), space=space, omega=law.shift)
+    laws = [(gridspec.interior_nodes(), h**d, law.g)]
+    return _assemble(gridspec, p, gridspec.boundary_nodes(), h ** (d - 1), laws, keep_ring=True, omega=law.shift)
 
 
 def build_coupled(gridspec: GridSpec, subdomain, p: float) -> JEllipticPair:
@@ -357,51 +311,17 @@ def build_coupled(gridspec: GridSpec, subdomain, p: float) -> JEllipticPair:
     eliminated into grounded edges).  Data space: the subregion with
     volume weights; the map restricts to it.
     """
-    if p <= 1:
-        raise ValueError("edge exponent must exceed 1")
-    h, d = gridspec.h, gridspec.d
-    interior = gridspec.interior_nodes()
-    boundary = set(gridspec.boundary_nodes().tolist())
-    subdomain = np.asarray(subdomain, dtype=int)
-    if subdomain.size == 0:
-        raise ValueError("subregion is empty")
-    if any(s in boundary for s in subdomain.tolist()):
-        raise ValueError("subregion touches the outer ring")
-
-    edges = _eliminate(gridspec.edges(), interior, gridspec.node_count)
-    E = ExtendedFunctional(
-        terms=[PEdgeEnergy(edges, np.full(edges.shape[0], h ** (d - p)), p)], dim=interior.size
-    )
-    new_id = {node: i for i, node in enumerate(interior.tolist())}
-    sub_local = np.array([new_id[s] for s in subdomain.tolist()], dtype=int)
-    space = WeightedSpace(np.full(sub_local.size, h**d))
-    return JEllipticPair(E=E, j=JMap(_restriction(sub_local, interior.size)), space=space, omega=0.0)
+    return _assemble(gridspec, p, _subregion(gridspec, subdomain), gridspec.h**gridspec.d)
 
 
 def build_dirichlet(gridspec: GridSpec, p: float) -> JEllipticPair:
     """Edge-power flow on the interior with the boundary pinned at zero."""
-    if p <= 1:
-        raise ValueError("edge exponent must exceed 1")
-    h, d = gridspec.h, gridspec.d
-    interior = gridspec.interior_nodes()
-    edges = _eliminate(gridspec.edges(), interior, gridspec.node_count)
-    E = ExtendedFunctional(
-        terms=[PEdgeEnergy(edges, np.full(edges.shape[0], h ** (d - p)), p)], dim=interior.size
-    )
-    space = WeightedSpace(np.full(interior.size, h**d))
-    return JEllipticPair(E=E, j=JMap(np.eye(interior.size)), space=space, omega=0.0)
+    return _assemble(gridspec, p, _subregion(gridspec, None), gridspec.h**gridspec.d)
 
 
 def build_neumann(gridspec: GridSpec, p: float) -> JEllipticPair:
     """Edge-power flow over all nodes with no boundary pinning."""
-    if p <= 1:
-        raise ValueError("edge exponent must exceed 1")
-    h, d = gridspec.h, gridspec.d
-    n = gridspec.node_count
-    edges = gridspec.edges()
-    E = ExtendedFunctional(terms=[PEdgeEnergy(edges, np.full(edges.shape[0], h ** (d - p)), p)], dim=n)
-    space = WeightedSpace(np.full(n, h**d))
-    return JEllipticPair(E=E, j=JMap(np.eye(n)), space=space, omega=0.0)
+    return _assemble(gridspec, p, np.arange(gridspec.node_count), gridspec.h**gridspec.d, keep_ring=True)
 
 
 def build_tv(gridspec: GridSpec, subdomain=None) -> JEllipticPair:
@@ -411,23 +331,7 @@ def build_tv(gridspec: GridSpec, subdomain=None) -> JEllipticPair:
     the map is the identity and backward steps are exact shrink
     problems).
     """
-    h, d = gridspec.h, gridspec.d
-    interior = gridspec.interior_nodes()
-    edges = _eliminate(gridspec.edges(), interior, gridspec.node_count)
-    E = ExtendedFunctional(
-        terms=[TotalVariationTerm(edges, np.full(edges.shape[0], h ** (d - 1)))], dim=interior.size
-    )
-    if subdomain is None:
-        sub_local = np.arange(interior.size)
-    else:
-        boundary = set(gridspec.boundary_nodes().tolist())
-        subdomain = np.asarray(subdomain, dtype=int)
-        if any(s in boundary for s in subdomain.tolist()):
-            raise ValueError("subregion touches the outer ring")
-        new_id = {node: i for i, node in enumerate(interior.tolist())}
-        sub_local = np.array([new_id[s] for s in subdomain.tolist()], dtype=int)
-    space = WeightedSpace(np.full(sub_local.size, h**d))
-    return JEllipticPair(E=E, j=JMap(_restriction(sub_local, interior.size)), space=space, omega=0.0)
+    return _assemble(gridspec, None, _subregion(gridspec, subdomain), gridspec.h**gridspec.d)
 
 
 # ---------------------------------------------------------------------------
@@ -443,45 +347,56 @@ class ProblemBundle:
     kind: str
     pair: JEllipticPair
     reference: Optional[JEllipticPair] = None
-    reference_kind: Optional[str] = None
     meta: dict = field(default_factory=dict)
 
 
-def _grid_from_config(cfg: dict) -> GridSpec:
-    topo = cfg["topology"]
-    if topo == "chain":
-        return chain(cfg["n"], cfg["h"])
-    return grid(cfg["nx"], cfg["ny"], cfg["h"])
+_LAWS = {
+    "g": {"zero": g_zero, "linear": g_linear, "affine": g_affine, "arctan": g_arctan, "sine": g_sine},
+    "beta": {"zero": beta_zero, "linear": beta_linear, "power": beta_power},
+}
+_DECLARED = ("L", "monotone", "alpha")  # declared metadata of a law, not parameters
+
+
+def _law_from_config(cfg: Optional[dict]) -> ScalarLaw:
+    laws = {}
+    for which, table in _LAWS.items():
+        params = {k: v for k, v in (cfg or {}).get(which, {"kind": "zero"}).items() if k not in _DECLARED}
+        kind = params.pop("kind")
+        if kind not in table:
+            raise ValueError(f"unknown {which} law {kind!r}")
+        if kind == "linear":
+            params.pop("r", None)  # a linear law grows with exponent 2
+        try:
+            laws[which] = table[kind](**params)
+        except TypeError as exc:  # a parameter the law does not take, or a missing or non-numeric one
+            raise ValueError(f"{which} law {kind!r}: {exc}") from None
+    return ScalarLaw(**laws)
 
 
 def _build_from_config(cfg: dict) -> tuple[JEllipticPair, str]:
-    kind = cfg["problem"]
+    kind = cfg.get("problem")
     if kind not in PROBLEM_KINDS:
         raise KeyError(f"unknown problem kind {kind!r}")
-    gridspec = _grid_from_config(cfg["grid"])
-    law = _law_from_config(cfg.get("law"))
-    if kind == "robin":
-        pair = build_robin(gridspec, cfg["p"], law)
-    elif kind == "dtn":
-        pair = build_dtn(gridspec, cfg["p"], law)
-    elif kind == "coupled":
-        pair = build_coupled(gridspec, np.asarray(cfg["subdomain"], dtype=int), cfg["p"])
-    elif kind == "dirichlet":
-        pair = build_dirichlet(gridspec, cfg["p"])
-    elif kind == "neumann":
-        pair = build_neumann(gridspec, cfg["p"])
-    else:
-        pair = build_tv(gridspec, cfg.get("subdomain"))
-    if "omega_override" in cfg and cfg["omega_override"] is not None:
+    try:
+        g = cfg["grid"]
+        gridspec = chain(g["n"], g["h"]) if g["topology"] == "chain" else grid(g["nx"], g["ny"], g["h"])
+        if kind == "tv":
+            pair = build_tv(gridspec, cfg.get("subdomain"))
+        elif kind == "coupled":
+            pair = build_coupled(gridspec, cfg["subdomain"], cfg["p"])
+        elif kind in ("robin", "dtn"):
+            pair = (build_robin if kind == "robin" else build_dtn)(gridspec, cfg["p"], _law_from_config(cfg.get("law")))
+        else:
+            pair = (build_dirichlet if kind == "dirichlet" else build_neumann)(gridspec, cfg["p"])
+    except KeyError as exc:
+        raise ValueError(f"{kind} problem: missing key {exc}") from None
+    if cfg.get("omega_override") is not None:
         pair = JEllipticPair(E=pair.E, j=pair.j, space=pair.space, omega=float(cfg["omega_override"]))
     return pair, kind
 
 
 def load_problem(source) -> ProblemBundle:
     """Build a problem from a config dict or a JSON file path."""
-    import json
-    from pathlib import Path
-
     if isinstance(source, (str,)) or hasattr(source, "read_text"):
         path = Path(source)
         cfg = json.loads(path.read_text())
@@ -491,15 +406,14 @@ def load_problem(source) -> ProblemBundle:
         name = cfg.get("name", cfg.get("problem", "problem"))
     pair, kind = _build_from_config(cfg)
     reference = None
-    reference_kind = None
     if cfg.get("reference"):
-        reference, reference_kind = _build_from_config(cfg["reference"])
+        reference, _ = _build_from_config(cfg["reference"])
         if reference.space.dim != pair.space.dim or not np.allclose(
             reference.space.weights, pair.space.weights
         ):
             raise ValueError("reference pair must share the data space")
     meta = {k: v for k, v in cfg.items() if k != "name"}
-    return ProblemBundle(name=name, kind=kind, pair=pair, reference=reference, reference_kind=reference_kind, meta=meta)
+    return ProblemBundle(name=name, kind=kind, pair=pair, reference=reference, meta=meta)
 
 
 def builtin_problems() -> dict:

@@ -266,3 +266,65 @@ def test_check_all_evolves_each_orbit_once(tmp_path, monkeypatch):
     code = main(["check", "--problem", problem, "--seed", "7", "--samples", "6", "--T", "0.2", "--out", str(tmp_path)])
     assert code == 0
     assert calls and len(set(calls)) == len(calls)
+
+
+CHAIN10 = {"topology": "chain", "n": 10, "h": 0.2}
+
+
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({**ROBIN_SMALL, "law": {"g": {"kind": "linear", "b": 1}}}, "'b'"),
+        ({**QUAD_CHAIN, "p": "3"}, "'3'"),
+        ({k: v for k, v in QUAD_CHAIN.items() if k != "p"}, "missing key 'p'"),
+        ({**QUAD_CHAIN, "initial": {"kind": "constant"}}, "missing key 'value'"),
+        ({"problem": "coupled", "grid": CHAIN10, "subdomain": [3, 99], "p": 2.0}, "subregion node 99"),
+        ({"problem": "coupled", "grid": CHAIN10, "subdomain": [3, -4], "p": 2.0}, "subregion node -4"),
+        ({"problem": "tv", "grid": CHAIN10, "subdomain": [3, 99]}, "subregion node 99"),
+    ],
+    ids=[
+        "law-parameter", "p-string", "p-missing", "initial-value", "coupled-node-99", "coupled-node-minus-4", "tv-node",
+    ],
+)
+def test_run_malformed_problem_file_exit_2_naming_the_key(tmp_path, capsys, cfg, named):
+    problem = write(tmp_path, "bad.json", cfg)
+    assert main(["run", "--problem", problem, "--T", "0.1", "--tau", "0.05", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("jflow: bad problem file: ") and named in err[0]
+
+
+SINE_ROBIN = str(Path(__file__).parent.parent / "problems" / "robin_sine_p2.json")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--problem", SINE_ROBIN, "--tau", "2", "--T", "4"], "0.9/omega"),
+        (["run", "--problem", "QUAD", "--tol", "0"], "tol"),
+        (["run", "--problem", "QUAD", "--tau", "nan"], "tau"),
+        (["run", "--problem", "QUAD", "--T", "inf"], "tau"),
+        (["check", "--problem", "QUAD", "--seed", "1", "--tau", "0"], "tau"),
+        (["check", "--problem", "QUAD", "--seed", "1", "--T", "0.01"], "tau"),
+        (["check", "--problem", SINE_ROBIN, "--seed", "1", "--tau", "2", "--T", "4"], "0.9/omega"),
+        (["check", "--problem", "QUAD", "--seed", "1", "--samples", "0"], "samples"),
+    ],
+    ids=["run-shift", "run-tol", "run-tau-nan", "run-T-inf", "check-tau", "check-T", "check-shift", "check-samples"],
+)
+def test_bad_step_arguments_exit_2_before_any_solve(tmp_path, monkeypatch, capsys, argv, named):
+    from jflow import solvers
+
+    monkeypatch.setattr(solvers, "newton", _boom)
+    problem = write(tmp_path, "quad.json", QUAD_CHAIN)
+    argv = [problem if a == "QUAD" else a for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and named in err[0]
+    assert not out.exists()
+
+
+def test_check_rejects_a_step_the_reference_cannot_take_only_when_a_suite_uses_it(tmp_path):
+    problem = write(tmp_path, "ref.json", {**QUAD_CHAIN, "reference": {**QUAD_CHAIN, "omega_override": 30.0}})
+    base = ["check", "--problem", problem, "--seed", "1", "--samples", "2", "--T", "0.1", "--tau", "0.05"]
+    assert main(base + ["--suite", "domination", "--out", str(tmp_path / "dom")]) == 2
+    assert main(base + ["--suite", "positivity", "--out", str(tmp_path / "pos")]) == 0

@@ -67,8 +67,8 @@ def test_robin_constant_energy_value():
     c = 0.8
     u_hat = np.full(grid.node_count, c)
     interior, boundary = grid.interior_nodes(), grid.boundary_nodes()
-    expected = interior.size * h**2 * float(law.g.primitive(c)) + boundary.size * h * float(
-        law.beta.primitive(c)
+    expected = interior.size * h**2 * float(law.g.value(c)) + boundary.size * h * float(
+        law.beta.value(c)
     )
     assert pair.E.value(u_hat) == pytest.approx(expected, rel=1e-12)
 
@@ -345,12 +345,47 @@ def test_grid_spec_validation():
 def test_rule_curvature_matches_central_differences(rule):
     z = np.random.default_rng(11).uniform(0.2, 3.0, size=20) * np.resize([1.0, -1.0], 20)
     h = 1e-5
-    fd = (rule.fn(z + h) - rule.fn(z - h)) / (2.0 * h)
-    np.testing.assert_allclose(rule.curvature(z), fd, rtol=1e-7, atol=1e-9)
-    np.testing.assert_array_equal(rule.energy_primitive().curvature(z), rule.curvature(z))
+    fd = (rule.deriv(z + h) - rule.deriv(z - h)) / (2.0 * h)
+    np.testing.assert_allclose(rule.curvature_fn(z), fd, rtol=1e-7, atol=1e-9)
 
 
 def test_subquadratic_power_rule_keeps_difference_curvature():
     rule = P.beta_power(1.0, 1.5)
-    assert rule.curvature is None
-    assert rule.energy_primitive().curvature(np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-6)
+    assert rule.curvature_fn is None
+    assert rule.curvature(np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "rule, omega",
+    [
+        (P.g_zero(), 0.0),
+        (P.g_arctan(0.5), 0.0),
+        (P.g_linear(0.0), 0.0),
+        (P.g_linear(2.0), 0.0),
+        (P.g_affine(1.0, 0.8), 0.0),
+        (P.beta_zero(), 0.0),
+        (P.beta_linear(1.0), 0.0),
+        (P.beta_power(0.8, 2.0), 0.0),
+        (P.beta_power(1.0, 1.5), 0.0),
+        (P.g_linear(-1.5), 1.5),
+        (P.g_affine(-2, 0.3), 2.0),
+        (P.g_sine(0.7), 0.7),
+    ],
+    ids=[
+        "g_zero", "g_arctan", "g_linear_0", "g_linear_2", "g_affine_1", "beta_zero", "beta_linear",
+        "beta_power_r2", "beta_power_r1.5", "g_linear_-1.5", "g_affine_-2", "g_sine",
+    ],
+)
+def test_law_omega_is_zero_when_monotone_else_lipschitz(rule, omega):
+    # omega carries what monotonicity and the Lipschitz constant used to
+    assert rule.omega == omega
+    shift = P.ScalarLaw(g=rule).shift
+    assert shift == (omega + P.COERCIVITY_MARGIN if omega > 0 else 0.0)
+
+
+@pytest.mark.parametrize("build", [lambda g, s: P.build_coupled(g, s, 2.0), P.build_tv], ids=["coupled", "tv"])
+@pytest.mark.parametrize("node", [10, 99, -1, -4])
+def test_subregion_node_outside_grid_is_named(build, node):
+    # a negative node must not wrap around to the end of the grid
+    with pytest.raises(ValueError, match=f"subregion node {node} is outside the grid"):
+        build(P.chain(10, 0.2), [3, node])
