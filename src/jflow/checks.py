@@ -4,10 +4,12 @@ contractivity of the discrete flows.
 Every checker probes two layers and reports both: the functional-level
 inequality on the lifted energy (sampled on data-space points) and the
 dynamic behaviour of implicit-Euler orbits.  The two verdicts are kept
-as separate sub-checks with their own tolerances; a report passes when
-every sub-check passes, and the headline violation/tolerance pair is
-the sub-check with the worst violation-to-tolerance ratio, so the
-``passed == (max_violation <= tolerance)`` invariant always holds.
+as separate sub-checks with their own tolerances (``FUNCTIONAL_TOL`` for
+gaps of lifted values, each solved to ``LIFTED_TOL``; ``DYNAMIC_TOL`` for
+steps and orbits); a report passes when every sub-check passes, and the
+headline violation/tolerance pair is the sub-check with the worst
+violation-to-tolerance ratio, so the ``passed == (max_violation <=
+tolerance)`` invariant always holds.
 
 Equivalences are never used to shortcut: each side of a theorem-style
 equivalence is tested independently and disagreement is surfaced, since
@@ -52,6 +54,7 @@ __all__ = [
 
 FUNCTIONAL_TOL = 1e-8
 DYNAMIC_TOL = 1e-6
+LIFTED_TOL = 1e-7
 
 
 @dataclass
@@ -135,11 +138,11 @@ def _bump(part, violation, witness):
 class _Sampler:
     """The sampling core of one checker call: lifted-energy gaps and
     implicit-Euler orbits of step ``tau`` up to ``T``, counting skipped
-    samples.  Lifted values (to ``lifted_tol``) and orbit states are kept in
-    ``memo`` under their pair, point and tolerance or step."""
+    samples.  Lifted values (to ``LIFTED_TOL``) and orbit states are kept in
+    ``memo`` under their pair and point, and the step for an orbit."""
 
-    def __init__(self, T, tau, lifted_tol=None, memo=None):
-        self.T, self.tau, self.lifted_tol = T, tau, lifted_tol
+    def __init__(self, T, tau, memo=None):
+        self.T, self.tau = T, tau
         self.memo = {} if memo is None else memo
         self.skipped = 0
 
@@ -150,7 +153,7 @@ class _Sampler:
         return self.memo[key][1]
 
     def lifted(self, pair, u):
-        return self._once(pair, (u.tobytes(), self.lifted_tol), lambda: lifted_value(pair, u, self.lifted_tol).value)
+        return self._once(pair, (u.tobytes(),), lambda: lifted_value(pair, u, LIFTED_TOL).value)
 
     def gap(self, part, plus, minus, witness):
         """Bump ``part`` by the lifted values at the ``(pair, point)`` entries
@@ -210,10 +213,8 @@ def check_invariance(
     seed: int = 0,
     tol_fun: float = FUNCTIONAL_TOL,
     tol_dyn: float = DYNAMIC_TOL,
-    lambdas=(0.1, 1.0),
     resolvent_samples: int = 10,
     dynamic_samples: int = 5,
-    lifted_tol: float = 1e-7,
     memo: Optional[dict] = None,
 ) -> PropertyReport:
     """Invariance of a closed convex set under the flow.
@@ -224,7 +225,7 @@ def check_invariance(
     """
     rng = np.random.default_rng(seed)
     us = sample_states(pair, samples, rng)
-    s = _Sampler(T, tau, lifted_tol, memo)
+    s = _Sampler(T, tau, memo)
     fun = _max_part("functional", tol_fun)
     for u in us:
         s.gap(fun, [(pair, C.project(u))], [(pair, u)], {"u": u})
@@ -234,7 +235,7 @@ def check_invariance(
         cu = C.project(u)
         if s.skip((pair, cu)):
             continue
-        for lam in lambdas:
+        for lam in (0.1, 1.0):
             if pair.omega > 0 and lam >= 1.0 / pair.omega:
                 continue
             step = resolvent(pair, lam, cu)
@@ -262,9 +263,8 @@ def check_relative_invariance(
     tol_fun: float = FUNCTIONAL_TOL,
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
-    lifted_tol: float = 1e-7,
 ) -> PropertyReport:
-    """Orbits started in ``C1 `` stay in ``C2`` when projection onto
+    """Orbits started in ``C1`` stay in ``C2`` when projection onto
     ``C2`` maps ``C1`` into itself (checked first; failure is an error,
     not a property violation)."""
     rng = np.random.default_rng(seed)
@@ -275,7 +275,7 @@ def check_relative_invariance(
         if pair.space.norm(px - C1.project(px)) > 1e-9 * (1.0 + pair.space.norm(px)):
             raise ValueError("compatibility precondition fails: projection onto C2 leaves C1")
 
-    s = _Sampler(T, tau, lifted_tol)
+    s = _Sampler(T, tau)
     fun = _max_part("functional", tol_fun)
     for u in us:
         x = C1.project(u)
@@ -319,7 +319,6 @@ def check_comparison(
     tol_fun: float = FUNCTIONAL_TOL,
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
-    lifted_tol: float = 1e-7,
     memo: Optional[dict] = None,
     name: str = "comparison",
 ) -> PropertyReport:
@@ -343,7 +342,7 @@ def check_comparison(
             if not (C.contains(meet, 1e-9) and C.contains(join, 1e-9)):
                 raise ValueError("sampled lattice closure fails: C is not stable under meet/join")
 
-    s = _Sampler(T, tau, lifted_tol, memo)
+    s = _Sampler(T, tau, memo)
     fun = _max_part("functional", tol_fun)
     for u, v in zip(usA, usB):
         meet, join = np.minimum(u, v), np.maximum(u, v)
@@ -378,7 +377,6 @@ def check_domination(
     tol_fun: float = FUNCTIONAL_TOL,
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
-    lifted_tol: float = 1e-7,
     memo: Optional[dict] = None,
     hypothesis_samples: int = 8,
 ) -> PropertyReport:
@@ -399,7 +397,7 @@ def check_domination(
     usA = sample_states(pairA, samples, rng)
     usB = np.abs(sample_states(pairB, samples, rng))
 
-    s = _Sampler(T, tau, lifted_tol, memo)
+    s = _Sampler(T, tau, memo)
     fun = _max_part("functional", tol_fun)
     for u1, u2 in zip(usA, usB):
         trunc = np.minimum(np.abs(u1), u2) * np.sign(u1)
@@ -422,14 +420,12 @@ def check_domination(
 def check_linf_contractivity(
     pair: JEllipticPair,
     samples: int = 50,
-    alphas=(0.25, 1.0, 4.0),
     T: float = 1.0,
     tau: float = 0.05,
     seed: int = 0,
     tol_fun: float = FUNCTIONAL_TOL,
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
-    lifted_tol: float = 1e-7,
     memo: Optional[dict] = None,
 ) -> PropertyReport:
     """Sup-norm contraction: the two-sided median truncation inequality
@@ -438,11 +434,11 @@ def check_linf_contractivity(
     us = sample_states(pair, samples, rng)
     vs = sample_states(pair, samples, rng)
 
-    s = _Sampler(T, tau, lifted_tol, memo)
+    s = _Sampler(T, tau, memo)
     fun = _max_part("functional", tol_fun)
     for u1, u2 in zip(us, vs):
         mid = 0.5 * (u1 + u2)
-        for alpha in alphas:
+        for alpha in (0.25, 1.0, 4.0):
             lo, hi = mid - 0.5 * alpha, mid + 0.5 * alpha
             v1 = np.minimum(np.maximum(u1, lo), hi)
             v2 = np.maximum(np.minimum(u2, hi), lo)
@@ -512,11 +508,9 @@ def check_psi_accretive(
     pair: JEllipticPair,
     psi: Callable[[np.ndarray], float],
     op_pairs: Sequence,
-    lambdas=(0.01, 0.1, 1.0, 10.0),
     T: float = 0.5,
     tau: float = 0.05,
     seed: int = 0,
-    tol: float = DYNAMIC_TOL,
     verify_tol: Optional[float] = 1e-6,
     crosscheck_samples: int = 4,
     psi_name: str = "psi",
@@ -526,8 +520,9 @@ def check_psi_accretive(
 
     Accretivity: perturbing a difference of sample points along the
     difference of their operator values never decreases the gauge.  The
-    report carries the contraction verdict and an agreement flag; the
-    two must agree for flows generated by the same operator.
+    verdict and headline are those of accretivity; the details carry the
+    contraction part, its verdict and an agreement flag, as the two must
+    agree for flows generated by the same operator.
     """
     if verify_tol is not None:
         for u, f in op_pairs:
@@ -535,31 +530,30 @@ def check_psi_accretive(
             if gap > verify_tol:
                 raise ValueError(f"operator sample fails membership check (violation {gap:g})")
 
-    acc = _max_part("accretivity", tol)
+    acc = _max_part("accretivity", DYNAMIC_TOL)
     n_pairs = len(op_pairs)
     for i in range(n_pairs):
         for jdx in range(i + 1, n_pairs):
             du = np.asarray(op_pairs[i][0]) - np.asarray(op_pairs[jdx][0])
             df = np.asarray(op_pairs[i][1]) - np.asarray(op_pairs[jdx][1])
             base = psi(du)
-            for lam in lambdas:
+            for lam in (0.01, 0.1, 1.0, 10.0):
                 _bump(acc, base - psi(du + lam * df), {"i": i, "j": jdx, "lambda": lam})
 
     s = _Sampler(T, tau)
-    contr = _max_part("contraction", tol)
+    contr = _max_part("contraction", DYNAMIC_TOL)
     rng = np.random.default_rng(seed + 7)
     starts = sample_states(pair, 2 * crosscheck_samples, rng)
     for u, v in zip(starts[0::2], starts[1::2]):
         s.contraction(pair, u, v, [(contr, psi, {})])
 
-    accretive_ok = acc["violation"] <= acc["tolerance"]
     contractive_ok = contr["violation"] <= contr["tolerance"]
     # starts drawn by sample_states lie in the image of j: a skip is reported when one happens
-    report = _assemble(f"{psi_name}-accretivity", [acc, contr], len(op_pairs), s.skipped or None)
-    report.passed = accretive_ok
-    report.details["accretive_passed"] = accretive_ok
+    report = _assemble(f"{psi_name}-accretivity", [acc], len(op_pairs), s.skipped or None)
+    report.details["contraction"] = {k: v for k, v in contr.items() if k != "part"}
+    report.details["accretive_passed"] = report.passed
     report.details["contractive_passed"] = contractive_ok
-    report.details["crosscheck_agrees"] = accretive_ok == contractive_ok
+    report.details["crosscheck_agrees"] = report.passed == contractive_ok
     return report
 
 
@@ -569,7 +563,6 @@ def check_interpolation_consistency(
     T: float = 1.0,
     tau: float = 0.05,
     seed: int = 0,
-    tol: float = DYNAMIC_TOL,
     override_verdicts: Optional[dict] = None,
 ) -> PropertyReport:
     """Logical consistency among four checkers.
@@ -581,11 +574,9 @@ def check_interpolation_consistency(
     self-check)."""
     if override_verdicts is None:
         order = check_order_preserving(pair, samples=samples, T=T, tau=tau, seed=seed, dynamic_samples=4)
-        l1_part = check_complete_contractivity(
-            pair, psi_family=[power(1.0)], samples=4, T=T, tau=tau, seed=seed + 1, tol=tol
-        )
+        l1_part = check_complete_contractivity(pair, psi_family=[power(1.0)], samples=4, T=T, tau=tau, seed=seed + 1)
         linf = check_linf_contractivity(pair, samples=samples, T=T, tau=tau, seed=seed + 2, dynamic_samples=4)
-        complete = check_complete_contractivity(pair, samples=4, T=T, tau=tau, seed=seed + 3, tol=tol)
+        complete = check_complete_contractivity(pair, samples=4, T=T, tau=tau, seed=seed + 3)
         verdicts = {
             "order": order.passed,
             "l1": l1_part.passed,

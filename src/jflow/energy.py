@@ -236,7 +236,7 @@ class QuadraticTerm(EnergyTerm):
 
 
 class AffineIndicatorTerm(EnergyTerm):
-    """0 on ``{A u = b}`` and +inf elsewhere; prox is Euclidean projection."""
+    """0 on ``{A u = b}`` and +inf elsewhere, with its Euclidean projection."""
 
     kind = "affine-indicator"
     smooth = False
@@ -255,9 +255,6 @@ class AffineIndicatorTerm(EnergyTerm):
 
     def project(self, u):
         return u - self._pinv @ (self.A @ u - self.b)
-
-    def prox(self, v, step):
-        return self.project(v)
 
 
 @dataclass
@@ -322,16 +319,11 @@ class ExtendedFunctional:
     def hessian_weights(self, u) -> np.ndarray:
         return np.concatenate([np.zeros(0)] + [t.hessian_weights(u) for t in self.smooth_terms])
 
-    def finite_point(self, tries: int = 32, seed: int = 0) -> np.ndarray:
-        """A point of the effective domain (indicator-feasible if possible)."""
-        x = np.zeros(self.dim)
-        for ind in self.indicator_terms:
-            x = ind.project(x)
-        if math.isfinite(self.value(x)):
-            return x
-        rng = np.random.default_rng(seed)
-        for _ in range(tries):
-            x = rng.normal(size=self.dim)
+    def finite_point(self) -> np.ndarray:
+        """A point of the effective domain (indicator-feasible if possible):
+        the origin, else the first of 32 seeded Gaussian points, projected."""
+        rng = np.random.default_rng(0)
+        for x in [np.zeros(self.dim)] + [rng.normal(size=self.dim) for _ in range(32)]:
             for ind in self.indicator_terms:
                 x = ind.project(x)
             if math.isfinite(self.value(x)):
@@ -374,7 +366,6 @@ def sample_convexity(
     seed: int = 0,
     center=None,
     radius: float = 10.0,
-    thetas=(0.25, 0.5, 0.75),
 ) -> ConvexityReport:
     """Largest sampled violation of ``F(t u + (1-t) v) <= t F(u) + (1-t) F(v)``.
 
@@ -396,7 +387,7 @@ def sample_convexity(
         if math.isinf(fu) or math.isinf(fv):
             continue
         evaluated += 1
-        for th in thetas:
+        for th in (0.25, 0.5, 0.75):
             gap = F(th * u + (1.0 - th) * v) - th * fu - (1.0 - th) * fv
             if gap > worst:
                 worst = gap
@@ -416,14 +407,12 @@ def sample_coercivity(
     seed: int = 0,
     center=None,
     dim: Optional[int] = None,
-    r_max: float = 1e3,
 ) -> CoercivityReport:
     """Ray probes of the sublevels of the shifted energy.
 
     For each level the report records the largest radius along random
     unit rays from a domain point at which the shifted value stays below
-    the level; ``bounded`` is True when every probe exits before
-    ``r_max``.
+    the level; ``bounded`` is True when every probe exits before 1e3.
     """
     if omega != 0.0:
         if space is None:
@@ -456,7 +445,7 @@ def sample_coercivity(
             d /= np.linalg.norm(d)
             r_in, r_out = 0.0, None
             r = 1.0
-            while r <= r_max:
+            while r <= 1e3:
                 if F_shift(center + r * d) > c:
                     r_out = r
                     break

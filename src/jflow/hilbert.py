@@ -131,12 +131,11 @@ class NFunction:
     def __call__(self, s):
         return self.evaluator(np.asarray(s, float))
 
-    def validate(self, grid=None, tol=1e-12):
+    def validate(self):
         """Sampled sanity checks: psi(0)=0, midpoint convexity, limits."""
-        if abs(float(self(0.0))) > tol:
+        if abs(float(self(0.0))) > 1e-12:
             raise ValueError(f"{self.tag}: psi(0) != 0")
-        if grid is None:
-            grid = np.concatenate([np.linspace(0, 10, 41), np.geomspace(1e-4, 1e4, 25)])
+        grid = np.concatenate([np.linspace(0, 10, 41), np.geomspace(1e-4, 1e4, 25)])
         a, b = np.meshgrid(grid, grid)
         mid = self((a + b) / 2.0) - 0.5 * (self(a) + self(b))
         if np.max(mid) > 1e-9 * (1.0 + np.max(np.abs(self(grid)))):
@@ -305,8 +304,8 @@ def affine_subspace(A, b, space: WeightedSpace) -> ConvexSetOracle:
     return ConvexSetOracle("affine-subspace", _proj)
 
 
-def custom_oracle(project_fn, space: WeightedSpace, seed: int = 0, trials: int = 100) -> ConvexSetOracle:
+def custom_oracle(project_fn, space: WeightedSpace) -> ConvexSetOracle:
     """Wrap a user projection map; rejects maps that fail sampled idempotence."""
     oracle = ConvexSetOracle("custom", project_fn)
-    oracle.validate(space, trials=trials, seed=seed)
+    oracle.validate(space)
     return oracle

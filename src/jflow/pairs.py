@@ -161,12 +161,12 @@ class JEllipticPair:
     def shifted(self, u_hat) -> float:
         return shifted_value(self.E, self.j.matrix, self.space, self.omega, u_hat)
 
-    def validate(self, seed: int = 0, trials: int = 150, radius: float = 5.0, tol: float = 1e-8):
+    def validate(self, seed: int = 0):
         """Sampled convexity of the shifted energy and coercivity of a
         slightly larger shift (the resolvent needs exactly that margin)."""
         center = self.E.finite_point()
-        conv = sample_convexity(self.shifted, self.E.dim, trials=trials, seed=seed, center=center, radius=radius)
-        if conv.max_violation > tol:
+        conv = sample_convexity(self.shifted, self.E.dim, trials=150, seed=seed, center=center, radius=5.0)
+        if conv.max_violation > 1e-8:
             raise ValueError(f"shifted energy is not sampled-convex: violation {conv.max_violation:g}")
         coer = sample_coercivity(
             self.E.value,
@@ -565,7 +565,6 @@ def subgradient_residual(
     f,
     directions: int = 200,
     seed: int = 0,
-    scales=(1.0, 0.1, 0.01),
     extension_tol: float = 1e-9,
     include_gradient_check: bool = False,
 ) -> float:
@@ -597,7 +596,7 @@ def subgradient_residual(
     for d in dirs:
         jd = pair.j.apply(d)
         pairing = pair.space.inner(slope, jd)
-        for s in scales:
+        for s in (1.0, 0.1, 0.01):
             growth = pair.shifted(u_hat + s * d) - base
             worst = max(worst, s * pairing - growth)
 
@@ -646,7 +645,6 @@ def chain_envelope_value(
     u,
     base,
     chains: Sequence[Sequence],
-    lifted_tol: float = 1e-8,
 ) -> float:
     """Supremum of telescoping chain sums anchored at a base sample.
 
@@ -661,7 +659,7 @@ def chain_envelope_value(
         raise ValueError("chain_envelope_value needs at least one chain (possibly empty)")
     u = np.asarray(u, float)
     v0, f0 = base
-    base_value = lifted_value(pair, v0, tol=lifted_tol).value
+    base_value = lifted_value(pair, v0, tol=1e-8).value
     best = -math.inf
     for chain in chains:
         seq = [(np.asarray(v0, float), np.asarray(f0, float))] + [

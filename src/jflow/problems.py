@@ -338,7 +338,10 @@ def build_tv(gridspec: GridSpec, subdomain=None) -> JEllipticPair:
 # problem files
 
 
-PROBLEM_KINDS = ("robin", "dtn", "coupled", "dirichlet", "neumann", "tv")
+# the keys each problem kind reads, besides problem, grid and omega_override
+_KIND_KEYS = {"robin": ("p", "law"), "dtn": ("p", "law"), "coupled": ("subdomain", "p"),
+              "dirichlet": ("p",), "neumann": ("p",), "tv": ("subdomain",)}
+PROBLEM_KINDS = tuple(_KIND_KEYS)
 
 
 @dataclass
@@ -357,7 +360,15 @@ _LAWS = {
 _DECLARED = ("L", "monotone", "alpha")  # declared metadata of a law, not parameters
 
 
+def _reject_unread(cfg: dict, reads, where: str) -> None:
+    """Raise ``ValueError`` naming the first key of ``cfg`` outside ``reads``."""
+    for key in cfg:
+        if key not in reads:
+            raise ValueError(f"{where}: unknown key {key!r}; it reads {', '.join(reads)}")
+
+
 def _law_from_config(cfg: Optional[dict]) -> ScalarLaw:
+    _reject_unread(cfg or {}, tuple(_LAWS), "law")
     laws = {}
     for which, table in _LAWS.items():
         params = {k: v for k, v in (cfg or {}).get(which, {"kind": "zero"}).items() if k not in _DECLARED}
@@ -373,13 +384,19 @@ def _law_from_config(cfg: Optional[dict]) -> ScalarLaw:
     return ScalarLaw(**laws)
 
 
-def _build_from_config(cfg: dict) -> tuple[JEllipticPair, str]:
-    kind = cfg.get("problem")
+def _build_from_config(cfg: dict, file_keys: tuple) -> tuple[JEllipticPair, str]:
+    """The pair and kind of a config; a key outside the kind's and ``file_keys`` raises."""
+    if "problem" not in cfg:
+        raise ValueError("missing key 'problem'")
+    kind = cfg["problem"]
     if kind not in PROBLEM_KINDS:
         raise KeyError(f"unknown problem kind {kind!r}")
+    _reject_unread(cfg, ("problem", "grid", *_KIND_KEYS[kind], "omega_override", *file_keys), f"{kind} problem")
     try:
         g = cfg["grid"]
         gridspec = chain(g["n"], g["h"]) if g["topology"] == "chain" else grid(g["nx"], g["ny"], g["h"])
+        _reject_unread(g, ("topology", "n", "h") if g["topology"] == "chain" else ("topology", "nx", "ny", "h"),
+                       f"{kind} problem: grid")
         if kind == "tv":
             pair = build_tv(gridspec, cfg.get("subdomain"))
         elif kind == "coupled":
@@ -404,10 +421,11 @@ def load_problem(source) -> ProblemBundle:
     else:
         cfg = dict(source)
         name = cfg.get("name", cfg.get("problem", "problem"))
-    pair, kind = _build_from_config(cfg)
+    pair, kind = _build_from_config(cfg, ("name", "initial", "reference"))  # read here and by the CLI
     reference = None
     if cfg.get("reference"):
-        reference, _ = _build_from_config(cfg["reference"])
+        # a reference may keep the label of the file it was copied from
+        reference, _ = _build_from_config(cfg["reference"], ("name",))
         if reference.space.dim != pair.space.dim or not np.allclose(
             reference.space.weights, pair.space.weights
         ):

@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _MACHINE_SLACK = 1e-13
-_NEWTON_MAX_ITER = 200
 _BACKTRACK = 0.5 ** np.arange(40)  # halved step lengths down to 1e-12
 
 
@@ -201,7 +200,7 @@ def minimize(spec: SolveSpec) -> SolveResult:
 # Newton on banded Hessians
 
 
-def newton(value, grad, hess, start, tol: float, certificate=None, max_iter: int = _NEWTON_MAX_ITER) -> SolveResult:
+def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResult:
     """Newton for smooth convex objectives with banded Hessians.
 
     ``hess(x)`` returns the Hessian ``H`` as an operator with ``diagonal()``
@@ -214,7 +213,7 @@ def newton(value, grad, hess, start, tol: float, certificate=None, max_iter: int
     the system solvable where the curvature degenerates, and Armijo
     backtracking on ``value`` globalizes.  A step whose predicted decrease
     lies below the rounding level of ``value`` passes Armijo.  A failed
-    factorization, a non-finite step or ``max_iter`` iterations stop the
+    factorization, a non-finite step or 200 iterations stop the
     iteration.  The result is certified by ``certificate(x)`` (default: the
     norm of the gradient already held at ``x``) at the best iterate, and
     carries that iterate's tracked value; a non-finite certificate never
@@ -228,7 +227,7 @@ def newton(value, grad, hess, start, tol: float, certificate=None, max_iter: int
     f, g = value(x), grad(x)
     best_x, best_r, best_f = x.copy(), certify(x, g), f
     k = 0
-    while k < max_iter and not best_r <= tol:
+    while k < 200 and not best_r <= tol:
         k += 1
         H = hess(x)
         floor = 1e-13 * float(np.max(np.abs(H.diagonal()), initial=0.0))

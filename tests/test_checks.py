@@ -206,6 +206,19 @@ def test_psi_accretive_crafted_failure():
     assert not rep.details["accretive_passed"]
 
 
+def test_psi_accretive_headline_is_the_accretivity_part():
+    # psi = -|w|_H: samples (u, 0) are accretive, but orbits do not contract in psi
+    pair = P.load_problem(P.builtin_problems()["robin_p2"]).pair
+    states = checks.sample_states(pair, 3, np.random.default_rng(1))
+    crafted = [(u, np.zeros_like(u)) for u in states]
+    psi = lambda w: -pair.space.norm(w)
+    rep = checks.check_psi_accretive(pair, psi, crafted, verify_tol=None, seed=1, T=0.2, tau=0.05)
+    assert rep.passed == (rep.max_violation <= rep.tolerance)
+    assert rep.passed and rep.max_violation == rep.details["accretivity"]["violation"]
+    assert rep.details["contraction"]["violation"] > rep.details["contraction"]["tolerance"]
+    assert not rep.details["contractive_passed"] and not rep.details["crosscheck_agrees"]
+
+
 def test_psi_accretive_rejects_unverified_pairs(robin_small):
     bogus = [(np.ones(robin_small.space.dim), 50.0 * np.ones(robin_small.space.dim))]
     with pytest.raises(ValueError, match="membership"):
@@ -259,13 +272,13 @@ def test_linf_solves_each_fiber_once(robin_small, monkeypatch):
     assert calls and len(set(calls)) == len(calls)
 
 
-def test_sampler_memo_keys_lifted_values_by_tolerance(robin_small, monkeypatch):
+def test_samplers_sharing_a_memo_solve_a_point_once(robin_small, monkeypatch):
     calls = _spy_lifted(monkeypatch)
     memo = {}
     u = checks.sample_states(robin_small, 1, np.random.default_rng(3))[0]
-    values = [checks._Sampler(0.2, 0.05, tol, memo).lifted(robin_small, u) for tol in (1e-7, 1e-7, 1e-10)]
-    assert [c[2] for c in calls] == [1e-7, 1e-10]  # a tighter tolerance is solved again
-    assert values[0] == values[1] and values[2] == pytest.approx(values[0], abs=1e-8)
+    values = [checks._Sampler(T, tau, memo).lifted(robin_small, u) for T, tau in ((0.2, 0.05), (0.5, 0.1))]
+    assert [c[2] for c in calls] == [checks.LIFTED_TOL]
+    assert values[0] == values[1]
 
 
 def test_shared_memo_evolves_each_orbit_once(robin_small, monkeypatch):

@@ -281,9 +281,15 @@ CHAIN10 = {"topology": "chain", "n": 10, "h": 0.2}
         ({"problem": "coupled", "grid": CHAIN10, "subdomain": [3, 99], "p": 2.0}, "subregion node 99"),
         ({"problem": "coupled", "grid": CHAIN10, "subdomain": [3, -4], "p": 2.0}, "subregion node -4"),
         ({"problem": "tv", "grid": CHAIN10, "subdomain": [3, 99]}, "subregion node 99"),
+        ({"problem": "tv", "grid": CHAIN10, "subdomian": [3, 4]}, "unknown key 'subdomian'"),
+        ({**QUAD_CHAIN, "law": {"g": {"kind": "sine", "a": 5}}}, "unknown key 'law'"),
+        ({**QUAD_CHAIN, "grid": {**QUAD_CHAIN["grid"], "ny": 3}}, "unknown key 'ny'"),
+        ({**QUAD_CHAIN, "reference": {**QUAD_CHAIN, "omega_overide": 0.5}}, "unknown key 'omega_overide'"),
+        ({k: v for k, v in QUAD_CHAIN.items() if k != "problem"}, "missing key 'problem'"),
     ],
     ids=[
         "law-parameter", "p-string", "p-missing", "initial-value", "coupled-node-99", "coupled-node-minus-4", "tv-node",
+        "unread-key", "unread-law", "unread-grid-key", "unread-reference-key", "problem-missing",
     ],
 )
 def test_run_malformed_problem_file_exit_2_naming_the_key(tmp_path, capsys, cfg, named):

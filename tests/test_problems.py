@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +297,49 @@ def test_load_problem_roundtrip(tmp_path):
 def test_load_problem_unknown_kind():
     with pytest.raises(KeyError):
         P.load_problem({"problem": "wave", "grid": {"topology": "chain", "n": 8, "h": 0.1}, "p": 2.0})
+
+
+CHAIN10 = {"topology": "chain", "n": 10, "h": 0.1}
+
+
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({"problem": "tv", "grid": CHAIN10, "subdomian": [4, 5]}, "tv problem: unknown key 'subdomian'"),
+        ({"problem": "dirichlet", "grid": CHAIN10, "p": 2.0, "law": {"g": {"kind": "sine", "a": 5}}},
+         "dirichlet problem: unknown key 'law'; it reads problem, grid, p, omega_override, name, initial, reference"),
+        ({"problem": "dirichlet", "grid": {**CHAIN10, "nx": 4}, "p": 2.0}, "grid: unknown key 'nx'; it reads topology, n, h"),
+        ({"problem": "dirichlet", "grid": CHAIN10, "p": 2.0, "reference": {"problem": "neumann", "grid": CHAIN10,
+          "p": 2.0, "initial": {"kind": "constant", "value": 1.0}}}, "neumann problem: unknown key 'initial'"),
+        ({"problem": "robin", "grid": CHAIN10, "p": 2.0, "law": {"bta": {"kind": "zero"}}}, "law: unknown key 'bta'"),
+        ({"grid": CHAIN10, "p": 2.0}, "missing key 'problem'"),
+    ],
+    ids=["subdomian", "law-on-dirichlet", "grid-key", "reference-key", "law-key", "no-problem"],
+)
+def test_load_problem_rejects_keys_the_kind_does_not_read(cfg, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        P.load_problem(cfg)
+
+
+def test_load_problem_reads_every_documented_key(tmp_path):
+    # the bundled files, and each kind with every key it reads (the keys the benchmark writes among them)
+    for path in sorted((Path(__file__).parent.parent / "problems").glob("*.json")):
+        P.load_problem(path)
+    law = {"g": {"kind": "arctan", "a": 0.5, "L": 0.5, "monotone": True}, "beta": {"kind": "power", "a": 1.0, "r": 3.0, "alpha": 3.0}}
+    grid4 = {"topology": "grid", "nx": 4, "ny": 4, "h": 0.25}
+    common = {"name": "x", "initial": {"kind": "constant", "value": 1.0}, "omega_override": 0.5}
+    reference = {"problem": "dirichlet", "grid": grid4, "p": 2.0, "omega_override": 0.0}
+    for cfg in [
+        {"problem": "robin", "grid": grid4, "p": 2.0, "law": law},
+        {"problem": "dtn", "grid": CHAIN10, "p": 3.0, "law": law},
+        {"problem": "coupled", "grid": {**grid4, "nx": 5, "ny": 5}, "subdomain": [6, 7, 11, 12], "p": 2.0},
+        {"problem": "dirichlet", "grid": grid4, "p": 2.0, "reference": reference},
+        {"problem": "neumann", "grid": CHAIN10, "p": 2.0},
+        {"problem": "tv", "grid": grid4, "subdomain": [5, 6], "reference": None},
+    ]:
+        path = tmp_path / f"{cfg['problem']}.json"
+        path.write_text(json.dumps({**common, **cfg}))
+        assert P.load_problem(path).pair.omega == 0.5
 
 
 def test_load_problem_reference_space_mismatch():
