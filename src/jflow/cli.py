@@ -20,7 +20,7 @@ import numpy as np
 from . import checks
 from .flow import EvolveError, evolve
 from .hilbert import positive_cone
-from .problems import PROBLEM_KINDS, builtin_problems, load_problem
+from .problems import PROBLEM_KINDS, _reject_unread, builtin_problems, load_problem
 
 SUITES = ("positivity", "order", "linf", "complete", "domination", "comparison")
 
@@ -79,21 +79,26 @@ def _bad_steps(args, pairs) -> bool:
     return True
 
 
+_INITIAL_KEYS = {"gaussian": ("kind", "scale"), "constant": ("kind", "value"), "values": ("kind", "values")}
+
+
 def _initial_state(bundle, seed: int) -> np.ndarray:
-    cfg = bundle.meta.get("initial")
+    cfg = {"kind": "gaussian"} if bundle.meta.get("initial") is None else bundle.meta["initial"]
+    if not isinstance(cfg, dict):
+        raise ValueError(f"need an object, got {cfg!r}")
+    if cfg["kind"] not in _INITIAL_KEYS:
+        raise ValueError(f"unknown initial kind {cfg['kind']!r}")
+    _reject_unread(cfg, _INITIAL_KEYS[cfg["kind"]], cfg["kind"])
     dim = bundle.pair.space.dim
-    if cfg is None or cfg.get("kind") == "gaussian":
+    if cfg["kind"] == "gaussian":
         rng = np.random.default_rng(seed)
-        scale = 1.0 if cfg is None else float(cfg.get("scale", 1.0))
-        return checks.sample_states(bundle.pair, 1, rng, scale=scale)[0]
+        return checks.sample_states(bundle.pair, 1, rng, scale=float(cfg.get("scale", 1.0)))[0]
     if cfg["kind"] == "constant":
         return np.full(dim, float(cfg["value"]))
-    if cfg["kind"] == "values":
-        vals = np.asarray(cfg["values"], float)
-        if vals.shape != (dim,):
-            raise ValueError(f"initial values must have length {dim}")
-        return vals
-    raise ValueError(f"unknown initial kind {cfg['kind']!r}")
+    vals = np.asarray(cfg["values"], float)
+    if vals.shape != (dim,):
+        raise ValueError(f"initial values must have length {dim}")
+    return vals
 
 
 def _write_trajectory(path: Path, traj) -> None:

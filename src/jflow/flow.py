@@ -4,8 +4,10 @@ One backward step from data ``g`` with step ``lam`` minimizes
 
     E(v) + 1/(2 lam) || j v - g ||_H^2
 
-over the source space; the step output is the image ``u = j v`` and the
-operator sample ``f = (g - u) / lam``.  Because the quadratic part is
+over the source space: the fiber problem of :func:`pairs.lifted_value`
+plus a data term, solved by the same slice solve
+(:func:`pairs._solve_slice`).  The step output is the image ``u = j v``
+and the operator sample ``f = (g - u) / lam``.  Because the quadratic part is
 constant on fibers, the minimizer is automatically an elliptic
 extension of ``u``, so each step also yields the lifted energy for
 free.  Chaining steps with a fixed ``tau`` produces the discrete
@@ -22,9 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import solvers
 from .energy import PEdgeEnergy
-from .pairs import JEllipticPair, _slice_newton, lifted_value
+from .pairs import JEllipticPair, _solve_slice, lifted_value
 
 __all__ = [
     "ResolventResult",
@@ -83,14 +84,13 @@ def resolvent(
 ) -> ResolventResult:
     """One backward step: minimize the energy plus the proximal data term.
 
-    Smooth energies take banded Newton (:func:`_slice_newton`) in the free
-    coordinates, or the null-space coordinates of the indicator constraints
-    (:attr:`JEllipticPair.step_slice`).  A step Newton leaves above ``tol``
-    (edge powers below two, whose Newton steps overshoot across the kink)
-    is rescued there by Newton on the lagged-diffusivity majorant of the
-    Hessian, then on the Hessian (:func:`solvers._try_snap`); a step still
-    above ``tol`` raises.  The residual is the measured gradient norm of
-    the step objective in slice coordinates.
+    The step is solved by :func:`pairs._solve_slice` over the null-space
+    coordinates of the indicator constraints (:attr:`JEllipticPair.step_slice`),
+    or all coordinates without them: banded Newton for smooth energies,
+    rescued by Newton on the lagged-diffusivity majorant where edge powers
+    below two stall it, and exact plateau-polished solvers for total
+    variation.  The residual is the measured certificate of that solve; a
+    step that misses ``tol`` raises.
 
     Requires ``lam < 1/omega`` for shifted-convex pairs so that the step
     objective stays convex (strongly convex along data directions).
@@ -104,50 +104,10 @@ def resolvent(
     tol = _effective_tol(pair.E, tol)
     g = np.asarray(g, float)
     pair.space.check_dim(g)
-    if pair.E.tv_terms:
-        return _tv_resolvent(pair, lam, g, tol, start)
-
     x0, Z = pair.step_slice
-    x, res = _slice_newton(pair, x0, Z, tol, start, data=(lam, g))
-    if not res.converged:
-        raise RuntimeError(f"resolvent solve failed: residual {res.residual:g} after {res.iterations} iterations")
-    return _step(pair, lam, g, x, res.residual, res.iterations)
-
-
-def _step(pair, lam, g, x, residual, iterations) -> ResolventResult:
-    u = pair.j.apply(x)
-    return ResolventResult(u=u, u_hat=x, f=(g - u) / lam, residual=residual, iterations=iterations)
-
-
-def _tv_resolvent(pair, lam, g, tol, start):
-    """Total-variation backward step for a restriction map.
-
-    Both cases are exact plateau-polished steps: with every node observed
-    :func:`solvers.tv_prox`, whose residual is the measured duality gap,
-    otherwise :func:`solvers.partial_anchor_tv`, whose residual is the
-    measured KKT residual.  The iterations are those of the approximate
-    phase.
-    """
-    tv = pair.E.tv_terms
-    if pair.E.smooth_terms or pair.E.indicator_terms:
-        raise NotImplementedError("total-variation resolvent with extra terms")
-    edges = np.vstack([t.edges for t in tv])
-    weights = np.concatenate([t.weights for t in tv])
-    observed = pair.j.observed
-    if observed is None:
-        raise NotImplementedError("total-variation resolvent needs a restriction map")
-    n = pair.E.dim
-    if observed.size == n:
-        anchor = np.zeros(n)
-        anchor[observed] = g
-        masses = np.zeros(n)
-        masses[observed] = pair.space.weights
-        # distance to the exact step is at most sqrt(2 gap / min mass)
-        gap_tol = 0.25 * tol * tol * float(np.min(pair.space.weights))
-        res = solvers.tv_prox(edges, weights, anchor, lam, tol=gap_tol, node_weights=masses, full_output=True)
-    else:
-        res = solvers.partial_anchor_tv(edges, weights, observed, g, pair.space.weights, lam, n, tol=tol, x0=start)
-    return _step(pair, lam, g, res.x, res.residual, res.iterations)
+    res = _solve_slice(pair, x0, Z, tol, start, data=(lam, g))
+    u = pair.j.apply(res.x)
+    return ResolventResult(u=u, u_hat=res.x, f=(g - u) / lam, residual=res.residual, iterations=res.iterations)
 
 
 def evolve(

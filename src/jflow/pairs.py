@@ -4,7 +4,10 @@ The central object is the pair (energy on ``R^n``, linear map ``j`` into
 a weighted space ``H``) with a declared convexity shift ``omega``.  The
 energy lifts to a functional on ``H`` by minimizing over the fibers of
 ``j``; fiber minimizers are the elliptic extensions through which the
-multivalued operator on ``H`` is evaluated and certified.
+multivalued operator on ``H`` is evaluated and certified.  A fiber and a
+backward step (the same minimization plus a data term) are solved on an
+affine slice by one entry, :func:`_solve_slice`, which picks the solver
+and raises on a missed certificate.
 
 Membership of a pair ``(u, f)`` in the operator graph is certified by
 sampled directional inequalities (the shifted energy grows at least
@@ -19,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -288,11 +291,10 @@ def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> Lifte
 
     The fiber is parametrized by :func:`_fiber_coordinates` (the free
     coordinates of a restriction map, otherwise a particular point plus an
-    orthonormal null-space basis, computed once per pair) and solved to
-    optimality residual ``tol``, the gradient norm in fiber coordinates (a
-    measured KKT residual for total variation), by banded Newton
-    (:func:`_slice_newton`); a fiber that misses ``tol`` raises.  Two
-    returned extensions agree in energy to twice the tolerance.
+    orthonormal null-space basis, computed once per pair) and solved by
+    :func:`_solve_slice` to optimality residual ``tol``; a fiber that misses
+    ``tol`` raises.  Two returned extensions agree in energy to twice the
+    tolerance.
     """
     u = np.asarray(u, float)
     pair.space.check_dim(u)
@@ -301,22 +303,53 @@ def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> Lifte
         return LiftedResult(value=math.inf, minimizer=None)
     if Z.shape[-1] == 0:
         return LiftedResult(value=pair.E.value(x0), minimizer=x0)
+    res = _solve_slice(pair, x0, Z, tol, start)
+    return LiftedResult(value=pair.E.value(res.x), minimizer=res.x, residual=res.residual)
 
+
+def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None) -> solvers.SolveResult:
+    """Minimize the energy over the slice ``x0 + Z y``, plus ``1/(2 lam) |j x - g|_H^2``
+    for ``data = (lam, g)``: a fiber without data, a backward step with it.
+
+    Smooth energies take :func:`_slice_newton` (gradient norm in slice
+    coordinates).  Total variation on a restriction map is solved exactly:
+    a fiber by :func:`solvers.constrained_tv_min`, a step by
+    :func:`solvers.partial_anchor_tv` (measured KKT residuals) or, with
+    every node observed, :func:`solvers.tv_prox` to the duality gap
+    ``tol^2 min(m)/4`` (at most ``tol/sqrt(2)`` from the exact step).
+    Returns the :class:`solvers.SolveResult` in source coordinates; a
+    certificate that misses ``tol`` raises ``RuntimeError``.
+    """
+    what = "fiber" if data is None else "backward step"
     tv = pair.E.tv_terms
-    if tv:
-        if pair.E.smooth_terms:
-            raise NotImplementedError("mixed smooth + total-variation fibers")
-        if Z.ndim != 1:
-            raise NotImplementedError("total-variation fibers need a restriction map")
+    if not tv:
+        res = _slice_newton(pair, x0, Z, tol, start, data)
+    else:
+        observed, n = pair.j.observed, pair.E.dim
+        if pair.E.smooth_terms or pair.E.indicator_terms:
+            raise NotImplementedError(f"total-variation {what} with extra terms")
+        if observed is None:
+            raise NotImplementedError(f"total-variation {what} needs a restriction map")
         edges = np.vstack([t.edges for t in tv])
         weights = np.concatenate([t.weights for t in tv])
-        res = solvers.constrained_tv_min(edges, weights, pair.j.observed, u, pair.E.dim, tol=tol)
-        return LiftedResult(value=pair.E.value(res.x), minimizer=res.x, residual=res.residual)
-
-    x, res = _slice_newton(pair, x0, Z, tol, start)
+        if data is None:
+            res = solvers.constrained_tv_min(edges, weights, observed, x0[observed], n, tol=tol)
+        elif np.unique(observed).size < observed.size:
+            raise NotImplementedError("total-variation backward step on a map that observes a node twice")
+        else:
+            lam, g = data
+            if observed.size < n:
+                res = solvers.partial_anchor_tv(
+                    edges, weights, observed, g, pair.space.weights, lam, n, tol=tol, x0=start
+                )
+            else:
+                anchor, masses = np.zeros(n), np.zeros(n)
+                anchor[observed], masses[observed] = g, pair.space.weights
+                gap_tol = 0.25 * tol * tol * float(np.min(pair.space.weights))
+                res = solvers.tv_prox(edges, weights, anchor, lam, tol=gap_tol, node_weights=masses)
     if not res.converged:
-        raise RuntimeError(f"fiber Newton solve stalled: residual {res.residual:g} after {res.iterations} iterations")
-    return LiftedResult(value=pair.E.value(x), minimizer=x, residual=res.residual)
+        raise RuntimeError(f"{what} solve stalled: residual {res.residual:g} after {res.iterations} iterations")
+    return res
 
 
 class _EdgeSystem:
@@ -419,8 +452,8 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
     model.  A solve that stalls above ``tol`` continues in slice coordinates
     from its primal point with :func:`solvers._try_snap`: Newton on the
     lagged-diffusivity majorant of the Hessian, then on the Hessian.
-    Certified by the gradient norm in slice coordinates; returns
-    ``(x, SolveResult)``.
+    Certified by the gradient norm in slice coordinates; returns the
+    :class:`solvers.SolveResult` with ``x`` in source coordinates.
     """
     system, E, j = pair.edge_system, pair.E, pair.j
     D, c, p = system.D, system.c, system.p
@@ -467,9 +500,9 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
         return gram(system.weights(at(y), dw))
 
     def rescued(y, res):
-        # the point and result of a solve, through solvers._try_snap when it stalled
+        # the result of a solve at the point of y, through solvers._try_snap when it stalled
         if res.converged:
-            return at(y), res
+            return replace(res, x=at(y))
 
         def majorant(y):
             weights = system.weights(at(y), dw)
@@ -477,7 +510,7 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
             return gram(weights)
 
         y, gn, used = solvers._try_snap(solvers.Majorized(value, grad, hess, majorant, tol), y, res.residual)
-        return at(y), solvers.SolveResult(y, gn, res.iterations + used, gn <= tol, value(y))
+        return solvers.SolveResult(at(y), gn, res.iterations + used, gn <= tol, value(y))
 
     y0 = np.zeros(Z.shape[-1]) if start is None else restrict(np.asarray(start, float) - x0)
     if start is None:

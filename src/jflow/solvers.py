@@ -25,10 +25,10 @@ measured KKT residual), are polished from an approximate primal-dual
 phase: the plateaus it suggests take their levels in closed form, and a
 least-norm solve or a HiGHS feasibility problem finds the edge field of
 the certificate (:func:`_tv_polish`).  The fiber :func:`constrained_tv_min` is a linear
-program solved by HiGHS, certified by its edge dual.  Each reports a
-:class:`SolveResult` with the measured certificate (``tv_prox`` with
-``full_output``), or raises.  HiGHS (``scipy.optimize``) loads on the first
-TV linear program, not with this module.  Edge differences go through
+program solved by HiGHS, certified by its edge dual.  Each returns a
+:class:`SolveResult` with the measured certificate, or raises.  HiGHS
+(``scipy.optimize``) loads on the first TV linear program, not with this
+module.  Edge differences go through
 :class:`EdgeOperator`, a gather and a ``bincount`` scatter.
 """
 
@@ -382,16 +382,8 @@ def edge_incidence(edges, n: int) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((sign, (edge, node)), shape=(D.head.size, D.n))
 
 
-def tv_prox(
-    edges,
-    weights,
-    anchor,
-    lam: float,
-    tol: float = 1e-12,
-    node_weights=None,
-    full_output: bool = False,
-):
-    """Minimizer of ``lam sum_e w_e |x_a - x_b| + 1/2 sum_i m_i (x_i - anchor_i)^2``.
+def tv_prox(edges, weights, anchor, lam: float, tol: float = 1e-12, node_weights=None) -> SolveResult:
+    """Minimize ``lam sum_e w_e |x_a - x_b| + 1/2 sum_i m_i (x_i - anchor_i)^2``.
 
     Solved exactly by plateau polish (:func:`_tv_polish`).  The certificate
     is the duality gap of the polished point ``x`` and its edge field
@@ -403,9 +395,8 @@ def tv_prox(
     which is the primal value minus the dual value without the
     cancellation of evaluating both.  Raises ``RuntimeError`` when no
     polish certifies a gap of at most ``tol``.  ``node_weights`` defaults
-    to ones.  The minimizer alone is returned, as callers of the plain
-    proximal map expect; with ``full_output`` the :class:`SolveResult`
-    (residual: the gap; iterations: those of the approximate phase).
+    to ones.  Returns the :class:`SolveResult` (residual: the gap;
+    iterations: those of the approximate phase).
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -420,8 +411,7 @@ def tv_prox(
         raise ValueError("edge weights must be nonnegative")
     live = w * lam > 0
     if not live.any():
-        res = SolveResult(a_vec.copy(), 0.0, 0, True, 0.0)
-        return res if full_output else res.x
+        return SolveResult(a_vec.copy(), 0.0, 0, True, 0.0)
     edges, w = edges[live], w[live]
 
     def gap(x, d, z, dtz):
@@ -430,7 +420,7 @@ def tv_prox(
 
     res = _tv_polish(edges, w, a_vec, m_vec, lam, gap, tol, "tv_prox")
     res.value *= lam
-    return res if full_output else res.x
+    return res
 
 
 def partial_anchor_tv(

@@ -327,7 +327,7 @@ def test_criterion_10_energy_dissipation(suite):
 
 
 def test_criterion_11_tv_flow(suite):
-    x = tv_prox([(0, 1)], [1.0], np.array([0.0, 2.0]), 0.5, tol=1e-16)
+    x = tv_prox([(0, 1)], [1.0], np.array([0.0, 2.0]), 0.5, tol=1e-16).x
     closed_form_gap = float(np.max(np.abs(x - [0.5, 1.5])))
 
     E = ExtendedFunctional([TotalVariationTerm([(0, 1)], [1.0])], 2)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jflow.cli import main
-from jflow.problems import builtin_problems
+from jflow.problems import builtin_problems, load_problem
 
 QUAD_CHAIN = {
     "problem": "dirichlet",
@@ -286,10 +286,15 @@ CHAIN10 = {"topology": "chain", "n": 10, "h": 0.2}
         ({**QUAD_CHAIN, "grid": {**QUAD_CHAIN["grid"], "ny": 3}}, "unknown key 'ny'"),
         ({**QUAD_CHAIN, "reference": {**QUAD_CHAIN, "omega_overide": 0.5}}, "unknown key 'omega_overide'"),
         ({k: v for k, v in QUAD_CHAIN.items() if k != "problem"}, "missing key 'problem'"),
+        ({**QUAD_CHAIN, "initial": {"kind": "gaussian", "scael": 1.0}}, "initial state: gaussian: unknown key 'scael'"),
+        ({**QUAD_CHAIN, "initial": {"kind": "constant", "value": 1.0, "scale": 2.0}}, "constant: unknown key 'scale'"),
+        ({**QUAD_CHAIN, "initial": {"kind": "values", "values": [0.0], "value": 1.0}}, "values: unknown key 'value'"),
+        ({**QUAD_CHAIN, "initial": 3}, "initial state: need an object, got 3"),
     ],
     ids=[
         "law-parameter", "p-string", "p-missing", "initial-value", "coupled-node-99", "coupled-node-minus-4", "tv-node",
         "unread-key", "unread-law", "unread-grid-key", "unread-reference-key", "problem-missing",
+        "unread-initial-gaussian", "unread-initial-constant", "unread-initial-values", "initial-not-an-object",
     ],
 )
 def test_run_malformed_problem_file_exit_2_naming_the_key(tmp_path, capsys, cfg, named):
@@ -297,6 +302,17 @@ def test_run_malformed_problem_file_exit_2_naming_the_key(tmp_path, capsys, cfg,
     assert main(["run", "--problem", problem, "--T", "0.1", "--tau", "0.05", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("jflow: bad problem file: ") and named in err[0]
+
+
+def test_run_initial_entry_of_each_kind_runs(tmp_path):
+    dim = load_problem(QUAD_CHAIN).pair.space.dim
+    for i, initial in enumerate([
+        {"kind": "gaussian", "scale": 2.0}, {"kind": "constant", "value": 0.5},
+        {"kind": "values", "values": list(np.linspace(0.0, 1.0, dim))}, None,
+    ]):
+        problem = write(tmp_path, f"ok{i}.json", {**QUAD_CHAIN, "initial": initial})
+        out = str(tmp_path / f"out{i}")
+        assert main(["run", "--problem", problem, "--T", "0.1", "--tau", "0.05", "--out", out]) == 0
 
 
 SINE_ROBIN = str(Path(__file__).parent.parent / "problems" / "robin_sine_p2.json")

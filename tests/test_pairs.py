@@ -8,6 +8,7 @@ from jflow.energy import (
     ExtendedFunctional,
     PEdgeEnergy,
     QuadraticTerm,
+    TotalVariationTerm,
     shifted_value,
 )
 from jflow.flow import resolvent
@@ -434,3 +435,45 @@ def test_smooth_pairs_run_newton_on_geometry_computed_once(monkeypatch):
             if round_:
                 assert calls[before:] == []
     assert "minimize" not in calls
+
+
+# --- one slice solve for fibres and backward steps ---------------------------
+
+
+def tv_chain_pair(n, observed, extra=()):
+    E = ExtendedFunctional([TotalVariationTerm([(i, i + 1) for i in range(n - 1)], np.ones(n - 1)), *extra], n)
+    return JEllipticPair(E, JMap(np.eye(n)[observed]), WeightedSpace(np.ones(len(observed))))
+
+
+@pytest.mark.parametrize("n, observed", [(4, [0, 0, 3]), (3, [0, 0, 2])], ids=["partial-anchor", "full-anchor"])
+def test_tv_step_on_a_map_observing_a_node_twice_is_refused(n, observed):
+    # a node observed twice carries two data masses; the TV step solvers take one per node
+    pair = tv_chain_pair(n, observed)
+    with pytest.raises(NotImplementedError, match="observes a node twice"):
+        resolvent(pair, 0.1, np.array([0.0, 2.0, 5.0]))
+    # the fibres of the same map stay exact: finite only on consistent data
+    assert lifted_value(pair, np.array([1.0, 1.0, 3.0]), tol=1e-9).value == pytest.approx(2.0, abs=1e-9)
+    assert math.isinf(lifted_value(pair, np.array([0.0, 2.0, 5.0])).value)
+
+
+def test_tv_with_a_smooth_term_is_refused_by_fibers_and_steps():
+    pair = tv_chain_pair(3, [0, 2], extra=[QuadraticTerm(np.eye(3))])
+    with pytest.raises(NotImplementedError, match="total-variation fiber with extra terms"):
+        lifted_value(pair, np.array([0.0, 1.0]))
+    with pytest.raises(NotImplementedError, match="total-variation backward step with extra terms"):
+        resolvent(pair, 0.1, np.array([0.0, 1.0]))
+
+
+def test_a_missed_certificate_raises_from_fibers_and_steps(monkeypatch):
+    from jflow import solvers
+
+    def stalled(value, grad, hess, start, tol, certificate=None):
+        return solvers.SolveResult(np.asarray(start, float), 1.0, 7, False, value(start))
+
+    monkeypatch.setattr(solvers, "newton", stalled)
+    monkeypatch.setattr(solvers, "_try_snap", lambda problem, x, gn: (x, gn, 0))
+    pair = quad_pair(3, jmat=np.eye(3)[[0, 2]], weights=np.ones(2))
+    with pytest.raises(RuntimeError, match="fiber solve stalled: residual 1 after 7 iterations"):
+        lifted_value(pair, np.array([0.0, 1.0]))
+    with pytest.raises(RuntimeError, match="backward step solve stalled: residual 1 after 7 iterations"):
+        resolvent(pair, 0.1, np.array([0.0, 1.0]))

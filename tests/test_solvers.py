@@ -297,18 +297,18 @@ def test_weighted_gram_triplets_match_dense():
 
 
 def test_tv_prox_two_node_closed_form():
-    x = tv_prox([(0, 1)], [1.0], np.array([0.0, 2.0]), 0.5, tol=1e-14)
+    x = tv_prox([(0, 1)], [1.0], np.array([0.0, 2.0]), 0.5, tol=1e-14).x
     assert x == pytest.approx([0.5, 1.5], abs=1e-9)
 
 
 def test_tv_prox_lambda_zero_returns_anchor():
     a = np.array([0.3, -1.0, 2.0])
-    assert np.array_equal(tv_prox([(0, 1), (1, 2)], [1.0, 1.0], a, 0.0), a)
+    assert np.array_equal(tv_prox([(0, 1), (1, 2)], [1.0, 1.0], a, 0.0).x, a)
 
 
 def test_tv_prox_constant_anchor_is_fixed():
     a = np.full(4, 0.7)
-    x = tv_prox([(0, 1), (1, 2), (2, 3)], np.ones(3), a, 2.0, tol=1e-14)
+    x = tv_prox([(0, 1), (1, 2), (2, 3)], np.ones(3), a, 2.0, tol=1e-14).x
     assert x == pytest.approx(a, abs=1e-12)
 
 
@@ -319,7 +319,7 @@ def test_tv_prox_constant_anchor_is_fixed():
 @settings(max_examples=60, deadline=None)
 def test_tv_prox_two_node_matches_shrinkage(a0, a1, lam, w0, w1):
     # equal node masses: mean preserved, difference shrunk by 2*lam*w/m
-    x = tv_prox([(0, 1)], [w0], np.array([a0, a1]), lam, tol=1e-14, node_weights=np.array([w1, w1]))
+    x = tv_prox([(0, 1)], [w0], np.array([a0, a1]), lam, tol=1e-14, node_weights=np.array([w1, w1])).x
     mean = 0.5 * (a0 + a1)
     d = a0 - a1
     shrunk = np.sign(d) * max(abs(d) - 2.0 * lam * w0 / w1, 0.0)
@@ -335,7 +335,7 @@ def test_tv_prox_optimality_certificate():
     w = np.array([1.0, 0.5, 2.0, 1.0])
     anchor = rng.normal(size=4)
     lam = 0.3
-    x = tv_prox(edges, w, anchor, lam, tol=1e-16)
+    x = tv_prox(edges, w, anchor, lam, tol=1e-16).x
 
     def tv(v):
         d = np.array([v[0] - v[1], v[1] - v[2], v[2] - v[3], v[3]])
@@ -402,7 +402,7 @@ def test_tv_prox_grounded_chain_certified_and_positive():
     for lam in (0.01, 0.1):
         for _ in range(5):
             anchor = np.abs(rng.normal(size=n))
-            res = tv_prox(edges, np.ones(n + 1), anchor, lam, tol=1e-16, node_weights=masses, full_output=True)
+            res = tv_prox(edges, np.ones(n + 1), anchor, lam, tol=1e-16, node_weights=masses)
             x, gap = res.x, res.residual
             assert gap <= 1e-16
             worst_dual = max(worst_dual, _chain_dual_violation(x, anchor, masses, lam))
@@ -459,7 +459,7 @@ def test_tv_prox_32x32_grid_step_has_independent_dual_certificate():
     s = np.sin(np.pi * np.arange(1, 4)[:, None] * np.linspace(0.0, 1.0, n)[None, 1:-1])
     g = (2.0 * np.einsum("ab,ai,bj->ij", np.random.default_rng(7).normal(size=(3, 3)), s, s)).ravel()
     masses = pair.space.weights
-    res = tv_prox(term.edges, term.weights, g, lam, tol=1e-20, node_weights=masses, full_output=True)
+    res = tv_prox(term.edges, term.weights, g, lam, tol=1e-20, node_weights=masses)
     assert res.residual <= 1e-20
     flat_share = float(np.mean(term.diff(res.x) == 0.0))
     assert 0.1 < flat_share < 0.9  # the step has real plateaus and real jumps
