@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import PEdgeEnergy
-from .pairs import JEllipticPair, _solve_slice, lifted_value
+from .pairs import JEllipticPair, _fiber_coordinates, _solve_slice, lifted_value
 
 __all__ = [
     "ResolventResult",
@@ -124,8 +124,13 @@ def evolve(
 
     The initial datum must lie in the image of the effective domain;
     with ``project_initial`` it is first projected onto that affine set.
-    For shifted-convex pairs the step must satisfy ``tau <= 0.9/omega``
-    so every step objective stays strongly convex on data directions.
+    The fiber above the initial datum is solved only when its value or
+    minimizer is kept (``record_energies``, ``keep_extensions``), and the
+    first step then starts from that minimizer; otherwise only its
+    emptiness is tested, and the first step starts as :func:`resolvent`
+    does without ``start``.  For shifted-convex pairs the step must
+    satisfy ``tau <= 0.9/omega`` so every step objective stays strongly
+    convex on data directions.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -137,12 +142,15 @@ def evolve(
     pair.space.check_dim(u0)
 
     lifted_tol = tol if tol is not None else _FALLBACK_TOL
-    first = lifted_value(pair, u0, tol=lifted_tol)
-    if math.isinf(first.value):
+    kept = record_energies or keep_extensions
+    first = lifted_value(pair, u0, tol=lifted_tol) if kept else None
+    empty = math.isinf(first.value) if kept else _fiber_coordinates(pair, u0)[0] is None
+    if empty:
         if not project_initial:
             raise ValueError("initial datum is outside the image of the effective domain")
         u0 = _project_onto_image(pair, u0)
-        first = lifted_value(pair, u0, tol=lifted_tol)
+        if kept:
+            first = lifted_value(pair, u0, tol=lifted_tol)
 
     steps = int(math.ceil(T / tau - 1e-12))
     times = tau * np.arange(steps + 1)
@@ -156,7 +164,7 @@ def evolve(
     if keep_extensions:
         extensions[0] = first.minimizer
 
-    warm = first.minimizer
+    warm = first.minimizer if kept else None
     for k in range(steps):
         try:
             step = resolvent(pair, tau, states[k], tol=tol, start=warm)

@@ -317,8 +317,9 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None) 
     :func:`solvers.partial_anchor_tv` (measured KKT residuals) or, with
     every node observed, :func:`solvers.tv_prox` to the duality gap
     ``tol^2 min(m)/4`` (at most ``tol/sqrt(2)`` from the exact step).
-    Returns the :class:`solvers.SolveResult` in source coordinates; a
-    certificate that misses ``tol`` raises ``RuntimeError``.
+    Returns the :class:`solvers.SolveResult` in source coordinates, its
+    ``value`` the slice objective at ``x``; a certificate that misses
+    ``tol`` raises ``RuntimeError``.
     """
     what = "fiber" if data is None else "backward step"
     tv = pair.E.tv_terms
@@ -347,6 +348,7 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None) 
                 anchor[observed], masses[observed] = g, pair.space.weights
                 gap_tol = 0.25 * tol * tol * float(np.min(pair.space.weights))
                 res = solvers.tv_prox(edges, weights, anchor, lam, tol=gap_tol, node_weights=masses)
+                res.value /= lam  # tv_prox reports lam times the step objective
     if not res.converged:
         raise RuntimeError(f"{what} solve stalled: residual {res.residual:g} after {res.iterations} iterations")
     return res
@@ -453,7 +455,8 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
     from its primal point with :func:`solvers._try_snap`: Newton on the
     lagged-diffusivity majorant of the Hessian, then on the Hessian.
     Certified by the gradient norm in slice coordinates; returns the
-    :class:`solvers.SolveResult` with ``x`` in source coordinates.
+    :class:`solvers.SolveResult` with ``x`` in source coordinates and the
+    slice objective at ``x`` as ``value`` (the dual path's is recomputed).
     """
     system, E, j = pair.edge_system, pair.E, pair.j
     D, c, p = system.D, system.c, system.p
@@ -573,7 +576,8 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
     res = solvers.newton(
         dual_value, dual_grad, dual_hess, z0, tol, certificate=lambda z: float(np.linalg.norm(grad(primal_of(z)[1])))
     )
-    return rescued(primal_of(res.x)[1], res)
+    y = primal_of(res.x)[1]
+    return rescued(y, replace(res, value=value(y)))  # the slice objective, not the dual's
 
 
 def _restriction_indices(mat: np.ndarray):

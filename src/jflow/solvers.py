@@ -22,9 +22,11 @@ The three total-variation problems share one exact, sparse core.  The
 steps, :func:`tv_prox` (every node anchored, certified by a measured
 duality gap) and :func:`partial_anchor_tv` (free nodes, certified by a
 measured KKT residual), are polished from an approximate primal-dual
-phase: the plateaus it suggests take their levels in closed form, and a
-least-norm solve or a HiGHS feasibility problem finds the edge field of
-the certificate (:func:`_tv_polish`).  The fiber :func:`constrained_tv_min` is a linear
+phase: the plateaus it suggests take their levels in closed form, and
+the phase's own edge field, projected onto the plateau equations by one
+sparse solve, is the edge field of the certificate; a HiGHS feasibility
+problem runs only where that projection leaves its box
+(:func:`_tv_polish`).  The fiber :func:`constrained_tv_min` is a linear
 program solved by HiGHS, certified by its edge dual.  Each returns a
 :class:`SolveResult` with the measured certificate, or raises.  HiGHS
 (``scipy.optimize``) loads on the first TV linear program, not with this
@@ -510,7 +512,8 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
     (:func:`_pdhg`) runs to each KKT residual of ``_POLISH_RUNGS``; after
     each, the edges with ``|(Dx)_e| <= delta`` join into plateaus for
     each ``delta`` of ``_POLISH_DELTAS``, and :func:`_plateau_solution`
-    sets their exact levels and edge field.  The first candidate with
+    sets their exact levels and, from the phase's dual iterate, their
+    edge field.  The first candidate with
     ``measure(x, Dx, z, D^T z) <= tol`` is returned as a
     :class:`SolveResult` with that residual, the approximate phase's
     iteration count and the objective value; ``RuntimeError`` when none
@@ -533,7 +536,7 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
             if key in tried:
                 continue
             tried.add(key)
-            cand = _plateau_solution(D, weights, coef, anchor, x, pattern)
+            cand = _plateau_solution(D, weights, coef, anchor, x, z, pattern)
             if cand is None:
                 continue
             xp, zp = cand
@@ -546,7 +549,7 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
     raise RuntimeError(f"{name}: no plateau polish certified below {tol:g} (best {best:g}) after {iterations} iterations")
 
 
-def _plateau_solution(D, weights, coef, anchor, x, pattern):
+def _plateau_solution(D, weights, coef, anchor, x, z, pattern):
     """Exact point and edge field for a guessed plateau structure.
 
     ``pattern`` is 0 on the edges joined into plateaus and the sign of
@@ -557,14 +560,15 @@ def _plateau_solution(D, weights, coef, anchor, x, pattern):
     massless one keeps the mean of ``x``.  The edge field on the plateau
     edges then solves ``D_P^T z_P = -coef (x - a) - D^T z_cut`` within its
     box (one equation per plateau of positive mass is dropped: they sum to
-    zero): the least-norm solution when it lies in the box, else a HiGHS
-    feasibility problem.  Returns None when a cut edge turns over or no
-    such field exists.
+    zero): the projection of the approximate phase's field ``z`` onto
+    these equations when it lies in the box, else a HiGHS feasibility
+    problem.  Returns None when a cut edge turns over or no such field
+    exists.
     """
     n = x.size
     joined = pattern == 0
-    z = weights * pattern
-    force = D.adjoint(z)
+    z_new = weights * pattern
+    force = D.adjoint(z_new)
     a, b = D._slots.reshape(-1, 2)[joined].T  # endpoints, with node n the ground
     graph = scipy.sparse.coo_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
     count, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
@@ -575,7 +579,7 @@ def _plateau_solution(D, weights, coef, anchor, x, pattern):
     level = np.where(mass > 0, pulled, mean)
     level[label[n]] = 0.0
     x_new = level[nodes]
-    if np.any(z * D.apply(x_new) < 0.0):
+    if np.any(z_new * D.apply(x_new) < 0.0):
         return None
     if joined.any():
         D_joined = edge_incidence(D.ends[joined], n)
@@ -586,9 +590,9 @@ def _plateau_solution(D, weights, coef, anchor, x, pattern):
         rows = touched[keep]
         A = D_joined.T.tocsr()[rows]
         b = (-coef * (x_new - anchor) - force)[rows]
-        w_joined = weights[joined]
-        # least norm: the only solution on plateaus without cycles
-        z_joined = A.T @ scipy.sparse.linalg.spsolve((A @ A.T).tocsc(), b)
+        w_joined, z_phase = weights[joined], z[joined]
+        # the nearest solution to the phase's field: the only one on plateaus without cycles
+        z_joined = z_phase + A.T @ scipy.sparse.linalg.spsolve((A @ A.T).tocsc(), b - A @ z_phase)
         if not np.all(np.abs(z_joined) <= w_joined):
             from scipy.optimize import linprog  # HiGHS loads here, on the first TV linear program
             lp = linprog(
@@ -598,8 +602,8 @@ def _plateau_solution(D, weights, coef, anchor, x, pattern):
             if lp.status != 0:
                 return None
             z_joined = lp.x
-        z[joined] = np.clip(z_joined, -w_joined, w_joined)
-    return x_new, z
+        z_new[joined] = np.clip(z_joined, -w_joined, w_joined)
+    return x_new, z_new
 
 
 def _pdhg(D, mult, coef, anchor, x, z, step, tol, max_iter):

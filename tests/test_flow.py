@@ -370,3 +370,42 @@ def test_tv_full_anchor_orbit_on_piecewise_constant_data_certifies(orbit):
     gap_tol = 0.25 * 1e-8**2 * h * h  # resolvent default tol 1e-8, masses h^2
     assert np.all(traj.step_residuals[1:] <= gap_tol)
     assert np.all(np.isfinite(traj.states))
+
+
+# --- the start fibre is solved only when it is kept -----------------------------
+
+
+def test_evolve_solves_no_start_fiber_it_does_not_keep(monkeypatch):
+    from jflow import flow
+
+    pair = P.load_problem(P.builtin_problems()["robin_p3"]).pair
+    u0 = np.random.default_rng(5).normal(size=pair.space.dim)
+    kept = evolve(pair, u0, 0.1, 0.05)
+    calls = []
+    original = flow.lifted_value
+
+    def spy(pair, u, tol=1e-6, start=None):
+        calls.append(tol)
+        return original(pair, u, tol=tol, start=start)
+
+    monkeypatch.setattr(flow, "lifted_value", spy)
+    traj = evolve(pair, u0, 0.1, 0.05, record_energies=False)
+    assert calls == []
+    assert traj.energies is None and traj.extensions is None
+    assert np.all(traj.step_residuals <= 1e-8)
+    # a different first start, the same steps to the certified tolerance
+    np.testing.assert_allclose(traj.states, kept.states, rtol=0.0, atol=1e-7)
+    evolve(pair, u0, 0.1, 0.05, record_energies=False, keep_extensions=True)
+    assert calls == [1e-8]
+
+
+def test_evolve_initial_datum_out_of_range_without_energies():
+    E = ExtendedFunctional([QuadraticTerm(np.eye(2))], 2)
+    pair = JEllipticPair(E, JMap(np.array([[1.0, 0.0], [1.0, 0.0]])), WeightedSpace(np.ones(2)))
+    u0 = np.array([1.0, 2.0])  # not of the form (t, t)
+    with pytest.raises(ValueError, match="outside the image"):
+        evolve(pair, u0, 0.2, 0.1, record_energies=False)
+    traj = evolve(pair, u0, 0.2, 0.1, project_initial=True, record_energies=False)
+    assert traj.states[0][0] == pytest.approx(traj.states[0][1])
+    assert traj.states[0][0] == pytest.approx(1.5)  # plain projection onto the diagonal
+    assert traj.states[1] == pytest.approx([1.5 / 1.05, 1.5 / 1.05], abs=1e-9)  # two data rows on x_1

@@ -477,3 +477,23 @@ def test_a_missed_certificate_raises_from_fibers_and_steps(monkeypatch):
         lifted_value(pair, np.array([0.0, 1.0]))
     with pytest.raises(RuntimeError, match="backward step solve stalled: residual 1 after 7 iterations"):
         resolvent(pair, 0.1, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("name", ["robin_p1.5", "tv_chain32", "robin_p3"])
+def test_slice_value_is_the_slice_objective(name):
+    # the conjugate edge dual (p = 1.5) tracks the dual objective, and tv_prox
+    # (every node of tv_chain32 observed) reports lam times the step objective
+    from jflow import problems as P
+    from jflow.pairs import _fiber_coordinates, _solve_slice
+
+    pair = P.load_problem(P.builtin_problems()[name]).pair
+    u = np.random.default_rng(3).normal(size=pair.space.dim)
+    x0, Z = _fiber_coordinates(pair, u)
+    fiber = _solve_slice(pair, x0, Z, 1e-8)
+    assert fiber.value == pytest.approx(pair.E.value(fiber.x), rel=1e-12)
+    lam = 0.1
+    x0, Z = pair.step_slice
+    step = _solve_slice(pair, x0, Z, 1e-8, data=(lam, u))
+    r = pair.j.apply(step.x) - u
+    objective = pair.E.value(step.x) + 0.5 / lam * pair.space.inner(r, r)
+    assert step.value == pytest.approx(objective, rel=1e-12)

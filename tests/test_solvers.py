@@ -474,3 +474,42 @@ def test_banded_solve_raises_on_indefinite_band():
     with pytest.raises(np.linalg.LinAlgError):
         H.solve(np.ones(n), 0.0)
     np.testing.assert_allclose(H.solve(np.ones(n), 1.0), np.full(n, 2.0))
+
+
+def test_tv_subregion_step_certifies_from_its_own_edge_field(monkeypatch):
+    # a 16x16 grid observed on its 6x6 centre block: some plateau candidate's
+    # least-norm field leaves its box, the projection of the approximate
+    # phase's field does not, and no HiGHS feasibility problem is needed
+    from jflow import solvers
+    from jflow.flow import resolvent
+
+    n, lo = 16, 5
+    block = [r * n + c for r in range(lo, lo + 6) for c in range(lo, lo + 6)]
+    grid = {"topology": "grid", "nx": n, "ny": n, "h": 1.0 / (n - 1)}
+    pair = P.load_problem({"problem": "tv", "grid": grid, "subdomain": block}).pair
+    g = np.random.default_rng(3).normal(size=pair.space.dim)
+    reference = resolvent(pair, 0.05, g)
+
+    class NoHighs(Exception):
+        pass
+
+    def no_highs(*args, **kwargs):
+        raise NoHighs
+
+    least_norm_outside = []
+    plateau = solvers._plateau_solution
+
+    def with_least_norm_probe(D, weights, coef, anchor, x, z, pattern):
+        try:
+            plateau(D, weights, coef, anchor, x, np.zeros_like(z), pattern)
+        except NoHighs:
+            least_norm_outside.append(True)
+        return plateau(D, weights, coef, anchor, x, z, pattern)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_highs)
+    step = resolvent(pair, 0.05, g)
+    np.testing.assert_array_equal(step.u_hat, reference.u_hat)
+    assert step.residual == reference.residual <= 1e-8
+    monkeypatch.setattr(solvers, "_plateau_solution", with_least_norm_probe)
+    resolvent(pair, 0.05, g)
+    assert least_norm_outside
