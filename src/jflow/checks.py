@@ -33,7 +33,7 @@ import numpy as np
 
 from .flow import evolve, resolvent
 from .hilbert import ConvexSetOracle, NFunction, WeightedSpace, huber, order_cone, positive_cone, power, threshold_excess
-from .pairs import JEllipticPair, _fiber_coordinates, lifted_value, subgradient_residual
+from .pairs import JEllipticPair, _fiber_coordinates, lifted_values, subgradient_residual
 
 __all__ = [
     "PropertyReport",
@@ -135,39 +135,69 @@ def _bump(part, violation, witness):
         part["witness"] = witness
 
 
+def _stays_in(part, space, C, witness):
+    """The use of one orbit: bump ``part`` by the distance of each state from ``C``."""
+
+    def use(orbits):
+        for state in orbits[0]:
+            _bump(part, space.norm(state - C.project(state)), witness)
+
+    return use
+
+
 class _Sampler:
     """The sampling core of one checker call: lifted-energy gaps and
     implicit-Euler orbits of step ``tau`` up to ``T``, counting skipped
-    samples.  Lifted values (to ``LIFTED_TOL``) and orbit states are kept in
-    ``memo`` under their pair and point, and the step for an orbit."""
+    samples.  Requests are collected and solved by :meth:`settle`, one batch
+    per pair for the lifted values (to ``LIFTED_TOL``) and one for the
+    orbits; results are kept in ``memo`` under their pair and point, and the
+    step for an orbit."""
 
     def __init__(self, T, tau, memo=None):
         self.T, self.tau = T, tau
         self.memo = {} if memo is None else memo
         self.skipped = 0
+        self.pending = []  # (kind, (pair, point) requests, the use of their results)
 
-    def _once(self, pair, key, solve):
-        key = (id(pair), *key)
-        if key not in self.memo:  # the entry holds its pair, whose id stays unique while the memo lives
-            self.memo[key] = (pair, solve())
-        return self.memo[key][1]
+    def _key(self, kind, pair, u):
+        return (id(pair), u.tobytes()) if kind == "lifted" else (id(pair), u.tobytes(), self.T, self.tau)
 
-    def lifted(self, pair, u):
-        return self._once(pair, (u.tobytes(),), lambda: lifted_value(pair, u, LIFTED_TOL).value)
+    def settle(self):
+        """Solve every pending request not in the memo, then hand each use its
+        results, in the order of the requests."""
+        batches = {}
+        for kind, requests, _ in self.pending:
+            for pair, u in requests:
+                key = self._key(kind, pair, u)
+                if key not in self.memo:  # the entry holds its pair, whose id stays unique while the memo lives
+                    batches.setdefault((kind, id(pair)), (pair, {}))[1][key] = u
+        for (kind, _), (pair, points) in batches.items():
+            U = np.array(list(points.values()))
+            if kind == "lifted":
+                results = [r.value for r in lifted_values(pair, U, LIFTED_TOL)]
+            else:
+                results = [t.states for t in evolve(pair, U, self.T, self.tau, record_energies=False)]
+            self.memo.update((key, (pair, r)) for key, r in zip(points, results))
+        pending, self.pending = self.pending, []
+        for kind, requests, use in pending:
+            use([self.memo[self._key(kind, pair, u)][1] for pair, u in requests])
 
     def gap(self, part, plus, minus, witness):
-        """Bump ``part`` by the lifted values at the ``(pair, point)`` entries
-        of ``plus`` less those of ``minus``, summed in order (the lattice
-        inequalities ``L_A(a) + L_B(b) - L_A(c) - L_B(d) <= 0``); a sample
-        with an infinite value is skipped."""
-        vals = [self.lifted(pair, u) for pair, u in (*plus, *minus)]
-        if any(math.isinf(v) for v in vals):
-            self.skipped += 1
-            return
-        total = sum(vals[: len(plus)])
-        for v in vals[len(plus) :]:
-            total -= v
-        _bump(part, total, witness)
+        """Bump ``part``, once settled, by the lifted values at the ``(pair,
+        point)`` entries of ``plus`` less those of ``minus``, summed in order
+        (the lattice inequalities ``L_A(a) + L_B(b) - L_A(c) - L_B(d) <= 0``);
+        a sample with an infinite value is skipped."""
+
+        def use(vals):
+            if any(math.isinf(v) for v in vals):
+                self.skipped += 1
+                return
+            total = sum(vals[: len(plus)])
+            for v in vals[len(plus) :]:
+                total -= v
+            _bump(part, total, witness)
+
+        self.pending.append(("lifted", [*plus, *minus], use))
 
     def skip(self, *starts):
         """Whether a sample is skipped: one of its ``(pair, u)`` starts has an
@@ -177,27 +207,25 @@ class _Sampler:
             return True
         return False
 
-    def orbits(self, *starts):
-        """The states of the orbits from the ``(pair, u0)`` starts, an empty
-        list when the sample is skipped."""
-        if self.skip(*starts):
-            return []
-        T, tau = self.T, self.tau
-        return [self._once(pair, (u0.tobytes(), T, tau), lambda: evolve(pair, u0, T, tau, record_energies=False).states)
-                for pair, u0 in starts]
+    def orbits(self, starts, use):
+        """Hand ``use``, once settled, the states of the orbits from the
+        ``(pair, u0)`` starts, unless the sample is skipped."""
+        if not self.skip(*starts):
+            self.pending.append(("orbit", starts, use))
 
     def contraction(self, pair, u, v, gauges, first=1):
         """Evolve from ``u`` and ``v`` and bump the part of each ``(part,
         gauge, witness)`` entry of ``gauges`` by ``gauge(a_k - b_k) - gauge(u - v)``
         at every step ``k >= first`` of the two orbits ``a, b``."""
-        orbits = self.orbits((pair, u), (pair, v))
-        if not orbits:
-            return
-        a, b = orbits
-        for part, gauge, extra in gauges:
-            bound = gauge(u - v)
-            for k in range(first, a.shape[0]):
-                _bump(part, gauge(a[k] - b[k]) - bound, {"u0": u, "v0": v, **extra, "step": k})
+
+        def use(orbits):
+            a, b = orbits
+            for part, gauge, extra in gauges:
+                bound = gauge(u - v)
+                for k in range(first, a.shape[0]):
+                    _bump(part, gauge(a[k] - b[k]) - bound, {"u0": u, "v0": v, **extra, "step": k})
+
+        self.orbits([(pair, u), (pair, v)], use)
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +259,20 @@ def check_invariance(
         s.gap(fun, [(pair, C.project(u))], [(pair, u)], {"u": u})
 
     res_part = _max_part("resolvent", tol_dyn)
-    for u in us[:resolvent_samples]:
-        cu = C.project(u)
-        if s.skip((pair, cu)):
-            continue
-        for lam in (0.1, 1.0):
-            if pair.omega > 0 and lam >= 1.0 / pair.omega:
-                continue
-            step = resolvent(pair, lam, cu)
-            dist = pair.space.norm(step.u - C.project(step.u))
-            _bump(res_part, dist, {"u": cu, "lambda": lam})
+    lams = [lam for lam in (0.1, 1.0) if not (pair.omega > 0 and lam >= 1.0 / pair.omega)]
+    cus = [C.project(u) for u in us[:resolvent_samples]]
+    steps = [(cu, lam) for cu in cus if not s.skip((pair, cu)) for lam in lams]  # one batch
+    if steps:
+        done = resolvent(pair, [lam for _, lam in steps], np.array([cu for cu, _ in steps]))
+        for (cu, lam), step in zip(steps, done):
+            _bump(res_part, pair.space.norm(step.u - C.project(step.u)), {"u": cu, "lambda": lam})
 
     dyn = _max_part("orbit", tol_dyn)
     for u in us[:dynamic_samples]:
         cu = C.project(u)
-        for states in s.orbits((pair, cu)):
-            for state in states:
-                _bump(dyn, pair.space.norm(state - C.project(state)), {"u0": cu})
+        s.orbits([(pair, cu)], _stays_in(dyn, pair.space, C, {"u0": cu}))
 
+    s.settle()
     return _assemble(f"invariance[{C.kind}]", [fun, res_part, dyn], samples, s.skipped)
 
 
@@ -286,10 +310,9 @@ def check_relative_invariance(
         x = C1.project(u)
         for _ in range(32):
             x = C1.project(C2.project(x))
-        for states in s.orbits((pair, x)):
-            for state in states:
-                _bump(dyn, pair.space.norm(state - C2.project(state)), {"u0": x})
+        s.orbits([(pair, x)], _stays_in(dyn, pair.space, C2, {"u0": x}))
 
+    s.settle()
     return _assemble("relative-invariance", [fun, dyn], samples, s.skipped)
 
 
@@ -354,10 +377,10 @@ def check_comparison(
         if C is not None:
             lo, hi = C.project(lo), C.project(hi)
             lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        orbits = s.orbits((pairA, lo), (pairB, hi))
-        if orbits:
-            _bump(dyn, float(np.max(orbits[0] - orbits[1])), {"u0": lo, "v0": hi})
+        witness = {"u0": lo, "v0": hi}
+        s.orbits([(pairA, lo), (pairB, hi)], lambda o, w=witness: _bump(dyn, float(np.max(o[0] - o[1])), w))
 
+    s.settle()
     return _assemble(name, [fun, dyn], samples, s.skipped)
 
 
@@ -406,10 +429,10 @@ def check_domination(
 
     dyn = _max_part("orbit-domination", tol_dyn)
     for u in usA[:dynamic_samples]:
-        orbits = s.orbits((pairA, u), (pairB, np.abs(u)))
-        if orbits:
-            _bump(dyn, float(np.max(np.abs(orbits[0]) - orbits[1])), {"u0": u})
+        s.orbits([(pairA, u), (pairB, np.abs(u))],
+                 lambda o, w={"u0": u}: _bump(dyn, float(np.max(np.abs(o[0]) - o[1])), w))
 
+    s.settle()
     return _assemble("domination", [fun, dyn], samples, s.skipped)
 
 
@@ -449,6 +472,7 @@ def check_linf_contractivity(
     for u, v in zip(us[:dynamic_samples], vs[:dynamic_samples]):
         s.contraction(pair, u, v, sup, first=0)
 
+    s.settle()
     return _assemble("sup-norm-contractivity", [fun, dyn], samples, s.skipped)
 
 
@@ -500,6 +524,7 @@ def check_complete_contractivity(
     for u, v in zip(us, vs):
         s.contraction(pair, u, v, gauges)
 
+    s.settle()
     # starts drawn by sample_states lie in the image of j: a skip is reported when one happens
     return _assemble("complete-contractivity", list(parts.values()), samples, s.skipped or None)
 
@@ -547,6 +572,7 @@ def check_psi_accretive(
     for u, v in zip(starts[0::2], starts[1::2]):
         s.contraction(pair, u, v, [(contr, psi, {})])
 
+    s.settle()
     contractive_ok = contr["violation"] <= contr["tolerance"]
     # starts drawn by sample_states lie in the image of j: a skip is reported when one happens
     report = _assemble(f"{psi_name}-accretivity", [acc], len(op_pairs), s.skipped or None)

@@ -127,9 +127,15 @@ def cmd_run(args) -> int:
         print(f"jflow: bad problem file: initial state: {why}", file=sys.stderr)
         return 2
 
+    # the contraction test pairs the run's own orbit with one from a perturbed start: one batch of two
+    rng = np.random.default_rng(args.seed + 1)
+    v0 = u0 + 0.1 * checks.sample_states(bundle.pair, 1, rng, scale=1.0)[0]
     try:
-        traj = evolve(bundle.pair, u0, args.T, args.tau, tol=args.tol)
+        traj, other = evolve(bundle.pair, np.array([u0, v0]), args.T, args.tau, tol=args.tol,
+                             record_energies=(True, False))
     except EvolveError as exc:
+        if exc.orbit:  # the perturbed orbit
+            raise
         _write_trajectory(out / "trajectory.csv", exc.partial)
         print(f"jflow: {exc} (partial trajectory flushed)", file=sys.stderr)
         return 1
@@ -143,10 +149,7 @@ def cmd_run(args) -> int:
         np.max(energies[1:] + step_norms2 / (2.0 * args.tau) - energies[:-1], initial=-math.inf)
     )
 
-    # the contraction test pairs the run's own orbit with one from a perturbed start
-    rng = np.random.default_rng(args.seed + 1)
-    v0 = u0 + 0.1 * checks.sample_states(bundle.pair, 1, rng, scale=1.0)[0]
-    diff = traj.states - evolve(bundle.pair, v0, args.T, args.tau, tol=args.tol, record_energies=False).states
+    diff = traj.states - other.states
     dists = np.sqrt(np.maximum((diff * diff) @ w, 0.0))
     contraction_gap = float(np.max(np.diff(dists), initial=-math.inf))
 

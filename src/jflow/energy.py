@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .hilbert import WeightedSpace
-from .solvers import EdgeOperator, edge_incidence
+from .solvers import EdgeOperator, Scatter, edge_incidence
 
 __all__ = [
     "ScalarPrimitive",
@@ -124,7 +124,7 @@ class _EdgeTerm(EnergyTerm):
         return self._incidence
 
     def diff(self, u):
-        return self.incidence(u.size).apply(u)
+        return self.incidence(u.shape[-1]).diff(u)
 
 
 class PEdgeEnergy(_EdgeTerm):
@@ -146,13 +146,13 @@ class PEdgeEnergy(_EdgeTerm):
 
     def value(self, u):
         d = self.diff(u)
-        return float(np.sum(self.weights * np.abs(d) ** self.p) / self.p)
+        return np.add.reduce(self.weights * np.abs(d) ** self.p, -1) / self.p
 
     def grad(self, u):
         if not self.smooth:
             raise NotImplementedError("p = 1 edge energy is not differentiable")
         d = self.diff(u)
-        return self.incidence(u.size).adjoint(self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d))
+        return self.incidence(u.shape[-1]).adjoint(self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d))
 
     def hessian_factor(self, n):
         return edge_incidence(self.edges, n).T
@@ -188,14 +188,15 @@ class NodewiseIntegral(EnergyTerm):
             raise ValueError("node weights must match the node count")
         self.primitive = primitive
         self.omega_term = float(primitive.omega)
+        self._scatter = None
 
     def value(self, u):
-        return float(np.sum(self.weights * self.primitive.value(u[self.nodes])))
+        return np.add.reduce(self.weights * self.primitive.value(u.take(self.nodes, -1)), -1)
 
-    def grad(self, u):
-        g = np.zeros_like(u)
-        g[self.nodes] = self.weights * self.primitive.deriv(u[self.nodes])
-        return g
+    def grad(self, u):  # a node listed twice sums its two derivatives
+        if self._scatter is None or self._scatter.size != u.shape[-1]:
+            self._scatter = Scatter(self.nodes, u.shape[-1])
+        return self._scatter(self.weights * self.primitive.deriv(u.take(self.nodes, -1)))
 
     def hessian_factor(self, n):
         cols = np.arange(self.nodes.size)
@@ -203,7 +204,7 @@ class NodewiseIntegral(EnergyTerm):
 
     def hessian_weights(self, u):
         """The curvature at each node, clipped at zero so the Gram form stays semidefinite."""
-        return self.weights * np.maximum(self.primitive.curvature(u[self.nodes]), 0.0)
+        return self.weights * np.maximum(self.primitive.curvature(u.take(self.nodes, -1)), 0.0)
 
 
 class QuadraticTerm(EnergyTerm):
@@ -217,10 +218,10 @@ class QuadraticTerm(EnergyTerm):
         self._factor = None
 
     def value(self, u):
-        return 0.5 * float(u @ (self.matrix @ u))
+        return 0.5 * np.vecdot(u, self.grad(u))
 
     def grad(self, u):
-        return np.asarray(self.matrix @ u, float)
+        return np.ascontiguousarray(np.asarray(self.matrix @ u.T, float).T)
 
     def hessian_factor(self, n):
         """``L`` with ``L L^T = Q`` from the eigen-decomposition of ``Q``, found once."""
@@ -232,7 +233,7 @@ class QuadraticTerm(EnergyTerm):
         return self._factor
 
     def hessian_weights(self, u):
-        return np.ones(self.hessian_factor(u.size).shape[1])
+        return np.ones(u.shape[:-1] + self.hessian_factor(u.shape[-1]).shape[1:])
 
 
 class AffineIndicatorTerm(EnergyTerm):
@@ -298,11 +299,12 @@ class ExtendedFunctional:
             if isinstance(t, TotalVariationTerm) or (isinstance(t, PEdgeEnergy) and not t.smooth)
         ]
 
-    def smooth_value(self, u) -> float:
-        return float(sum(t.value(u) for t in self.smooth_terms))
+    def smooth_value(self, u):
+        """The smooth terms' value, one per sample row of ``u``."""
+        return sum((t.value(u) for t in self.smooth_terms), np.zeros(np.shape(u)[:-1]))
 
     def smooth_grad(self, u) -> np.ndarray:
-        g = np.zeros(self.dim)
+        g = np.zeros(np.shape(u))
         for t in self.smooth_terms:
             g += t.grad(u)
         return g
@@ -317,7 +319,8 @@ class ExtendedFunctional:
         return scipy.sparse.hstack([scipy.sparse.csc_matrix((self.dim, 0))] + factors, format="csc")
 
     def hessian_weights(self, u) -> np.ndarray:
-        return np.concatenate([np.zeros(0)] + [t.hessian_weights(u) for t in self.smooth_terms])
+        weights = [t.hessian_weights(u) for t in self.smooth_terms]
+        return np.concatenate([np.zeros(np.shape(u)[:-1] + (0,))] + weights, -1)
 
     def finite_point(self) -> np.ndarray:
         """A point of the effective domain (indicator-feasible if possible):

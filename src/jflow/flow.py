@@ -68,20 +68,20 @@ class Trajectory:
 
 
 class EvolveError(RuntimeError):
-    """Raised when a step fails; carries the orbit computed so far."""
+    """Raised when a step fails; carries the orbit computed so far, ``orbit`` its row of a batch."""
 
-    def __init__(self, message, partial: Trajectory):
+    def __init__(self, message, partial: Trajectory, orbit: int = 0):
         super().__init__(message)
-        self.partial = partial
+        self.partial, self.orbit = partial, orbit
 
 
 def resolvent(
     pair: JEllipticPair,
-    lam: float,
+    lam,
     g,
     tol: Optional[float] = None,
     start=None,
-) -> ResolventResult:
+):
     """One backward step: minimize the energy plus the proximal data term.
 
     The step is solved by :func:`pairs._solve_slice` over the null-space
@@ -90,24 +90,30 @@ def resolvent(
     rescued by Newton on the lagged-diffusivity majorant where edge powers
     below two stall it, and exact plateau-polished solvers for total
     variation.  The residual is the measured certificate of that solve; a
-    step that misses ``tol`` raises.
+    step that misses ``tol`` raises.  ``g`` of shape ``(S, m)`` takes S
+    steps as one batch, ``lam`` one step or one per row and ``start``
+    that of every row, and returns a list of S results.
 
     Requires ``lam < 1/omega`` for shifted-convex pairs so that the step
     objective stays convex (strongly convex along data directions).
     """
-    if lam <= 0:
-        raise ValueError("resolvent step must be positive")
-    if pair.omega > 0 and lam >= 1.0 / pair.omega:
-        raise ValueError(
-            f"resolvent step too large: lam = {lam:g} >= 1/omega = {1.0 / pair.omega:g}"
-        )
-    tol = _effective_tol(pair.E, tol)
     g = np.asarray(g, float)
-    pair.space.check_dim(g)
+    lams = np.broadcast_to(np.asarray(lam, float), g.shape[:-1])
+    if np.any(lams <= 0):
+        raise ValueError("resolvent step must be positive")
+    if pair.omega > 0 and np.any(lams >= 1.0 / pair.omega):
+        raise ValueError(
+            f"resolvent step too large: lam = {float(np.max(lams)):g} >= 1/omega = {1.0 / pair.omega:g}"
+        )
+    G, lams = np.reshape(g, (-1, g.shape[-1])), lams.reshape(-1)
+    pair.space.check_dim(*G)
     x0, Z = pair.step_slice
-    res = _solve_slice(pair, x0, Z, tol, start, data=(lam, g))
-    u = pair.j.apply(res.x)
-    return ResolventResult(u=u, u_hat=res.x, f=(g - u) / lam, residual=res.residual, iterations=res.iterations)
+    res = _solve_slice(pair, np.broadcast_to(x0, (len(G), x0.size)), Z, _effective_tol(pair.E, tol), [start] * len(G),
+                       data=(lams, G))
+    U = pair.j.apply(res.x)
+    steps = [ResolventResult(u=u, u_hat=x, f=(h - u) / step, residual=float(r), iterations=res.iterations)
+             for u, x, h, step, r in zip(U, res.x, G, lams, res.residual)]
+    return steps if g.ndim == 2 else steps[0]
 
 
 def evolve(
@@ -117,20 +123,25 @@ def evolve(
     tau: float,
     project_initial: bool = False,
     tol: Optional[float] = None,
-    record_energies: bool = True,
+    record_energies=True,
     keep_extensions: bool = False,
-) -> Trajectory:
+):
     """Implicit-Euler orbit ``u_{k+1} = (backward step of size tau)(u_k)``.
 
-    The initial datum must lie in the image of the effective domain;
-    with ``project_initial`` it is first projected onto that affine set.
-    The fiber above the initial datum is solved only when its value or
-    minimizer is kept (``record_energies``, ``keep_extensions``), and the
-    first step then starts from that minimizer; otherwise only its
-    emptiness is tested, and the first step starts as :func:`resolvent`
-    does without ``start``.  For shifted-convex pairs the step must
-    satisfy ``tau <= 0.9/omega`` so every step objective stays strongly
-    convex on data directions.
+    ``u0`` of shape ``(S, m)`` holds S initial data: their orbits advance
+    as one batch, each step one slice solve of S samples, and a list of S
+    trajectories is returned, each bitwise the orbit of its datum alone.
+    The initial data must lie in the image of the effective domain; with
+    ``project_initial`` one that does not is first projected onto that
+    affine set.  The fiber above an initial datum is solved only when its
+    value or minimizer is kept (``record_energies``, one flag for all
+    orbits or one per orbit, and ``keep_extensions``), and the first step
+    then starts from that minimizer; otherwise only its emptiness is
+    tested, and the first step starts as :func:`resolvent` does without
+    ``start``.  A failed step raises :class:`EvolveError` with the partial
+    trajectory of its orbit.
+    For shifted-convex pairs the step must satisfy ``tau <= 0.9/omega`` so
+    every step objective stays strongly convex on data directions.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -138,53 +149,44 @@ def evolve(
         raise ValueError("T must be at least one step")
     if pair.omega > 0 and tau > 0.9 / pair.omega:
         raise ValueError(f"step tau = {tau:g} exceeds 0.9/omega = {0.9 / pair.omega:g}")
-    u0 = np.asarray(u0, float)
-    pair.space.check_dim(u0)
-
-    lifted_tol = tol if tol is not None else _FALLBACK_TOL
-    kept = record_energies or keep_extensions
-    first = lifted_value(pair, u0, tol=lifted_tol) if kept else None
-    empty = math.isinf(first.value) if kept else _fiber_coordinates(pair, u0)[0] is None
-    if empty:
-        if not project_initial:
-            raise ValueError("initial datum is outside the image of the effective domain")
-        u0 = _project_onto_image(pair, u0)
-        if kept:
-            first = lifted_value(pair, u0, tol=lifted_tol)
+    U = np.array(u0, float, ndmin=2)
+    pair.space.check_dim(*U)
+    S, record = len(U), np.broadcast_to(record_energies, len(U))
+    kept, lifted_tol = record | keep_extensions, tol if tol is not None else _FALLBACK_TOL
+    first = [lifted_value(pair, u, tol=lifted_tol) if k else None for u, k in zip(U, kept)]
+    for s in range(S):
+        if math.isinf(first[s].value) if kept[s] else _fiber_coordinates(pair, U[s])[0] is None:
+            if not project_initial:
+                raise ValueError("initial datum is outside the image of the effective domain")
+            U[s] = _project_onto_image(pair, U[s])
+            first[s] = lifted_value(pair, U[s], tol=lifted_tol) if kept[s] else None
 
     steps = int(math.ceil(T / tau - 1e-12))
     times = tau * np.arange(steps + 1)
-    states = np.empty((steps + 1, pair.space.dim))
-    states[0] = u0
-    residuals = np.zeros(steps + 1)
-    energies = np.full(steps + 1, np.nan) if record_energies else None
-    extensions = np.empty((steps + 1, pair.E.dim)) if keep_extensions else None
-    if record_energies:
-        energies[0] = first.value
+    states, extensions = np.empty((S, steps + 1, pair.space.dim)), np.empty((S, steps + 1, pair.E.dim))
+    residuals, energies = np.zeros((S, steps + 1)), np.full((S, steps + 1), np.nan)
+    states[:, 0] = U
+    energies[record, 0] = [f.value for f, r in zip(first, record) if r]
+    warm = [f and f.minimizer for f in first]
     if keep_extensions:
-        extensions[0] = first.minimizer
-
-    warm = first.minimizer if kept else None
+        extensions[:, 0] = warm
+    x0, Z = pair.step_slice
+    x0, tol = np.broadcast_to(x0, (S, x0.size)), _effective_tol(pair.E, tol)
     for k in range(steps):
         try:
-            step = resolvent(pair, tau, states[k], tol=tol, start=warm)
+            step = _solve_slice(pair, x0, Z, tol, warm, data=(tau, states[:, k]))
         except Exception as exc:  # noqa: BLE001 - re-raised with the partial orbit
-            partial = Trajectory(
-                times=times[: k + 1],
-                states=states[: k + 1].copy(),
-                energies=None if energies is None else energies[: k + 1].copy(),
-                step_residuals=residuals[: k + 1].copy(),
-            )
-            raise EvolveError(f"step {k + 1} failed: {exc}", partial) from exc
-        states[k + 1] = step.u
-        residuals[k + 1] = step.residual
-        if record_energies:
-            # the step minimizer is already an elliptic extension of its image
-            energies[k + 1] = pair.E.value(step.u_hat)
-        if keep_extensions:
-            extensions[k + 1] = step.u_hat
-        warm = step.u_hat
-    return Trajectory(times=times, states=states, energies=energies, step_residuals=residuals, extensions=extensions)
+            s = getattr(exc, "sample", 0)
+            partial = Trajectory(times[: k + 1], states[s, : k + 1].copy(),
+                                 energies[s, : k + 1].copy() if record[s] else None, residuals[s, : k + 1].copy())
+            raise EvolveError(f"step {k + 1} failed: {exc}", partial, s) from exc
+        states[:, k + 1], residuals[:, k + 1], extensions[:, k + 1] = pair.j.apply(step.x), step.residual, step.x
+        # a step minimizer is already an elliptic extension of its image
+        energies[record, k + 1] = [pair.E.value(x) for x in step.x[record]]
+        warm = step.x
+    orbits = [Trajectory(times, states[s], energies[s] if record[s] else None, residuals[s],
+                         extensions[s] if keep_extensions else None) for s in range(S)]
+    return orbits if np.ndim(u0) == 2 else orbits[0]
 
 
 def _project_onto_image(pair, u0):
@@ -200,8 +202,7 @@ def _project_onto_image(pair, u0):
 
 def semigroup_distance(pair: JEllipticPair, u0, v0, T: float, tau: float, tol=None) -> np.ndarray:
     """Weighted distances between two orbits at every grid time."""
-    a = evolve(pair, u0, T, tau, tol=tol, record_energies=False)
-    b = evolve(pair, v0, T, tau, tol=tol, record_energies=False)
+    a, b = evolve(pair, np.array([u0, v0], float), T, tau, tol=tol, record_energies=False)
     diff = a.states - b.states
     return np.sqrt(np.maximum((diff * diff) @ pair.space.weights, 0.0))
 

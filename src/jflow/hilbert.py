@@ -66,7 +66,7 @@ class WeightedSpace:
 
     def inner(self, u, v) -> float:
         self.check_dim(u, v)
-        return float(np.dot(self.weights * np.asarray(u, float), np.asarray(v, float)))
+        return float(np.dot(self.weights, np.asarray(u, float) * np.asarray(v, float)))  # symmetric in u, v
 
     def norm(self, u) -> float:
         """Weighted norm, rescaled by the largest modulus before squaring

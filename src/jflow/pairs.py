@@ -4,10 +4,13 @@ The central object is the pair (energy on ``R^n``, linear map ``j`` into
 a weighted space ``H``) with a declared convexity shift ``omega``.  The
 energy lifts to a functional on ``H`` by minimizing over the fibers of
 ``j``; fiber minimizers are the elliptic extensions through which the
-multivalued operator on ``H`` is evaluated and certified.  A fiber and a
-backward step (the same minimization plus a data term) are solved on an
-affine slice by one entry, :func:`_solve_slice`, which picks the solver
-and raises on a missed certificate.
+multivalued operator on ``H`` is evaluated and certified.  Fibers and
+backward steps (the same minimization plus a data term) are solved on
+affine slices by one entry, :func:`_solve_slice`, which picks the solver
+and raises :class:`SliceError` on a missed certificate.  It takes a batch
+of S samples of one pair (:func:`lifted_values`, batched orbits), solved
+by one banded Newton, and each sample's result is bitwise the one it
+gets alone.
 
 Membership of a pair ``(u, f)`` in the operator graph is certified by
 sampled directional inequalities (the shifted energy grows at least
@@ -19,7 +22,6 @@ are reported as lower bounds with the gap as a diagnostic.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -48,6 +50,7 @@ __all__ = [
     "kernel_basis",
     "graph_reduce",
     "lifted_value",
+    "lifted_values",
     "elliptic_extension",
     "subgradient_residual",
     "support_envelope_value",
@@ -80,6 +83,9 @@ class JMap:
                 raise ValueError("domain basis vectors are not independent")
         self.domain = domain
         self.observed = _restriction_indices(self.matrix)
+        self._scatter = None if self.observed is None else solvers.Scatter(self.observed, self.source_dim)
+        # a restriction that observes each node once: the data term is nodewise
+        self.distinct = self.observed is not None and np.unique(self.observed).size == self.observed.size
         self._kernel = None
 
     @property
@@ -91,14 +97,13 @@ class JMap:
         return self.matrix.shape[1]
 
     def apply(self, u):
+        """``J u`` of each sample row of ``u``."""
         u = np.asarray(u, float)
-        return u[self.observed] if self.observed is not None else self.matrix @ u
+        return u.take(self.observed, -1) if self.observed is not None else _rowwise(self.matrix, u)
 
     def adjoint(self, r):
-        """``J^T r``."""
-        if self.observed is not None:
-            return np.bincount(self.observed, weights=r, minlength=self.source_dim)
-        return self.matrix.T @ r
+        """``J^T r`` of each sample row of ``r``."""
+        return self._scatter(r) if self.observed is not None else _rowwise(self.matrix.T, r)
 
     def kernel_basis(self) -> np.ndarray:
         """Orthonormal basis of the null space (columns)."""
@@ -108,6 +113,11 @@ class JMap:
 
     def rank(self) -> int:
         return self.source_dim - self.kernel_basis().shape[1]
+
+
+def _rowwise(M, u):
+    """``M u`` of each sample row of ``u``, one matrix-vector product per row."""
+    return np.matmul(M, u[..., None])[..., 0]
 
 
 def kernel_basis(j: JMap) -> np.ndarray:
@@ -198,16 +208,16 @@ class _ComposedSmoothTerm(EnergyTerm):
         self.omega_term = base.omega_total
 
     def value(self, u):
-        return self.base.smooth_value(self.T @ u)
+        return self.base.smooth_value(_rowwise(self.T, u))
 
     def grad(self, u):
-        return self.T.T @ self.base.smooth_grad(self.T @ u)
+        return _rowwise(self.T.T, self.base.smooth_grad(_rowwise(self.T, u)))
 
     def hessian_factor(self, n):
         return scipy.sparse.csc_matrix((self.base.hessian_factor().T @ self.T).T)
 
     def hessian_weights(self, u):
-        return self.base.hessian_weights(self.T @ u)
+        return self.base.hessian_weights(_rowwise(self.T, u))
 
 
 def graph_reduce(E: ExtendedFunctional, j: JMap, space: WeightedSpace, omega: float = 0.0) -> JEllipticPair:
@@ -287,44 +297,85 @@ def _fiber_coordinates(pair: JEllipticPair, u):
 
 
 def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> LiftedResult:
-    """Infimum of the energy over the fiber above ``u``; +inf off the range.
+    """Infimum of the energy over the fiber above ``u``; +inf off the range:
+    :func:`lifted_values` of one sample."""
+    return lifted_values(pair, np.asarray(u, float)[None], tol, [start])[0]
 
-    The fiber is parametrized by :func:`_fiber_coordinates` (the free
+
+def lifted_values(pair: JEllipticPair, U, tol: float = 1e-6, starts=None) -> list:
+    """The :class:`LiftedResult` above each sample row of ``U``, in order.
+
+    Each fiber is parametrized by :func:`_fiber_coordinates` (the free
     coordinates of a restriction map, otherwise a particular point plus an
-    orthonormal null-space basis, computed once per pair) and solved by
-    :func:`_solve_slice` to optimality residual ``tol``; a fiber that misses
-    ``tol`` raises.  Two returned extensions agree in energy to twice the
+    orthonormal null-space basis, computed once per pair); the nonempty
+    ones are solved as one batch by :func:`_solve_slice` to optimality
+    residual ``tol``, each from its entry of ``starts`` (None: the default
+    start), and a fiber that misses ``tol`` raises :class:`SliceError`
+    naming its row of ``U``.  Every value is bitwise the one its sample
+    gets alone.  Two returned extensions agree in energy to twice the
     tolerance.
     """
-    u = np.asarray(u, float)
-    pair.space.check_dim(u)
-    x0, Z = _fiber_coordinates(pair, u)
-    if x0 is None:
-        return LiftedResult(value=math.inf, minimizer=None)
-    if Z.shape[-1] == 0:
-        return LiftedResult(value=pair.E.value(x0), minimizer=x0)
-    res = _solve_slice(pair, x0, Z, tol, start)
-    return LiftedResult(value=pair.E.value(res.x), minimizer=res.x, residual=res.residual)
+    U = np.asarray(U, float)
+    pair.space.check_dim(*U)
+    coords = [_fiber_coordinates(pair, u) for u in U]
+    live = [i for i, (x0, _) in enumerate(coords) if x0 is not None]
+    out = [LiftedResult(value=math.inf, minimizer=None) for _ in coords]
+    if not live:
+        return out
+    X, Z = np.array([coords[i][0] for i in live]), coords[live[0]][1]
+    residuals = np.zeros(len(live))
+    if Z.shape[-1]:
+        try:
+            res = _solve_slice(pair, X, Z, tol, None if starts is None else [starts[i] for i in live])
+        except SliceError as exc:
+            exc.sample = live[exc.sample]
+            raise
+        X, residuals = res.x, res.residual
+    for i, x, r in zip(live, X, residuals):
+        out[i] = LiftedResult(value=pair.E.value(x), minimizer=x, residual=float(r))
+    return out
 
 
-def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None) -> solvers.SolveResult:
-    """Minimize the energy over the slice ``x0 + Z y``, plus ``1/(2 lam) |j x - g|_H^2``
-    for ``data = (lam, g)``: a fiber without data, a backward step with it.
+class SliceError(RuntimeError):
+    """A slice solve whose certificate missed ``tol``: ``residual`` after
+    ``iterations``, at row ``sample`` of its batch."""
 
-    Smooth energies take :func:`_slice_newton` (gradient norm in slice
-    coordinates).  Total variation on a restriction map is solved exactly:
-    a fiber by :func:`solvers.constrained_tv_min`, a step by
+    def __init__(self, what: str, sample: int, residual: float, iterations: int):
+        super().__init__(what)
+        self.sample, self.residual, self.iterations = sample, residual, iterations
+
+    def __str__(self):
+        what, r, k = self.args[0], self.residual, self.iterations
+        return f"{what} solve stalled: residual {r:g} after {k} iterations (sample {self.sample})"
+
+
+def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None) -> solvers.SolveResult:
+    """Minimize the energy over the slices ``x0[s] + Z y``, plus ``1/(2 lam) |j x - g[s]|_H^2``
+    for ``data = (lam, g)``: fibers without data, backward steps with it, one
+    per sample row ``s`` of ``x0`` (and of ``g``; ``lam`` one step or one per
+    sample), each from its entry of ``starts`` (None: the default start).
+    An unbatched ``x0`` is one sample, ``starts`` its start.
+
+    Smooth energies take :func:`_slice_newton` on the whole batch (gradient
+    norm in slice coordinates).  Total variation on a restriction map is
+    solved exactly, sample by sample: a fiber by
+    :func:`solvers.constrained_tv_min`, a step by
     :func:`solvers.partial_anchor_tv` (measured KKT residuals) or, with
     every node observed, :func:`solvers.tv_prox` to the duality gap
     ``tol^2 min(m)/4`` (at most ``tol/sqrt(2)`` from the exact step).
-    Returns the :class:`solvers.SolveResult` in source coordinates, its
-    ``value`` the slice objective at ``x``; a certificate that misses
-    ``tol`` raises ``RuntimeError``.
+    Returns the :class:`solvers.SolveResult` in source coordinates, per
+    sample its ``x``, residual and ``value`` (the slice objective at
+    ``x``); a sample whose certificate misses ``tol`` raises
+    :class:`SliceError`.
     """
-    what = "fiber" if data is None else "backward step"
+    if np.ndim(x0) == 1:  # one sample without the axis, ``starts`` its start
+        res = _solve_slice(pair, x0[None], Z, tol, [starts], data and (data[0], np.asarray(data[1])[None]))
+        return solvers.SolveResult(res.x[0], float(res.residual[0]), res.iterations, True, float(res.value[0]))
+    what, S = "fiber" if data is None else "backward step", len(x0)
+    starts = [None] * S if starts is None else starts
     tv = pair.E.tv_terms
     if not tv:
-        res = _slice_newton(pair, x0, Z, tol, start, data)
+        res = _slice_newton(pair, x0, Z, tol, starts, data)
     else:
         observed, n = pair.j.observed, pair.E.dim
         if pair.E.smooth_terms or pair.E.indicator_terms:
@@ -333,24 +384,29 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None) 
             raise NotImplementedError(f"total-variation {what} needs a restriction map")
         edges = np.vstack([t.edges for t in tv])
         weights = np.concatenate([t.weights for t in tv])
-        if data is None:
-            res = solvers.constrained_tv_min(edges, weights, observed, x0[observed], n, tol=tol)
-        elif np.unique(observed).size < observed.size:
+        if data is not None and not pair.j.distinct:
             raise NotImplementedError("total-variation backward step on a map that observes a node twice")
-        else:
-            lam, g = data
+
+        def solve(s):
+            if data is None:
+                return solvers.constrained_tv_min(edges, weights, observed, x0[s, observed], n, tol=tol)
+            lam, g = np.broadcast_to(data[0], S)[s], data[1][s]
             if observed.size < n:
-                res = solvers.partial_anchor_tv(
-                    edges, weights, observed, g, pair.space.weights, lam, n, tol=tol, x0=start
+                return solvers.partial_anchor_tv(
+                    edges, weights, observed, g, pair.space.weights, lam, n, tol=tol, x0=starts[s]
                 )
-            else:
-                anchor, masses = np.zeros(n), np.zeros(n)
-                anchor[observed], masses[observed] = g, pair.space.weights
-                gap_tol = 0.25 * tol * tol * float(np.min(pair.space.weights))
-                res = solvers.tv_prox(edges, weights, anchor, lam, tol=gap_tol, node_weights=masses)
-                res.value /= lam  # tv_prox reports lam times the step objective
+            anchor, masses = np.zeros(n), np.zeros(n)
+            anchor[observed], masses[observed] = g, pair.space.weights
+            gap_tol = 0.25 * tol * tol * float(np.min(pair.space.weights))
+            step = solvers.tv_prox(edges, weights, anchor, lam, tol=gap_tol, node_weights=masses)
+            return replace(step, value=step.value / lam)  # tv_prox reports lam times the step objective
+
+        each = [solve(s) for s in range(S)]
+        res = solvers.SolveResult(*(np.array([getattr(r, k) for r in each]) for k in ("x", "residual")),
+                                  sum(r.iterations for r in each), True, np.array([r.value for r in each]))
     if not res.converged:
-        raise RuntimeError(f"{what} solve stalled: residual {res.residual:g} after {res.iterations} iterations")
+        s = int(np.flatnonzero(~(res.residual <= tol))[0])
+        raise SliceError(what, s, float(res.residual[s]), res.iterations)
     return res
 
 
@@ -387,7 +443,7 @@ class _EdgeSystem:
         row, col, val = row[live], col[live], val[live]
         count = np.bincount(col, minlength=offset[-1])
         single = count[col] == 1  # summed per node into the nodewise curvature
-        self.fold = (row[single], val[single] ** 2, col[single])
+        self.fold = (solvers.Scatter(row[single], n), val[single] ** 2, col[single])
         self.gen_cols = np.flatnonzero(count > 1)
         edge, node, sign = self.D.entries()
         m, general = self.D.head.size, np.searchsorted(self.gen_cols, col[~single])
@@ -399,14 +455,14 @@ class _EdgeSystem:
         self._blocks = {}
 
     def nodal(self, w):  # the nodewise curvature from the weights of the non-edge columns
-        rows, squares, cols = self.fold
-        return np.bincount(rows, weights=squares * w[cols], minlength=self.n)
+        scatter, squares, cols = self.fold
+        return scatter(squares * w.take(cols, -1))
 
     def weights(self, x, dw):
-        """Weights of the columns of ``B`` at ``x``, ``dw`` those of the data."""
-        w = np.concatenate([t.hessian_weights(x) for t in self.others] + [dw])
+        """Weights of the columns of ``B`` at each sample row of ``x``, ``dw`` (a row each) those of the data."""
+        w = np.concatenate([t.hessian_weights(x) for t in self.others] + [dw], axis=-1)
         edge = [t.hessian_weights(x) for t in self.edge_terms]
-        return np.concatenate([np.zeros(0)] + edge + [self.nodal(w), w[self.gen_cols]])
+        return np.concatenate([np.zeros(x.shape[:-1] + (0,))] + edge + [self.nodal(w), w.take(self.gen_cols, -1)], -1)
 
     def block(self, Z):
         """``(gram, dual)``, built once per slice ``Z`` (free coordinates as a mask or
@@ -439,20 +495,23 @@ class _EdgeSystem:
         return self._blocks[key]
 
 
-def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None):
-    """Banded Newton (:func:`solvers.newton`) on the slice ``x0 + Z y``.
+def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, starts, data=None):
+    """Banded Newton (:func:`solvers.newton`) on the slices ``x0[s] + Z y``, one
+    sample per row of ``x0``, as one batch.
 
-    Minimizes the smooth energy, plus ``1/(2 lam) |j x - g|_H^2`` for
-    ``data = (lam, g)`` (a backward step), over ``y``; ``Z`` is the index
-    array of the free coordinates or an orthonormal basis.  Values and
-    gradients go through ``E.smooth_value``/``E.smooth_grad``, the Hessian
-    is the Gram form of ``pair.edge_system``.  With every ``1 < p < 2`` the
-    primal curvature blows up on vanishing differences, so on free
-    coordinates with only nodewise laws besides, and a convex law or data
-    on every free node, the conjugate edge dual (``q = p/(p-1)``) is solved
-    instead.  Without ``start``, Newton starts from one step of the ``p = 2``
-    model.  A solve that stalls above ``tol`` continues in slice coordinates
-    from its primal point with :func:`solvers._try_snap`: Newton on the
+    Minimizes the smooth energy, plus ``1/(2 lam) |j x - g[s]|_H^2`` for
+    ``data = (lam, g)`` (backward steps), over ``y``; ``Z`` is the index
+    array of the free coordinates or an orthonormal basis, shared by the
+    batch.  Values and gradients go through ``E.smooth_value``/``E.smooth_grad``
+    row by row, the Hessians are the Gram form of ``pair.edge_system``, one
+    band per sample.  With every ``1 < p < 2`` the primal curvature blows up
+    on vanishing differences, so on free coordinates with only nodewise
+    laws besides, and a convex law or data on every free node, the conjugate
+    edge dual (``q = p/(p-1)``) is solved instead; its primal point
+    ``primal_of`` is nodewise.  A sample whose entry of ``starts`` is None
+    starts from one Newton step of the ``p = 2`` model.  A sample that
+    stalls above ``tol`` continues alone in slice coordinates from its
+    primal point with :func:`solvers._try_snap`: Newton on the
     lagged-diffusivity majorant of the Hessian, then on the Hessian.
     Certified by the gradient norm in slice coordinates; returns the
     :class:`solvers.SolveResult` with ``x`` in source coordinates and the
@@ -461,122 +520,155 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, start=None, data=None)
     system, E, j = pair.edge_system, pair.E, pair.j
     D, c, p = system.D, system.c, system.p
     gram, dual = system.block(Z)
+    every = np.arange(len(x0))
     if data is None:
-        data_value, data_grad, dw = (lambda x: 0.0), np.zeros_like, np.zeros(j.target_dim)
+        data_value, data_grad = (lambda x, rows: 0.0), (lambda x, rows: np.zeros_like(x))
+        dw = np.zeros((len(x0), j.target_dim))
     else:
-        lam, g = data
+        lam, g = np.empty((len(x0), 1)), data[1]
+        lam[:, 0] = data[0]  # a step per sample
         w, dw = pair.space.weights, pair.space.weights / lam
         apply, adjoint = j.apply, j.adjoint
-        if j.observed is not None and np.unique(j.observed).size == j.observed.size:
+        if j.distinct:
             w, g = j.adjoint(w), j.adjoint(g)  # nodewise, in the same arithmetic at observed nodes
             apply = adjoint = np.asarray
 
-        def data_value(x):
-            r = apply(x) - g
-            return 0.5 / lam * float(np.sum(w * r * r))
+        def data_value(x, rows):
+            r = apply(x) - g[rows]
+            return 0.5 / lam[rows, 0] * np.add.reduce(w * r * r, -1)
 
-        def data_grad(x):
-            return adjoint(w * (apply(x) - g)) / lam
+        def data_grad(x, rows):
+            return adjoint(w * (apply(x) - g[rows])) / lam[rows]
 
-    def at(y):
-        if Z.ndim == 2:
-            return x0 + Z @ y
-        x = x0.copy()
-        x[Z] = y
+    full = Z.ndim == 1 and Z.size == x0.shape[-1]  # every coordinate free: the points are their own
+
+    def at(y, rows):  # ``rows`` indexes the batch; an integer takes one sample as 1-D arrays
+        if full or Z.ndim == 2:
+            return y if full else x0[rows] + _rowwise(Z, y)
+        x = x0.take(rows, 0)
+        x[..., Z] = y
         return x
 
     def restrict(v):
-        return v @ Z if Z.ndim == 2 else v[Z]
+        if full or Z.ndim == 1:
+            return v if full else v.take(Z, -1)
+        return np.matmul(v[..., None, :], Z)[..., 0, :]
 
-    def law_grad(x):  # the gradient of every term but the edge powers
-        return restrict(sum((t.grad(x) for t in system.others), data_grad(x)))
+    def law_grad(x, rows):  # the gradient of every term but the edge powers
+        return restrict(sum((t.grad(x) for t in system.others), data_grad(x, rows)))
 
-    def value(y):
-        x = at(y)
-        return E.smooth_value(x) + data_value(x)
+    def batch(fn):
+        # fn of the rows of a batch; a batch of one runs on 1-D arrays, on
+        # which numpy costs less per call, in the same arithmetic
+        def call(y, rows=every):
+            if len(rows) > 1:
+                return fn(y, rows)
+            out = fn(y[0], rows[0])
+            return solvers._Banded(out.ab[None], out.perm, out.rank) if isinstance(out, solvers._Banded) else out[None]
 
-    def grad(y):
-        x = at(y)
-        return restrict(E.smooth_grad(x) + data_grad(x))
+        return call
 
-    def hess(y):
-        return gram(system.weights(at(y), dw))
+    def slice_value(y, rows):
+        x = at(y, rows)
+        return E.smooth_value(x) + data_value(x, rows)
+
+    def slice_grad(y, rows):
+        x = at(y, rows)
+        return restrict(E.smooth_grad(x) + data_grad(x, rows))
+
+    def slice_hess(y, rows, scale=None):  # the majorant's with its ``scale`` of the edge weights
+        weights = system.weights(at(y, rows), dw[rows])
+        if scale is not None:
+            weights[..., : scale.size] *= scale
+        return gram(weights)
+
+    value, grad, hess = batch(slice_value), batch(slice_grad), batch(slice_hess)
+    majorant = batch(functools.partial(slice_hess, scale=system.majorant_scale))
 
     def rescued(y, res):
-        # the result of a solve at the point of y, through solvers._try_snap when it stalled
-        if res.converged:
-            return replace(res, x=at(y))
+        # the results at the points y, each stalled sample continued alone by solvers._try_snap
+        y, r, f, used = y.copy(), np.zeros(len(y)) + res.residual, np.zeros(len(y)) + res.value, 0
+        for s in np.flatnonzero(~(r <= tol)):
+            one = [lambda v, rows=None, fn=fn: fn(v, np.array([s])) for fn in (value, grad, hess, majorant)]
+            ys, r[s], k = solvers._try_snap(solvers.Majorized(*one, tol), y[s : s + 1], float(r[s]))
+            y[s], f[s], used = ys[0], one[0](ys)[0], used + k
+        return solvers.SolveResult(at(y, every), r, res.iterations + used, bool(np.all(r <= tol)), f)
 
-        def majorant(y):
-            weights = system.weights(at(y), dw)
-            weights[: system.majorant_scale.size] *= system.majorant_scale
-            return gram(weights)
-
-        y, gn, used = solvers._try_snap(solvers.Majorized(value, grad, hess, majorant, tol), y, res.residual)
-        return solvers.SolveResult(at(y), gn, res.iterations + used, gn <= tol, value(y))
-
-    y0 = np.zeros(Z.shape[-1]) if start is None else restrict(np.asarray(start, float) - x0)
-    if start is None:
+    y0 = np.zeros((len(x0), Z.shape[-1]))
+    cold = np.array([start is None for start in starts])
+    if not cold.any():
+        y0 = restrict(np.asarray(starts, float) - x0)
+    elif not cold.all():
+        warm = np.flatnonzero(~cold)
+        y0[warm] = restrict(np.array([starts[s] for s in warm], float) - x0[warm])
+    if cold.any():
         # one Newton step of the p = 2 model: a harmonic-type extension,
         # away from the degenerate curvature of a flat start
-        x = at(y0)
-        model = system.weights(x, dw)
-        model[: c.size] = c
-        with contextlib.suppress(np.linalg.LinAlgError):
-            y = gram(model).solve(-(restrict(D.adjoint(c * D.apply(x))) + law_grad(x)), 0.0)
-            if np.all(np.isfinite(y)):
-                y0 = y
+        rows = np.flatnonzero(cold)
+        x = at(y0[rows], rows)
+        model = system.weights(x, dw[rows])
+        model[:, : c.size] = c
+        y = gram(model).solve(-(restrict(D.adjoint(c * D.diff(x))) + law_grad(x, rows)), 0.0)
+        fine = np.all(np.isfinite(y), axis=-1)
+        y0[rows[fine]] = y[fine]
 
-    if dual is None or not (system.convex_nodes | (pair.j.adjoint(dw) > 0))[Z].all():
+    if dual is None or not (system.convex_nodes | (pair.j.adjoint(dw[0]) > 0))[Z].all():
         res = solvers.newton(value, grad, hess, y0, tol)
         return rescued(res.x, res)
 
     keep, D_free, dual_gram = dual
-    b = D.apply(at(np.zeros(Z.size)))[keep]  # contribution of the fixed nodes
+    b = D.diff(at(np.zeros_like(y0), every))[:, keep]  # contribution of the fixed nodes
     c, q = c[keep], p[keep] / (p[keep] - 1.0)
     cq = c ** (1.0 - q)
-    last = {"z": None, "y": y0}
+    seen, seen_z, seen_v, seen_y = np.zeros(len(x0), dtype=bool), np.zeros_like(b), np.zeros_like(y0), y0.copy()
 
-    def law_curvature(x):
-        return system.nodal(np.concatenate([t.hessian_weights(x) for t in system.laws] + [dw]))[Z]
+    def law_curvature(x, rows):
+        w = [t.hessian_weights(x) for t in system.laws] + [dw[rows]]
+        return system.nodal(np.concatenate(w, axis=-1)).take(Z, -1)
 
-    def primal_of(z):
-        # invert the strictly increasing nodewise derivative map; Newton asks
-        # again at the same z, so the last answer is kept (and warm-starts)
-        if last["z"] is not None and np.array_equal(z, last["z"]):
-            return last["v"], last["y"]
-        v = -D_free.adjoint(z)
-        y = last["y"].copy()
-        for _ in range(60):
-            x = at(y)
-            r = law_grad(x) - v
-            if float(np.max(np.abs(r))) <= 1e-13 * (1.0 + float(np.max(np.abs(v)))):
+    def primal_of(z, rows):
+        # invert the strictly increasing nodewise derivative map, sample by
+        # sample; Newton asks again at the same z, so each sample's last
+        # answer is kept (and warm-starts its next)
+        hit = seen[rows] & np.logical_and.reduce(z == seen_z[rows], -1)
+        hits = np.count_nonzero(hit)
+        if hits == hit.size:
+            return seen_v[rows], seen_y[rows]
+        ids, z = (rows, z) if not hits else (rows[~hit], z[~hit])
+        v, y = -D_free.adjoint(z), seen_y.take(ids, 0)
+        scale = 1e-13 * (1.0 + np.maximum.reduce(np.abs(v), -1, initial=0.0))
+        for _ in range(60):  # a sample that is done stays at its point
+            x = at(y, ids)
+            r = law_grad(x, ids) - v
+            done = np.maximum.reduce(np.abs(r), -1, initial=0.0) <= scale
+            if np.count_nonzero(done) == done.size:
                 break
-            y = y - r / np.maximum(law_curvature(x), 1e-14)
-        last.update(z=z.copy(), v=v, y=y)
-        return v, y
+            y = np.where(done[..., None], y, y - r / np.maximum(law_curvature(x, ids), 1e-14))
+        seen[ids], seen_z[ids], seen_v[ids], seen_y[ids] = True, z, v, y
+        return (v, y) if ids is rows else (seen_v[rows], seen_y[rows])
 
-    def dual_value(z):
-        v, y = primal_of(z)
-        x = at(y)
-        laws_value = sum(t.value(x) for t in system.laws) + data_value(x)
-        return float(np.sum(cq * np.abs(z) ** q / q) - z @ b + v @ y) - laws_value
+    def dual_value(z, rows):
+        v, y = primal_of(z, rows)
+        x = at(y, rows)
+        laws_value = sum(t.value(x) for t in system.laws) + data_value(x, rows)
+        return np.add.reduce(cq * np.abs(z) ** q / q, -1) - np.vecdot(z, b[rows]) + np.vecdot(v, y) - laws_value
 
-    def dual_grad(z):
-        _, y = primal_of(z)
-        return cq * np.abs(z) ** (q - 1.0) * np.sign(z) - b - D_free.apply(y)
+    def dual_grad(z, rows):
+        y = primal_of(z, rows)[1]
+        return cq * np.abs(z) ** (q - 1.0) * np.sign(z) - b[rows] - D_free.diff(y)
 
-    def dual_hess(z):
-        _, y = primal_of(z)
-        inv_curv = 1.0 / np.maximum(law_curvature(at(y)), 1e-14)
-        return dual_gram(np.concatenate([cq * (q - 1.0) * np.abs(z) ** (q - 2.0), inv_curv]))
+    def dual_hess(z, rows):
+        inv_curv = 1.0 / np.maximum(law_curvature(at(primal_of(z, rows)[1], rows), rows), 1e-14)
+        return dual_gram(np.concatenate([cq * (q - 1.0) * np.abs(z) ** (q - 2.0), inv_curv], axis=-1))
 
-    d0 = D_free.apply(y0) + b
+    def certificate(z, rows):
+        h = slice_grad(primal_of(z, rows)[1], rows)
+        return np.sqrt(np.vecdot(h, h))
+
+    d0 = D_free.diff(y0) + b
     z0 = c * np.abs(d0) ** (p[keep] - 1.0) * np.sign(d0)
-    res = solvers.newton(
-        dual_value, dual_grad, dual_hess, z0, tol, certificate=lambda z: float(np.linalg.norm(grad(primal_of(z)[1])))
-    )
-    y = primal_of(res.x)[1]
+    res = solvers.newton(*map(batch, (dual_value, dual_grad, dual_hess)), z0, tol, certificate=batch(certificate))
+    y = primal_of(res.x, every)[1]
     return rescued(y, replace(res, value=value(y)))  # the slice objective, not the dual's
 
 

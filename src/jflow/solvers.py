@@ -3,10 +3,14 @@
 Smooth objectives take :func:`newton`: Newton on a banded Cholesky
 (LAPACK ``dpbsv``) of a Hessian in the Gram form ``B diag(w) B^T``
 (:func:`_weighted_gram`), plain steps first and a Levenberg shift only
-where they fail, certified by the measured gradient norm.  Edge powers
-below two overshoot across their kink; a solve Newton leaves above its
-tolerance is rescued by Newton on the lagged-diffusivity majorant of
-the Hessian, then on the Hessian itself (:func:`_try_snap`).
+where they fail, certified by the measured gradient norm.  It takes a
+leading axis of S independent samples with one sparsity: the bands are
+filled in one ``bincount`` and factored sample by sample, and every
+sample runs, in the same arithmetic, the iteration it would run alone.
+Edge powers below two overshoot across their kink; a sample Newton
+leaves above its tolerance is rescued alone by Newton on the
+lagged-diffusivity majorant of the Hessian, then on the Hessian itself
+(:func:`_try_snap`).
 
 :func:`minimize` is accelerated proximal gradient for prox composites,
 certified by the Euclidean norm of an *explicit subgradient* of the full
@@ -25,13 +29,13 @@ measured KKT residual), are polished from an approximate primal-dual
 phase: the plateaus it suggests take their levels in closed form, and
 the phase's own edge field, projected onto the plateau equations by one
 sparse solve, is the edge field of the certificate; a HiGHS feasibility
-problem runs only where that projection leaves its box
-(:func:`_tv_polish`).  The fiber :func:`constrained_tv_min` is a linear
+problem runs only where that projection leaves its box and the plateau
+equations have cycles (:func:`_tv_polish`).  The fiber :func:`constrained_tv_min` is a linear
 program solved by HiGHS, certified by its edge dual.  Each returns a
 :class:`SolveResult` with the measured certificate, or raises.  HiGHS
 (``scipy.optimize``) loads on the first TV linear program, not with this
-module.  Edge differences go through
-:class:`EdgeOperator`, a gather and a ``bincount`` scatter.
+module.  Edge differences go through :class:`EdgeOperator`, a gather
+and a ``bincount`` scatter (:class:`Scatter`, per sample row).
 """
 
 from __future__ import annotations
@@ -55,12 +59,14 @@ __all__ = [
     "tv_prox",
     "EdgeOperator",
     "edge_incidence",
+    "Scatter",
     "partial_anchor_tv",
     "constrained_tv_min",
 ]
 
 _MACHINE_SLACK = 1e-13
 _BACKTRACK = 0.5 ** np.arange(40)  # halved step lengths down to 1e-12
+_dpbsv = scipy.linalg.lapack.dpbsv
 
 
 @dataclass
@@ -203,70 +209,126 @@ def minimize(spec: SolveSpec) -> SolveResult:
 
 
 def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResult:
-    """Newton for smooth convex objectives with banded Hessians.
+    """Newton for smooth convex objectives with banded Hessians, over a batch of samples.
 
-    ``hess(x)`` returns the Hessian ``H`` as an operator with ``diagonal()``
-    and ``solve(rhs, shift)``, which raises ``LinAlgError`` unless
-    ``H + shift I`` is positive definite (:func:`_weighted_gram`).  Each
-    iteration first tries the plain step on ``H + floor I``, with the
+    ``start`` is ``(S, k)``, one independent problem per row.  ``value``,
+    ``grad`` and ``hess`` take ``(x, rows)``, the points of the samples
+    ``rows`` (indices into the batch), and return one value, gradient or
+    Hessian per row; the Hessians come as one operator with
+    ``diagonal()`` and ``solve(rhs, shift, sub)`` (:func:`_weighted_gram`),
+    which gives a NaN row for a sample ``sub`` whose ``H + shift I`` is not
+    positive definite.  A 1-D ``start`` is one sample whose functions take
+    and return unbatched arrays, its ``solve(rhs, shift)`` raising
+    ``LinAlgError`` instead.  Every sample takes the iteration it would
+    take alone, and a sample that certifies or cannot move is frozen.
+    Each iteration first tries the plain step on ``H + floor I``, with the
     relative floor ``1e-13 max|diag H|``, and takes it in full when it
     factors, descends and passes Armijo at unit length.  Otherwise the
     Levenberg shift ``min(|grad|, 1)`` is added to the floor, which keeps
     the system solvable where the curvature degenerates, and Armijo
     backtracking on ``value`` globalizes.  A step whose predicted decrease
     lies below the rounding level of ``value`` passes Armijo.  A failed
-    factorization, a non-finite step or 200 iterations stop the
-    iteration.  The result is certified by ``certificate(x)`` (default: the
-    norm of the gradient already held at ``x``) at the best iterate, and
-    carries that iterate's tracked value; a non-finite certificate never
-    counts as converged.
+    factorization, a non-finite step or 200 iterations stop a sample.  It
+    is certified by ``certificate(x, rows)`` (default: the norm of the
+    gradient already held at ``x``) at its best iterate, and carries that
+    iterate's tracked value; a non-finite certificate never counts as
+    converged.  The result holds ``x``, ``residual`` and ``value`` per
+    sample, the iterations of the batch, and ``converged`` when every
+    sample is.
     """
+    single = np.ndim(start) == 1
+    if single:  # its functions, lifted to a batch of one
 
-    def certify(x, g):
-        return float(np.linalg.norm(g)) if certificate is None else certificate(x)
+        def lift(fn):
+            return fn and (lambda x, rows: np.asarray(fn(x[0]), float)[None])
 
-    x = np.asarray(start, float).copy()
-    f, g = value(x), grad(x)
-    best_x, best_r, best_f = x.copy(), certify(x, g), f
+        value, grad, certificate, hess = lift(value), lift(grad), lift(certificate), _OneBand.lift(hess)
+    x = np.array(start, float, ndmin=2)
+    rows = np.arange(len(x))  # the samples still iterating; x, f and g are theirs
+
+    def certify(x, g, rows):
+        return np.sqrt(np.vecdot(g, g)) if certificate is None else np.asarray(certificate(x, rows), float)
+
+    f, g = np.array(value(x, rows), float), grad(x, rows)
+    best_x, best_r, best_f = x.copy(), certify(x, g, rows), f.copy()  # each sample's best iterate
+    go = ~(best_r <= tol)
     k = 0
-    while k < 200 and not best_r <= tol:
+    while k < 200 and np.count_nonzero(go):
         k += 1
-        H = hess(x)
-        floor = 1e-13 * float(np.max(np.abs(H.diagonal()), initial=0.0))
-        moved = None
-        for shift, lengths in ((floor, (1.0,)), (min(float(np.linalg.norm(g)), 1.0) + floor, _BACKTRACK)):
-            try:
-                step = H.solve(-g, shift)
-            except np.linalg.LinAlgError:
-                continue
-            slope = float(g @ step)
-            if np.all(np.isfinite(step)) and slope < 0.0:
-                moved = _armijo(value, x, f, step, slope, lengths)
-            if moved is not None:
+        if np.count_nonzero(go) < go.size:
+            rows, x, f, g = rows[go], x[go], f[go], g[go]
+        H = hess(x, rows)
+        floor = 1e-13 * np.maximum.reduce(np.abs(H.diagonal()), -1, initial=0.0)
+        moved = _armijo(value, x, f, g, rows, H.solve(-g, floor), (1.0,))
+        if np.count_nonzero(moved) < moved.size:  # the shifted, backtracked step; a sample that cannot take it stops
+            t = np.flatnonzero(~moved)
+            shift = np.minimum(np.sqrt(np.vecdot(g[t], g[t])), 1.0) + floor[t]
+            xt, ft = x[t], f[t]
+            moved[t] = _armijo(value, xt, ft, g[t], rows[t], H.solve(-g[t], shift, t), _BACKTRACK)
+            x[t], f[t] = xt, ft
+            rows, x, f = rows[moved], x[moved], f[moved]
+            if not rows.size:
                 break
-        if moved is None:
-            break
-        x, f = moved
-        g = grad(x)
-        r = certify(x, g)
-        if r < best_r or (np.isfinite(r) and not np.isfinite(best_r)):
-            best_x, best_r, best_f = x.copy(), r, f
-    return SolveResult(best_x, best_r, k, bool(best_r <= tol), best_f)
+        g = grad(x, rows)
+        r = certify(x, g, rows)
+        prev = best_r[rows]
+        better = (r < prev) | (np.isfinite(r) & np.isnan(prev))  # certificates are >= 0
+        b = rows if np.count_nonzero(better) == better.size else rows[better]
+        best_x[b], best_r[b], best_f[b] = (x, r, f) if b is rows else (x[better], r[better], f[better])
+        go = ~(better & (r <= tol))  # a sample still iterating had its best above tol
+    if single:
+        return SolveResult(best_x[0], float(best_r[0]), k, bool(best_r[0] <= tol), float(best_f[0]))
+    return SolveResult(best_x, best_r, k, bool(np.all(best_r <= tol)), best_f)
 
 
-def _armijo(value, x, f, step, slope, lengths):
-    """The first ``x + alpha step``, ``alpha`` in ``lengths``, that passes
-    Armijo on ``value``, with its value; ``None`` if none does."""
+class _OneBand:
+    """An unbatched Hessian operator as a batch of one, a failed factorization a NaN step."""
+
+    def __init__(self, H):
+        self.H = H
+
+    @classmethod
+    def lift(cls, hess):
+        return lambda x, rows: cls(hess(x[0]))
+
+    def diagonal(self):
+        return self.H.diagonal()[None]
+
+    def solve(self, rhs, shift, sub=None):
+        try:
+            return self.H.solve(rhs[0], shift[0])[None]
+        except np.linalg.LinAlgError:
+            return np.full_like(rhs, np.nan)
+
+
+def _armijo(value, x, f, g, rows, step, lengths):
+    """Move each sample (row) of ``x``, whose gradient is ``g``, to the first
+    ``x + alpha step``, ``alpha`` in ``lengths``, that descends and passes
+    Armijo on ``value``, updating ``x`` and ``f`` in place; returns which moved."""
+    slope = np.vecdot(g, step)
+    moved = np.zeros(len(x), dtype=bool)
+    ok = (slope < 0.0) & np.logical_and.reduce(np.isfinite(step), -1)
+    left = slice(None) if np.count_nonzero(ok) == ok.size else np.flatnonzero(ok)  # the samples still trying
     for alpha in lengths:
-        x_new = x + alpha * step
-        f_new = value(x_new)
-        if np.isfinite(f_new) and (f_new <= f + 1e-4 * alpha * slope or -alpha * slope <= 1e-15 * (1.0 + abs(f))):
-            return x_new, f_new
-    return None
+        s, f0 = slope[left], f[left]
+        if not s.size:
+            break
+        x_new = x[left] + alpha * step[left]
+        f_new = value(x_new, rows[left])
+        ok = (f_new <= f0 + 1e-4 * alpha * s) | (-alpha * s <= 1e-15 * (1.0 + np.abs(f0)))
+        ok &= np.isfinite(f_new)
+        if np.count_nonzero(ok) == ok.size:  # every sample left moves
+            x[left], f[left], moved[left] = x_new, f_new, True
+            break
+        left = np.arange(len(x))[left]
+        x[left[ok]], f[left[ok]], moved[left[ok]] = x_new[ok], f_new[ok], True
+        left = left[~ok]
+    return moved
 
 
 def _try_snap(problem: Majorized, x, gn):
-    """Rescue a :func:`newton` solve that stalled at ``x`` with gradient norm ``gn``.
+    """Rescue a :func:`newton` solve that stalled at ``x`` with gradient norm ``gn``,
+    one sample as a batch of one (``x`` of shape ``(1, k)``).
 
     Across the kink of an edge power ``|d|^p`` with ``1 < p < 2``, a Newton
     step maps a difference ``d`` to about ``d (p-2)/(p-1)``: it overshoots,
@@ -283,8 +345,8 @@ def _try_snap(problem: Majorized, x, gn):
             break
         res = newton(problem.value, problem.grad, hess, x, problem.tol)
         used += res.iterations
-        if res.residual < gn:
-            x, gn = res.x, res.residual
+        if res.residual[0] < gn:
+            x, gn = res.x, float(res.residual[0])
     return x, gn, used
 
 
@@ -312,28 +374,58 @@ def _weighted_gram(row, col, val, n: int):
     bw = int(np.max(j - i, initial=0))
     slot = ((bw + i - j) * n + j)[upper]
     coef, src = (val[left] * val[right])[upper], col[left][upper]
-    size = (bw + 1) * n
-    return lambda w: _Banded(np.bincount(slot, weights=coef * w[src], minlength=size).reshape(bw + 1, n), perm, rank)
+    fill = Scatter(slot, (bw + 1) * n)
+    return lambda w: _Banded(fill(coef * w.take(src, -1)).reshape(w.shape[:-1] + (bw + 1, n)), perm, rank)
 
 
 class _Banded:
     """Symmetric ``A`` as the upper band of ``A[perm][:, perm]`` in LAPACK's
-    layout (``ab[bw + i - j, j]`` for ``i <= j``); ``rank`` inverts ``perm``."""
+    layout (``ab[..., bw + i - j, j]`` for ``i <= j``), one band per sample
+    of any leading axis of ``ab``; ``rank`` inverts ``perm``."""
 
     def __init__(self, ab, perm, rank):
         self.ab, self.perm, self.rank = ab, perm, rank
 
     def diagonal(self):
-        return self.ab[-1][self.rank]
+        return self.ab[..., -1, :].take(self.rank, -1)
 
-    def solve(self, rhs, shift):
-        """``(A + shift I)^{-1} rhs`` by banded Cholesky (``LinAlgError`` unless definite)."""
-        ab = self.ab.copy()
-        ab[-1] += shift
-        _, y, info = scipy.linalg.lapack.dpbsv(ab, rhs[self.perm], overwrite_ab=1, overwrite_b=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-        return y[self.rank]
+    def solve(self, rhs, shift, sub=slice(None)):
+        """``(A + shift I)^{-1} rhs`` by banded Cholesky, factored sample by
+        sample of the bands ``sub`` (a stacked factorization is not bitwise
+        that of each block): a NaN row for a sample whose ``A + shift I`` is
+        not definite, or ``LinAlgError`` for a band without a sample axis."""
+        ab = (self.ab[None] if self.ab.ndim == 2 else self.ab[sub]).swapaxes(1, 2).copy()  # each band in Fortran order
+        ab[..., -1] += np.reshape(shift, (-1, 1))
+        out = rhs.reshape(len(ab), -1).take(self.perm, -1)
+        for band, y in zip(ab, out):  # both factored and solved in place
+            info = _dpbsv(band.T, y, overwrite_ab=1, overwrite_b=1)[2]
+            if info > 0 and self.ab.ndim == 2:
+                raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+            if info > 0:
+                y[:] = np.nan
+        return out.take(self.rank, -1).reshape(rhs.shape)
+
+
+class Scatter:
+    """``values -> `` the sums of ``values[..., i]`` into bin ``index[i]`` of
+    ``size`` bins, per sample of the leading axes: one ``bincount`` over
+    per-sample offsets, each sample summed in index order as it would be
+    alone.  The offset index of the largest batch so far is kept."""
+
+    def __init__(self, index, size: int):
+        self.index, self.size = np.asarray(index, dtype=int), int(size)
+        self.tiled = self.index[None]
+
+    def __call__(self, values):
+        if values.ndim == 1:
+            return np.bincount(self.index, values, self.size)
+        lead = values.shape[:-1]
+        if values.size == self.index.size > 0:  # one sample
+            return np.bincount(self.index, values.reshape(-1), self.size).reshape(lead + (self.size,))
+        count = math.prod(lead)
+        if count > len(self.tiled):
+            self.tiled = self.index + self.size * np.arange(count)[:, None]
+        return np.bincount(self.tiled[:count].ravel(), values.ravel(), count * self.size).reshape(lead + (self.size,))
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +452,24 @@ class EdgeOperator:
         self.ends, self.n = np.asarray(edges, dtype=int).reshape(-1, 2), int(n)
         self.head, self.tail = self.ends[:, 0].copy(), self.ends[:, 1].copy()
         self._slots = np.where(self.ends >= 0, self.ends, self.n).ravel()  # the ground is slot n
+        self._scatter = Scatter(self._slots, self.n + 1)
+        self._grounded = bool(np.any(self.tail < 0))
 
     def apply(self, x):
         padded = np.concatenate([x, np.zeros((1,) + np.shape(x)[1:])])  # padded[-1] = 0
         return padded[self.head] - padded[self.tail]
 
+    def diff(self, x):
+        """:meth:`apply` over the last axis: ``D x`` of each sample row of ``x``."""
+        if self._grounded:
+            x = np.concatenate([x, np.zeros(np.shape(x)[:-1] + (1,))], axis=-1)
+        return x.take(self.head, -1) - x.take(self.tail, -1)
+
     def adjoint(self, z):
-        signed = np.empty(2 * z.size)
-        signed[0::2], signed[1::2] = z, -z
-        return np.bincount(self._slots, signed, minlength=self.n + 1)[: self.n]
+        """``D^T z`` of each sample row of ``z``."""
+        signed = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+        signed[..., 0::2], signed[..., 1::2] = z, -z
+        return self._scatter(signed)[..., : self.n]
 
     def entries(self):
         """``(edge, node, sign)`` of the nonzero entries, edge by edge."""
@@ -562,8 +663,11 @@ def _plateau_solution(D, weights, coef, anchor, x, z, pattern):
     box (one equation per plateau of positive mass is dropped: they sum to
     zero): the projection of the approximate phase's field ``z`` onto
     these equations when it lies in the box, else a HiGHS feasibility
-    problem.  Returns None when a cut edge turns over or no such field
-    exists.
+    problem.  Where the joined edges form a forest the equations are
+    square and that field is their only solution: it is kept, clipped,
+    when it leaves its box by at most HiGHS's feasibility tolerance, and
+    HiGHS is not called.  Returns None when a cut edge turns over or no
+    such field exists.
     """
     n = x.size
     joined = pattern == 0
@@ -593,7 +697,10 @@ def _plateau_solution(D, weights, coef, anchor, x, z, pattern):
         w_joined, z_phase = weights[joined], z[joined]
         # the nearest solution to the phase's field: the only one on plateaus without cycles
         z_joined = z_phase + A.T @ scipy.sparse.linalg.spsolve((A @ A.T).tocsc(), b - A @ z_phase)
-        if not np.all(np.abs(z_joined) <= w_joined):
+        if A.shape[0] == A.shape[1]:  # a forest: HiGHS could only test this field within its tolerance
+            if not np.max(np.abs(z_joined) - w_joined, initial=0.0) <= _HIGHS["primal_feasibility_tolerance"]:
+                return None
+        elif not np.all(np.abs(z_joined) <= w_joined):
             from scipy.optimize import linprog  # HiGHS loads here, on the first TV linear program
             lp = linprog(
                 np.zeros(w_joined.size), A_eq=A, b_eq=b,

@@ -254,16 +254,24 @@ def test_report_invariant_passed_iff_within_tolerance(robin_small):
 
 
 def _spy_lifted(monkeypatch):
-    """Record ``(pair, point, tol)`` of every fiber the checkers solve."""
+    """Record ``(pair, point, tol)`` of every fiber the checkers solve (each row of a batch)."""
     calls = []
-    original = checks.lifted_value
+    original = checks.lifted_values
 
-    def spy(pair, u, tol=1e-6, start=None):
-        calls.append((id(pair), np.asarray(u).tobytes(), tol))
-        return original(pair, u, tol=tol, start=start)
+    def spy(pair, U, tol=1e-6, starts=None):
+        calls.extend((id(pair), np.asarray(u).tobytes(), tol) for u in U)
+        return original(pair, U, tol=tol, starts=starts)
 
-    monkeypatch.setattr(checks, "lifted_value", spy)
+    monkeypatch.setattr(checks, "lifted_values", spy)
     return calls
+
+
+def _lifted(sampler, pair, u):
+    """The sampler's lifted value at ``u``, through a one-term gap."""
+    part = checks._max_part("lifted", 1.0)
+    sampler.gap(part, [(pair, u)], [], None)
+    sampler.settle()
+    return part["violation"]
 
 
 def test_linf_solves_each_fiber_once(robin_small, monkeypatch):
@@ -276,7 +284,7 @@ def test_samplers_sharing_a_memo_solve_a_point_once(robin_small, monkeypatch):
     calls = _spy_lifted(monkeypatch)
     memo = {}
     u = checks.sample_states(robin_small, 1, np.random.default_rng(3))[0]
-    values = [checks._Sampler(T, tau, memo).lifted(robin_small, u) for T, tau in ((0.2, 0.05), (0.5, 0.1))]
+    values = [_lifted(checks._Sampler(T, tau, memo), robin_small, u) for T, tau in ((0.2, 0.05), (0.5, 0.1))]
     assert [c[2] for c in calls] == [checks.LIFTED_TOL]
     assert values[0] == values[1]
 

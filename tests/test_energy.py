@@ -183,3 +183,22 @@ def test_finite_point_respects_indicators():
     )
     x = E.finite_point()
     assert x @ np.ones(2) == pytest.approx(3.0, abs=1e-9)
+
+
+def test_nodewise_gradient_sums_a_node_listed_twice():
+    # nodes [0, 0, 1]: node 0 carries two integrands, and its derivative is their sum
+    from jflow.problems import g_arctan
+
+    term = NodewiseIntegral([0, 0, 1], np.ones(3), g_arctan(1.0))
+    u, h = np.array([1.0, -0.5]), 1e-6
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        fd = (term.value(u + e) - term.value(u - e)) / (2 * h)
+        assert term.grad(u)[i] == pytest.approx(fd, rel=1e-8)
+    assert term.grad(u)[0] == pytest.approx(2 * math.atan(1.0), rel=1e-14)
+    # a batch of rows takes each row's gradient, and unique nodes scatter exactly
+    U = np.array([[1.0, -0.5], [0.3, 2.0]])
+    np.testing.assert_array_equal(term.grad(U), [term.grad(U[0]), term.grad(U[1])])
+    unique = NodewiseIntegral([1, 0], np.array([0.5, 2.0]), g_arctan(1.0))
+    np.testing.assert_array_equal(unique.grad(u), [2.0 * math.atan(1.0), 0.5 * math.atan(-0.5)])
