@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import PEdgeEnergy
-from .pairs import JEllipticPair, _fiber_coordinates, _solve_slice, lifted_value
+from .pairs import JEllipticPair, SliceError, _fiber_coordinates, _solve_slice, lifted_values
 
 __all__ = [
     "ResolventResult",
@@ -135,11 +135,12 @@ def evolve(
     ``project_initial`` one that does not is first projected onto that
     affine set.  The fiber above an initial datum is solved only when its
     value or minimizer is kept (``record_energies``, one flag for all
-    orbits or one per orbit, and ``keep_extensions``), and the first step
-    then starts from that minimizer; otherwise only its emptiness is
-    tested, and the first step starts as :func:`resolvent` does without
-    ``start``.  A failed step raises :class:`EvolveError` with the partial
-    trajectory of its orbit.
+    orbits or one per orbit, and ``keep_extensions``), the kept ones as one
+    batch (:func:`pairs.lifted_values`, whose :class:`pairs.SliceError`
+    names the orbit's row), and the first step then starts from that
+    minimizer; otherwise the first step starts as :func:`resolvent` does
+    without ``start``.  A failed step raises :class:`EvolveError` with the
+    partial trajectory of its orbit.
     For shifted-convex pairs the step must satisfy ``tau <= 0.9/omega`` so
     every step objective stays strongly convex on data directions.
     """
@@ -153,13 +154,18 @@ def evolve(
     pair.space.check_dim(*U)
     S, record = len(U), np.broadcast_to(record_energies, len(U))
     kept, lifted_tol = record | keep_extensions, tol if tol is not None else _FALLBACK_TOL
-    first = [lifted_value(pair, u, tol=lifted_tol) if k else None for u, k in zip(U, kept)]
     for s in range(S):
-        if math.isinf(first[s].value) if kept[s] else _fiber_coordinates(pair, U[s])[0] is None:
+        if _fiber_coordinates(pair, U[s])[0] is None:
             if not project_initial:
                 raise ValueError("initial datum is outside the image of the effective domain")
             U[s] = _project_onto_image(pair, U[s])
-            first[s] = lifted_value(pair, U[s], tol=lifted_tol) if kept[s] else None
+    first, rows = [None] * S, np.flatnonzero(kept)
+    try:
+        for s, fiber in zip(rows, lifted_values(pair, U[rows], lifted_tol) if rows.size else []):
+            first[s] = fiber
+    except SliceError as exc:
+        exc.sample = int(rows[exc.sample])  # the orbit's row of U
+        raise
 
     steps = int(math.ceil(T / tau - 1e-12))
     times = tau * np.arange(steps + 1)

@@ -354,7 +354,6 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
     for ``data = (lam, g)``: fibers without data, backward steps with it, one
     per sample row ``s`` of ``x0`` (and of ``g``; ``lam`` one step or one per
     sample), each from its entry of ``starts`` (None: the default start).
-    An unbatched ``x0`` is one sample, ``starts`` its start.
 
     Smooth energies take :func:`_slice_newton` on the whole batch (gradient
     norm in slice coordinates).  Total variation on a restriction map is
@@ -368,9 +367,6 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
     ``x``); a sample whose certificate misses ``tol`` raises
     :class:`SliceError`.
     """
-    if np.ndim(x0) == 1:  # one sample without the axis, ``starts`` its start
-        res = _solve_slice(pair, x0[None], Z, tol, [starts], data and (data[0], np.asarray(data[1])[None]))
-        return solvers.SolveResult(res.x[0], float(res.residual[0]), res.iterations, True, float(res.value[0]))
     what, S = "fiber" if data is None else "backward step", len(x0)
     starts = [None] * S if starts is None else starts
     tv = pair.E.tv_terms
@@ -564,7 +560,7 @@ def _slice_newton(pair: JEllipticPair, x0, Z, tol: float, starts, data=None):
             if len(rows) > 1:
                 return fn(y, rows)
             out = fn(y[0], rows[0])
-            return solvers._Banded(out.ab[None], out.perm, out.rank) if isinstance(out, solvers._Banded) else out[None]
+            return out if isinstance(out, solvers._Banded) else out[None]
 
         return call
 

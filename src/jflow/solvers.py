@@ -3,10 +3,10 @@
 Smooth objectives take :func:`newton`: Newton on a banded Cholesky
 (LAPACK ``dpbsv``) of a Hessian in the Gram form ``B diag(w) B^T``
 (:func:`_weighted_gram`), plain steps first and a Levenberg shift only
-where they fail, certified by the measured gradient norm.  It takes a
-leading axis of S independent samples with one sparsity: the bands are
-filled in one ``bincount`` and factored sample by sample, and every
-sample runs, in the same arithmetic, the iteration it would run alone.
+where they fail, certified by the measured gradient norm.  Its only
+layout is a leading axis of S independent samples with one sparsity: the
+bands are filled in one ``bincount`` and factored sample by sample, and
+every sample runs, in the same arithmetic, the iteration it would run alone.
 Edge powers below two overshoot across their kink; a sample Newton
 leaves above its tolerance is rescued alone by Newton on the
 lagged-diffusivity majorant of the Hessian, then on the Hessian itself
@@ -217,10 +217,8 @@ def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResul
     Hessian per row; the Hessians come as one operator with
     ``diagonal()`` and ``solve(rhs, shift, sub)`` (:func:`_weighted_gram`),
     which gives a NaN row for a sample ``sub`` whose ``H + shift I`` is not
-    positive definite.  A 1-D ``start`` is one sample whose functions take
-    and return unbatched arrays, its ``solve(rhs, shift)`` raising
-    ``LinAlgError`` instead.  Every sample takes the iteration it would
-    take alone, and a sample that certifies or cannot move is frozen.
+    positive definite.  Every sample takes the iteration it would take
+    alone, and a sample that certifies or cannot move is frozen.
     Each iteration first tries the plain step on ``H + floor I``, with the
     relative floor ``1e-13 max|diag H|``, and takes it in full when it
     factors, descends and passes Armijo at unit length.  Otherwise the
@@ -236,14 +234,7 @@ def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResul
     sample, the iterations of the batch, and ``converged`` when every
     sample is.
     """
-    single = np.ndim(start) == 1
-    if single:  # its functions, lifted to a batch of one
-
-        def lift(fn):
-            return fn and (lambda x, rows: np.asarray(fn(x[0]), float)[None])
-
-        value, grad, certificate, hess = lift(value), lift(grad), lift(certificate), _OneBand.lift(hess)
-    x = np.array(start, float, ndmin=2)
+    x = np.array(start, float)
     rows = np.arange(len(x))  # the samples still iterating; x, f and g are theirs
 
     def certify(x, g, rows):
@@ -276,29 +267,7 @@ def newton(value, grad, hess, start, tol: float, certificate=None) -> SolveResul
         b = rows if np.count_nonzero(better) == better.size else rows[better]
         best_x[b], best_r[b], best_f[b] = (x, r, f) if b is rows else (x[better], r[better], f[better])
         go = ~(better & (r <= tol))  # a sample still iterating had its best above tol
-    if single:
-        return SolveResult(best_x[0], float(best_r[0]), k, bool(best_r[0] <= tol), float(best_f[0]))
     return SolveResult(best_x, best_r, k, bool(np.all(best_r <= tol)), best_f)
-
-
-class _OneBand:
-    """An unbatched Hessian operator as a batch of one, a failed factorization a NaN step."""
-
-    def __init__(self, H):
-        self.H = H
-
-    @classmethod
-    def lift(cls, hess):
-        return lambda x, rows: cls(hess(x[0]))
-
-    def diagonal(self):
-        return self.H.diagonal()[None]
-
-    def solve(self, rhs, shift, sub=None):
-        try:
-            return self.H.solve(rhs[0], shift[0])[None]
-        except np.linalg.LinAlgError:
-            return np.full_like(rhs, np.nan)
 
 
 def _armijo(value, x, f, g, rows, step, lengths):
@@ -357,7 +326,8 @@ def _weighted_gram(row, col, val, n: int):
     A reverse Cuthill-McKee ordering of the product, its bandwidth and the
     band slot of every product of two entries in one column of ``B`` are
     found once; a call sums the weighted products into their slots, column
-    by column, rows ascending.
+    by column, rows ascending, one band per sample row of ``w`` (a 1-D
+    ``w`` is a batch of one).
     """
     live = (val != 0) & (row >= 0)
     order = np.lexsort((row[live], col[live]))
@@ -375,35 +345,32 @@ def _weighted_gram(row, col, val, n: int):
     slot = ((bw + i - j) * n + j)[upper]
     coef, src = (val[left] * val[right])[upper], col[left][upper]
     fill = Scatter(slot, (bw + 1) * n)
-    return lambda w: _Banded(fill(coef * w.take(src, -1)).reshape(w.shape[:-1] + (bw + 1, n)), perm, rank)
+    return lambda w: _Banded(fill(coef * w.take(src, -1)).reshape((w.shape[:-1] or (1,)) + (bw + 1, n)), perm, rank)
 
 
 class _Banded:
     """Symmetric ``A`` as the upper band of ``A[perm][:, perm]`` in LAPACK's
-    layout (``ab[..., bw + i - j, j]`` for ``i <= j``), one band per sample
-    of any leading axis of ``ab``; ``rank`` inverts ``perm``."""
+    layout (``ab[s, bw + i - j, j]`` for ``i <= j``), one band per sample
+    ``s``; ``rank`` inverts ``perm``."""
 
     def __init__(self, ab, perm, rank):
         self.ab, self.perm, self.rank = ab, perm, rank
 
     def diagonal(self):
-        return self.ab[..., -1, :].take(self.rank, -1)
+        return self.ab[:, -1].take(self.rank, -1)
 
     def solve(self, rhs, shift, sub=slice(None)):
         """``(A + shift I)^{-1} rhs`` by banded Cholesky, factored sample by
         sample of the bands ``sub`` (a stacked factorization is not bitwise
         that of each block): a NaN row for a sample whose ``A + shift I`` is
-        not definite, or ``LinAlgError`` for a band without a sample axis."""
-        ab = (self.ab[None] if self.ab.ndim == 2 else self.ab[sub]).swapaxes(1, 2).copy()  # each band in Fortran order
+        not definite."""
+        ab = self.ab[sub].swapaxes(1, 2).copy()  # each band in Fortran order
         ab[..., -1] += np.reshape(shift, (-1, 1))
-        out = rhs.reshape(len(ab), -1).take(self.perm, -1)
+        out = rhs.take(self.perm, -1)
         for band, y in zip(ab, out):  # both factored and solved in place
-            info = _dpbsv(band.T, y, overwrite_ab=1, overwrite_b=1)[2]
-            if info > 0 and self.ab.ndim == 2:
-                raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-            if info > 0:
+            if _dpbsv(band.T, y, overwrite_ab=1, overwrite_b=1)[2] > 0:
                 y[:] = np.nan
-        return out.take(self.rank, -1).reshape(rhs.shape)
+        return out.take(self.rank, -1)
 
 
 class Scatter:
@@ -445,7 +412,7 @@ _HIGHS = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-
 class EdgeOperator:
     """The signed edge-node incidence ``D``, ``(Dx)_e = x_a - x_b`` on ``n`` nodes,
     from endpoint arrays; an endpoint of -1 is grounded (read as 0, never
-    written).  :meth:`apply` gathers over the rows of ``x``; :meth:`adjoint`
+    written).  :meth:`diff` gathers over the last axis of ``x``; :meth:`adjoint`
     scatters ``z`` and ``-z`` in one ``bincount``, edge by edge as CSR sums."""
 
     def __init__(self, edges, n: int):
@@ -453,14 +420,10 @@ class EdgeOperator:
         self.head, self.tail = self.ends[:, 0].copy(), self.ends[:, 1].copy()
         self._slots = np.where(self.ends >= 0, self.ends, self.n).ravel()  # the ground is slot n
         self._scatter = Scatter(self._slots, self.n + 1)
-        self._grounded = bool(np.any(self.tail < 0))
-
-    def apply(self, x):
-        padded = np.concatenate([x, np.zeros((1,) + np.shape(x)[1:])])  # padded[-1] = 0
-        return padded[self.head] - padded[self.tail]
+        self._grounded = bool(np.any(self.ends < 0))
 
     def diff(self, x):
-        """:meth:`apply` over the last axis: ``D x`` of each sample row of ``x``."""
+        """``D x`` of each sample row of ``x``."""
         if self._grounded:
             x = np.concatenate([x, np.zeros(np.shape(x)[:-1] + (1,))], axis=-1)
         return x.take(self.head, -1) - x.take(self.tail, -1)
@@ -630,7 +593,7 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
     for rung in _POLISH_RUNGS:
         x, z, k = _pdhg(D, weights, coef, anchor, x, z, step, rung, _PDHG_MAX_ITER - iterations)
         iterations += k
-        d = D.apply(x)
+        d = D.diff(x)
         for delta in _POLISH_DELTAS:
             pattern = np.where(np.abs(d) <= delta, 0, np.sign(d)).astype(np.int8)
             key = pattern.tobytes()
@@ -641,7 +604,7 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
             if cand is None:
                 continue
             xp, zp = cand
-            dp = D.apply(xp)
+            dp = D.diff(xp)
             r = measure(xp, dp, zp, D.adjoint(zp))
             if r <= tol:
                 value = float(np.sum(weights * np.abs(dp)) + 0.5 * np.sum(coef * (xp - anchor) ** 2))
@@ -683,7 +646,7 @@ def _plateau_solution(D, weights, coef, anchor, x, z, pattern):
     level = np.where(mass > 0, pulled, mean)
     level[label[n]] = 0.0
     x_new = level[nodes]
-    if np.any(z_new * D.apply(x_new) < 0.0):
+    if np.any(z_new * D.diff(x_new) < 0.0):
         return None
     if joined.any():
         D_joined = edge_incidence(D.ends[joined], n)
@@ -726,13 +689,13 @@ def _pdhg(D, mult, coef, anchor, x, z, step, tol, max_iter):
     xbar = x.copy()
     k = 0
     for k in range(1, max_iter + 1):
-        z = np.clip(z + step * D.apply(xbar), -mult, mult)
+        z = np.clip(z + step * D.diff(xbar), -mult, mult)
         dtz = D.adjoint(z)
         x_new = (x - step * dtz + step * coef * anchor) / (1.0 + step * coef)
         xbar = 2.0 * x_new - x
         x = x_new
         if k % 10 == 0:
-            d = D.apply(x)
+            d = D.diff(x)
             kkt = max(float(np.sum(mult * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef * (x - anchor))))
             if kkt <= tol:
                 break

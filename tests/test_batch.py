@@ -74,13 +74,23 @@ def test_a_failing_fiber_sample_fails_loudly(monkeypatch):
 
 def test_a_failing_orbit_raises_with_its_own_partial_orbit(monkeypatch):
     pair, U, _, orbits = reference("robin_p3")
-    _one_sample_misses(monkeypatch, row=1, from_call=2)  # the second step of the batch
+    _one_sample_misses(monkeypatch, row=1, from_call=3)  # after the start fibres' batch and the first step
     with pytest.raises(EvolveError, match=r"step 2 failed: backward step solve stalled: residual 1") as info:
         evolve(pair, U[[3, 1, 0]], 0.1, 0.05, record_energies=False, keep_extensions=True)
     assert info.value.orbit == 1
     partial = info.value.partial
     np.testing.assert_array_equal(partial.states, orbits[1].states[:2])  # the orbit of U[1], up to the failed step
     np.testing.assert_array_equal(partial.step_residuals, orbits[1].step_residuals[:2])
+
+
+def test_a_failing_start_fiber_names_its_orbit(monkeypatch):
+    # the start fibres of orbits 0 and 2 are kept and solved as one batch of
+    # two; its second sample, orbit 2's, misses its certificate
+    pair, U, _, _ = reference("robin_p3")
+    _one_sample_misses(monkeypatch, row=1)
+    with pytest.raises(SliceError, match=r"fiber solve stalled: residual 1 after \d+ iterations \(sample 2\)") as info:
+        evolve(pair, U[[3, 1, 0]], 0.1, 0.05, record_energies=[True, False, True])
+    assert info.value.sample == 2 and info.value.residual == 1.0
 
 
 def test_a_stalled_sample_is_rescued_alone(monkeypatch):

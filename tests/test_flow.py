@@ -112,17 +112,17 @@ def test_evolve_projected_start_keeps_the_tolerance(monkeypatch):
     E = ExtendedFunctional([QuadraticTerm(np.eye(2))], 2)
     pair = JEllipticPair(E, JMap(np.array([[1.0, 0.0], [1.0, 0.0]])), WeightedSpace(np.ones(2)))
     tols = []
-    original = flow.lifted_value
+    original = flow.lifted_values
 
-    def spy(pair, u, tol=1e-6, start=None):
+    def spy(pair, U, tol=1e-6, starts=None):
         tols.append(tol)
-        return original(pair, u, tol=tol, start=start)
+        return original(pair, U, tol, starts)
 
-    monkeypatch.setattr(flow, "lifted_value", spy)
+    monkeypatch.setattr(flow, "lifted_values", spy)
     for tol, expected in ((None, 1e-8), (1e-10, 1e-10)):
         tols.clear()
         evolve(pair, np.array([1.0, 2.0]), 0.2, 0.1, project_initial=True, tol=tol)
-        assert tols == [expected, expected]
+        assert tols == [expected]  # one fibre solve, after the projection
 
 
 def test_evolve_projects_onto_the_constraint_image():
@@ -382,13 +382,13 @@ def test_evolve_solves_no_start_fiber_it_does_not_keep(monkeypatch):
     u0 = np.random.default_rng(5).normal(size=pair.space.dim)
     kept = evolve(pair, u0, 0.1, 0.05)
     calls = []
-    original = flow.lifted_value
+    original = flow.lifted_values
 
-    def spy(pair, u, tol=1e-6, start=None):
+    def spy(pair, U, tol=1e-6, starts=None):
         calls.append(tol)
-        return original(pair, u, tol=tol, start=start)
+        return original(pair, U, tol, starts)
 
-    monkeypatch.setattr(flow, "lifted_value", spy)
+    monkeypatch.setattr(flow, "lifted_values", spy)
     traj = evolve(pair, u0, 0.1, 0.05, record_energies=False)
     assert calls == []
     assert traj.energies is None and traj.extensions is None

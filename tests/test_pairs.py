@@ -489,11 +489,28 @@ def test_slice_value_is_the_slice_objective(name):
     pair = P.load_problem(P.builtin_problems()[name]).pair
     u = np.random.default_rng(3).normal(size=pair.space.dim)
     x0, Z = _fiber_coordinates(pair, u)
-    fiber = _solve_slice(pair, x0, Z, 1e-8)
-    assert fiber.value == pytest.approx(pair.E.value(fiber.x), rel=1e-12)
+    fiber = _solve_slice(pair, x0[None], Z, 1e-8)
+    assert fiber.value[0] == pytest.approx(pair.E.value(fiber.x[0]), rel=1e-12)
     lam = 0.1
     x0, Z = pair.step_slice
-    step = _solve_slice(pair, x0, Z, 1e-8, data=(lam, u))
-    r = pair.j.apply(step.x) - u
-    objective = pair.E.value(step.x) + 0.5 / lam * pair.space.inner(r, r)
-    assert step.value == pytest.approx(objective, rel=1e-12)
+    step = _solve_slice(pair, x0[None], Z, 1e-8, data=(lam, u[None]))
+    r = pair.j.apply(step.x[0]) - u
+    objective = pair.E.value(step.x[0]) + 0.5 / lam * pair.space.inner(r, r)
+    assert step.value[0] == pytest.approx(objective, rel=1e-12)
+
+
+def test_edge_dual_grounds_fixed_first_endpoints(monkeypatch):
+    # a p = 1.5 chain observed at node 0 only: on the free coordinates the
+    # edge (0, 1) keeps just its second endpoint, so the edge dual grounds a
+    # first endpoint and no second one; it certifies the fibre without the rescue
+    from jflow import solvers
+    from jflow.energy import NodewiseIntegral, ScalarPrimitive
+
+    n = 5
+    edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    square = ScalarPrimitive(lambda z: 0.5 * z * z, lambda z: z, 0.0, "square", np.ones_like)
+    terms = [PEdgeEnergy(edges, np.ones(n - 1), 1.5), NodewiseIntegral(np.arange(n), np.ones(n), square)]
+    pair = JEllipticPair(ExtendedFunctional(terms, n), JMap(np.eye(n)[:1]), WeightedSpace(np.ones(1)))
+    monkeypatch.setattr(solvers, "_try_snap", lambda problem, x, gn: pytest.fail("rescued"))
+    res = lifted_value(pair, np.array([1.0]), tol=1e-9)
+    assert res.residual <= 1e-9 and res.minimizer[0] == 1.0

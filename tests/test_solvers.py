@@ -115,30 +115,30 @@ def test_newton_shift_handles_vanishing_curvature():
     # every system solvable and the iteration converging
     c = np.array([1.0, -2.0])
 
-    def grad(x):
-        return np.array([(x[0] - c[0]) ** 3, x[1] - c[1]])
+    def grad(x, rows):
+        return np.column_stack([(x[:, 0] - c[0]) ** 3, x[:, 1] - c[1]])
 
     gram = _identity_gram(2)
     res = newton(
-        lambda x: (x[0] - c[0]) ** 4 / 4 + (x[1] - c[1]) ** 2 / 2,
+        lambda x, rows: (x[:, 0] - c[0]) ** 4 / 4 + (x[:, 1] - c[1]) ** 2 / 2,
         grad,
-        lambda x: gram(np.array([3.0 * (x[0] - c[0]) ** 2, 1.0])),
-        np.array([3.0, 5.0]),
+        lambda x, rows: gram(np.column_stack([3.0 * (x[:, 0] - c[0]) ** 2, np.ones(len(x))])),
+        np.array([[3.0, 5.0]]),
         tol=1e-10,
     )
-    assert res.converged and res.residual <= 1e-10
-    assert res.residual == np.linalg.norm(grad(res.x))
-    assert res.x[1] == pytest.approx(-2.0, abs=1e-10)
+    assert res.converged and res.residual[0] <= 1e-10
+    assert res.residual[0] == np.linalg.norm(grad(res.x, [0])[0])
+    assert res.x[0, 1] == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_newton_non_finite_certificate_fails():
     res = newton(
-        lambda x: 0.5 * float(x @ x),
-        lambda x: x.copy(),
-        lambda x: _identity_gram(2)(np.ones(2)),
-        np.ones(2),
+        lambda x, rows: 0.5 * np.vecdot(x, x),
+        lambda x, rows: x.copy(),
+        lambda x, rows: _identity_gram(2)(np.ones((len(x), 2))),
+        np.ones((1, 2)),
         tol=1e-8,
-        certificate=lambda x: float("nan"),
+        certificate=lambda x, rows: np.full(len(x), np.nan),
     )
     assert not res.converged
 
@@ -147,11 +147,40 @@ def test_newton_indefinite_hessian_stops_unconverged():
     # curvature -5 stays negative after the shift: the banded Cholesky
     # fails, and Newton stops at its best iterate without raising
     gram = _identity_gram(2)
-    start = np.array([1.0, -2.0])
-    res = newton(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), lambda x: gram(np.full(2, -5.0)), start, tol=1e-8)
+    start = np.array([[1.0, -2.0]])
+    res = newton(lambda x, rows: 0.5 * np.vecdot(x, x), lambda x, rows: x.copy(),
+                 lambda x, rows: gram(np.full((len(x), 2), -5.0)), start, tol=1e-8)
     assert not res.converged and res.iterations == 1
     np.testing.assert_array_equal(res.x, start)
-    assert res.residual == np.linalg.norm(start)
+    assert res.residual[0] == np.linalg.norm(start[0])
+
+
+def test_newton_batch_freezes_a_sample_with_an_indefinite_hessian():
+    # sample 0 sees curvature -5, which the shift cannot make definite: its
+    # bands give NaN rows, and it stops unconverged at its start after one
+    # iteration; sample 1 runs on, to the iterate it reaches alone
+    c = np.array([0.0, 0.5, -0.5])
+    gram = _identity_gram(3)
+    start = np.array([[1.0, -2.0, 0.5], [2.0, 2.0, 2.0]])
+
+    def hess_with(indefinite):
+        def hess(x, rows):
+            return gram(np.where(np.isin(rows, indefinite)[:, None], -5.0, 1.0 - np.tanh(x - c) ** 2))
+
+        return hess
+
+    def run(start, indefinite):
+        return newton(lambda x, rows: np.add.reduce(np.log(np.cosh(x - c)), -1),
+                      lambda x, rows: np.tanh(x - c), hess_with(indefinite), start, tol=1e-10)
+
+    alone, both = run(start[1:], []), run(start, [0])
+    assert alone.converged and alone.iterations > 1
+    assert not both.converged and both.iterations == alone.iterations
+    np.testing.assert_array_equal(both.x[0], start[0])
+    assert both.residual[0] == np.linalg.norm(np.tanh(start[0] - c))
+    np.testing.assert_array_equal(both.x[1], alone.x[0])
+    assert both.residual[1] == alone.residual[0] <= 1e-10
+    assert both.value[1] == alone.value[0]
 
 
 def test_newton_quadratic_takes_one_plain_step():
@@ -166,15 +195,18 @@ def test_newton_quadratic_takes_one_plain_step():
     b = np.random.default_rng(4).normal(size=n)
     grads = []
 
-    def grad(x):
-        grads.append(1)
-        return A @ x - b
+    def value(x, rows):
+        return np.array([0.5 * float(v @ A @ v) - float(b @ v) for v in x])
 
-    res = newton(lambda x: 0.5 * float(x @ A @ x) - float(b @ x), grad, lambda x: gram(w), np.zeros(n), tol=1e-10)
+    def grad(x, rows):
+        grads.append(1)
+        return x @ A - b
+
+    res = newton(value, grad, lambda x, rows: gram(np.tile(w, (len(x), 1))), np.zeros((1, n)), tol=1e-10)
     assert res.converged and res.iterations == 1
     assert len(grads) == 1 + res.iterations
-    np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=1e-9)
-    assert res.value == 0.5 * float(res.x @ A @ res.x) - float(b @ res.x)
+    np.testing.assert_allclose(res.x[0], np.linalg.solve(A, b), rtol=1e-9)
+    assert res.value[0] == 0.5 * float(res.x[0] @ A @ res.x[0]) - float(b @ res.x[0])
 
 
 def test_newton_overshooting_plain_step_falls_back_to_shift():
@@ -191,22 +223,22 @@ def test_newton_overshooting_plain_step_falls_back_to_shift():
         def diagonal(self):
             return self.H.diagonal()
 
-        def solve(self, rhs, shift):
-            shifts.append(shift)
-            return self.H.solve(rhs, shift)
+        def solve(self, rhs, shift, sub=slice(None)):
+            shifts.append(float(np.max(shift)))
+            return self.H.solve(rhs, shift, sub)
 
-    def grad(x):
+    def grad(x, rows):
         return np.tanh(x - c)
 
     res = newton(
-        lambda x: float(np.sum(np.log(np.cosh(x - c)))),
+        lambda x, rows: np.add.reduce(np.log(np.cosh(x - c)), -1),
         grad,
-        lambda x: Recording(gram(1.0 - np.tanh(x - c) ** 2)),
-        np.full(3, 2.0),
+        lambda x, rows: Recording(gram(1.0 - np.tanh(x - c) ** 2)),
+        np.full((1, 3), 2.0),
         tol=1e-10,
     )
-    assert res.converged and res.residual == np.linalg.norm(grad(res.x))
-    np.testing.assert_allclose(res.x, c, atol=1e-10)
+    assert res.converged and res.residual[0] == np.linalg.norm(grad(res.x, [0])[0])
+    np.testing.assert_allclose(res.x[0], c, atol=1e-10)
     assert max(shifts) > 0.5  # the Levenberg shift min(|grad|, 1) was used
     assert len(shifts) > res.iterations  # some iterations solved twice
 
@@ -234,24 +266,25 @@ def test_banded_gram_solve_matches_dense(nx):
     w = rng.uniform(0.1, 2.0, size=B.shape[1])
     H = gram(w)
     dense = (B @ scipy.sparse.diags(w) @ B.T).toarray()
-    np.testing.assert_allclose(H.diagonal(), np.diag(dense), rtol=1e-14)
+    np.testing.assert_allclose(H.diagonal()[0], np.diag(dense), rtol=1e-14)
     rhs = rng.normal(size=dense.shape[0])
     for shift in (0.0, 0.3):
-        x = H.solve(rhs, shift)
+        x = H.solve(rhs[None], shift)[0]
         ref = np.linalg.solve(dense + shift * np.eye(dense.shape[0]), rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-        ab = H.ab.copy()
+        ab = H.ab[0].copy()
         ab[-1] += shift
         np.testing.assert_array_equal(x, scipy.linalg.solveh_banded(ab, rhs[H.perm])[H.rank])
     if nx is not None:
-        assert H.ab.shape[0] - 1 <= nx  # bandwidth of the RCM ordering
+        assert H.ab[0].shape[0] - 1 <= nx  # bandwidth of the RCM ordering
 
 
 def _incidence_reference(edges, n):
-    """The signed incidence, entry by entry: +1 at the first endpoint, -1 at a second one that is not -1."""
+    """The signed incidence, entry by entry: +1 at the first endpoint, -1 at the second, each that is not -1."""
     D = np.zeros((len(edges), n))
     for e, (a, b) in enumerate(edges):
-        D[e, a] = 1.0
+        if a >= 0:
+            D[e, a] = 1.0
         if b >= 0:
             D[e, b] = -1.0
     return scipy.sparse.csr_matrix(D)
@@ -259,17 +292,18 @@ def _incidence_reference(edges, n):
 
 @pytest.mark.parametrize("edges, n", [
     (np.column_stack([np.arange(6), np.r_[np.arange(1, 6), -1]]), 6),  # a chain grounded at its end
+    (np.column_stack([np.r_[-1, np.arange(5)], np.arange(6)]), 6),  # grounded at its start: no second endpoint is
     (P.grid(4, 4, 1.0).edges(), 16),
-], ids=["grounded-chain", "grid-4x4"])
+], ids=["grounded-chain", "head-grounded-chain", "grid-4x4"])
 def test_edge_operator_matches_incidence(edges, n):
     D, op = _incidence_reference(edges, n), EdgeOperator(edges, n)
     rng = np.random.default_rng(5)
     x, z, X = rng.normal(size=n), rng.normal(size=len(edges)), rng.normal(size=(n, 3))
     # the gather and the scatter sum as the CSR products do, so they agree exactly
-    np.testing.assert_array_equal(op.apply(x), D @ x)
-    np.testing.assert_array_equal(op.apply(X), D @ X)
+    np.testing.assert_array_equal(op.diff(x), D @ x)
+    np.testing.assert_array_equal(op.diff(X.T), (D @ X).T)
     np.testing.assert_array_equal(op.adjoint(z), D.T.tocsr() @ z)
-    assert float(op.apply(x) @ z) == pytest.approx(float(x @ op.adjoint(z)), rel=1e-13)
+    assert float(op.diff(x) @ z) == pytest.approx(float(x @ op.adjoint(z)), rel=1e-13)
     np.testing.assert_array_equal(edge_incidence(edges, n).toarray(), D.toarray())
 
 
@@ -284,13 +318,14 @@ def test_weighted_gram_triplets_match_dense():
     row, col, val = np.r_[row, 3, -1][::-1], np.r_[col, 4, 2][::-1], np.r_[B[row, col], 0.0, 5.0][::-1]
     w = rng.uniform(0.5, 2.0, size=cols)
     H = _weighted_gram(row, col, val, n)(w)
-    bw = H.ab.shape[0] - 1
+    ab = H.ab[0]
+    bw = ab.shape[0] - 1
     A = np.zeros((n, n))  # the band, back in the original order
     for i in range(n):
         for j in range(i, min(n, i + bw + 1)):
-            A[H.perm[i], H.perm[j]] = A[H.perm[j], H.perm[i]] = H.ab[bw + i - j, j]
+            A[H.perm[i], H.perm[j]] = A[H.perm[j], H.perm[i]] = ab[bw + i - j, j]
     np.testing.assert_allclose(A, B @ np.diag(w) @ B.T, rtol=1e-13, atol=1e-15)
-    np.testing.assert_array_equal(H.diagonal(), np.diag(A))
+    np.testing.assert_array_equal(H.diagonal()[0], np.diag(A))
 
 
 # --- total-variation proximal maps ---------------------------------------
@@ -467,13 +502,17 @@ def test_tv_prox_32x32_grid_step_has_independent_dual_certificate():
     assert residual <= 1e-11 and excess <= 1e-11
 
 
-def test_banded_solve_raises_on_indefinite_band():
+def test_banded_solve_gives_a_nan_row_for_an_indefinite_band():
+    # a batch of two bands: D^T D - I/2, whose constant vector sees -1/2, and D^T D + I/2
     n = 6
     gram = _edge_gram(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
-    H = gram(np.r_[np.ones(n - 1), np.full(n, -0.5)])  # D^T D - I/2: the constant vector sees -1/2
-    with pytest.raises(np.linalg.LinAlgError):
-        H.solve(np.ones(n), 0.0)
-    np.testing.assert_allclose(H.solve(np.ones(n), 1.0), np.full(n, 2.0))
+    H = gram(np.array([np.r_[np.ones(n - 1), np.full(n, -0.5)], np.r_[np.ones(n - 1), np.full(n, 0.5)]]))
+    x = H.solve(np.ones((2, n)), 0.0)
+    assert np.all(np.isnan(x[0]))
+    np.testing.assert_allclose(x[1], np.full(n, 2.0), rtol=1e-14)
+    # a shift per band makes both definite; ``sub`` solves a subset of the bands
+    np.testing.assert_allclose(H.solve(np.ones((2, n)), np.array([1.0, 0.0])), np.full((2, n), 2.0), rtol=1e-14)
+    np.testing.assert_array_equal(H.solve(np.ones((1, n)), 0.0, np.array([1])), x[1:])
 
 
 def test_tv_subregion_step_certifies_from_its_own_edge_field(monkeypatch):
