@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the full property battery over the bundled problems and print a
-verdict matrix (rows: problems, columns: checks)."""
+verdict matrix (rows: problems, columns: checks).  The ``consistent``
+column reads ``checks.consistency`` off the row's reports: FAIL when an
+implication among their verdicts does not hold."""
 
 import argparse
 
@@ -18,23 +20,22 @@ def main():
     args = ap.parse_args()
 
     kw = dict(samples=args.samples, T=args.T, tau=args.tau, seed=args.seed, dynamic_samples=4)
-    names = ("positive", "order", "supnorm", "complete", "domination")
+    names = ("positive", "order", "supnorm", "complete", "domination", "consistent")
     print(f"{'problem':16s} " + " ".join(f"{n:>10s}" for n in names))
     for name, cfg in builtin_problems().items():
         bundle = load_problem(cfg)
         pair = bundle.pair
-        row = {}
-        row["positive"] = checks.check_invariance(pair, positive_cone(), resolvent_samples=4, **kw).passed
-        row["order"] = checks.check_order_preserving(pair, **kw).passed
-        row["supnorm"] = checks.check_linf_contractivity(pair, **kw).passed
-        row["complete"] = checks.check_complete_contractivity(
-            pair, samples=4, T=args.T, tau=args.tau, seed=args.seed
-        ).passed
+        reports = {
+            "positive": checks.check_invariance(pair, positive_cone(), resolvent_samples=4, **kw),
+            "order": checks.check_order_preserving(pair, **kw),
+            "supnorm": checks.check_linf_contractivity(pair, **kw),
+            "complete": checks.check_complete_contractivity(pair, samples=4, T=args.T, tau=args.tau, seed=args.seed),
+        }
         if bundle.reference is not None:
-            row["domination"] = checks.check_domination(bundle.reference, pair, **kw).passed
-        else:
-            row["domination"] = None
-        cells = " ".join(f"{('-' if row[n] is None else 'pass' if row[n] else 'FAIL'):>10s}" for n in names)
+            reports["domination"] = checks.check_domination(bundle.reference, pair, **kw)
+        row = {n: r.passed for n, r in reports.items()}
+        row["consistent"] = all(e["holds"] for e in checks.consistency(list(reports.values())))
+        cells = " ".join(f"{('-' if row.get(n) is None else 'pass' if row[n] else 'FAIL'):>10s}" for n in names)
         print(f"{name:16s} {cells}")
 
 

@@ -14,7 +14,10 @@ tolerance)`` invariant always holds.
 Equivalences are never used to shortcut: each side of a theorem-style
 equivalence is tested independently and disagreement is surfaced, since
 at desk scale a disagreement beyond tolerance indicates a bug, not
-mathematics.
+mathematics.  :func:`consistency` reads disagreements off finished
+reports: the two layers of one report, and the Bénilan–Crandall
+implication among the order, sup-norm and complete reports of one pair.
+``jflow check`` writes its entries to ``report.json``.
 
 Every sample runs on one core (:class:`_Sampler`): lifted-energy gaps
 among a few related points, and implicit-Euler orbits.  A sample whose
@@ -45,7 +48,7 @@ __all__ = [
     "check_linf_contractivity",
     "check_complete_contractivity",
     "check_psi_accretive",
-    "check_interpolation_consistency",
+    "consistency",
     "default_j0_family",
     "integral_functional",
     "l1_functional",
@@ -68,11 +71,13 @@ class PropertyReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def clean(x):
+        def clean(x):  # to JSON types; a non-finite float (a part with no trials) becomes None
             if isinstance(x, np.ndarray):
-                return x.tolist()
+                return clean(x.tolist())
             if isinstance(x, (np.floating, np.integer)):
-                return x.item()
+                x = x.item()
+            if isinstance(x, float) and not math.isfinite(x):
+                return None
             if isinstance(x, dict):
                 return {k: clean(v) for k, v in x.items()}
             if isinstance(x, (list, tuple)):
@@ -82,7 +87,7 @@ class PropertyReport:
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "max_violation": float(self.max_violation),
+            "max_violation": clean(float(self.max_violation)),
             "witness": clean(self.witness),
             "trials": int(self.trials),
             "tolerance": float(self.tolerance),
@@ -583,42 +588,48 @@ def check_psi_accretive(
     return report
 
 
-def check_interpolation_consistency(
-    pair: JEllipticPair,
-    samples: int = 20,
-    T: float = 1.0,
-    tau: float = 0.05,
-    seed: int = 0,
-    override_verdicts: Optional[dict] = None,
-) -> PropertyReport:
-    """Logical consistency among four checkers.
+# ---------------------------------------------------------------------------
+# consistency among finished reports
 
-    When order preservation plus contraction in the integral and in the
-    sup norm all pass, modular contraction for the whole gauge family
-    must pass as well; a violation of that implication marks a checker
-    bug.  ``override_verdicts`` feeds synthetic verdicts (harness
-    self-check)."""
-    if override_verdicts is None:
-        order = check_order_preserving(pair, samples=samples, T=T, tau=tau, seed=seed, dynamic_samples=4)
-        l1_part = check_complete_contractivity(pair, psi_family=[power(1.0)], samples=4, T=T, tau=tau, seed=seed + 1)
-        linf = check_linf_contractivity(pair, samples=samples, T=T, tau=tau, seed=seed + 2, dynamic_samples=4)
-        complete = check_complete_contractivity(pair, samples=4, T=T, tau=tau, seed=seed + 3)
-        verdicts = {
-            "order": order.passed,
-            "l1": l1_part.passed,
-            "linf": linf.passed,
-            "complete": complete.passed,
-        }
-    else:
-        verdicts = dict(override_verdicts)
 
-    inconsistent = verdicts["order"] and verdicts["l1"] and verdicts["linf"] and not verdicts["complete"]
-    return PropertyReport(
-        name="interpolation-consistency",
-        passed=not inconsistent,
-        max_violation=1.0 if inconsistent else 0.0,
-        witness=None if not inconsistent else {"verdicts": verdicts},
-        trials=samples,
-        tolerance=0.5,
-        details={"verdicts": verdicts},
-    )
+def _part_verdicts(report: PropertyReport) -> dict:
+    """The verdict of each part of ``report`` that has trials."""
+    return {
+        name: bool(part["violation"] <= part["tolerance"])
+        for name, part in report.details.items()
+        if isinstance(part, dict) and part.get("trials", 0) > 0
+    }
+
+
+def consistency(reports: Sequence[PropertyReport]) -> list[dict]:
+    """Implications among the verdicts of finished reports, each evaluated
+    where the reports it reads are present; runs no solve.
+
+    - ``benilan-crandall``: a flow that is order-preserving and contracts in
+      the integral norm (the ``power(1.0)`` part of complete-contractivity)
+      and in the sup norm contracts in every convex gauge (Bénilan &
+      Crandall, *Completely accretive operators*, 1991);
+    - ``agreement``: the functional part of a report has the verdict of
+      each other part with trials.
+
+    Each entry holds its rule, the verdicts it read (keyed ``report`` or
+    ``report/part``) and whether it holds.
+    """
+    by_name = {r.name: r for r in reports}
+    entries = []
+    names = ("order-preserving", "sup-norm-contractivity", "complete-contractivity")
+    l1 = _part_verdicts(by_name[names[2]]).get("power(1.0)") if names[2] in by_name else None
+    if l1 is not None and all(n in by_name for n in names):
+        order, linf, complete = (bool(by_name[n].passed) for n in names)
+        verdicts = {"order-preserving": order, "complete-contractivity/power(1.0)": l1,
+                    "sup-norm-contractivity": linf, "complete-contractivity": complete}
+        entries.append({"rule": "benilan-crandall", "verdicts": verdicts,
+                        "holds": complete or not (order and l1 and linf)})
+    for r in reports:
+        parts = _part_verdicts(r)
+        fun = parts.pop("functional", None)
+        if fun is not None:
+            for name, verdict in parts.items():
+                verdicts = {f"{r.name}/functional": fun, f"{r.name}/{name}": verdict}
+                entries.append({"rule": "agreement", "verdicts": verdicts, "holds": verdict == fun})
+    return entries

@@ -224,6 +224,12 @@ def cmd_check(args) -> int:
         status = "pass" if report.passed else "FAIL"
         print(f"{suite:12s} {status}  max_violation={report.max_violation:.3g} tol={report.tolerance:.3g}")
 
+    consistency = checks.consistency(reports)
+    for entry in consistency:
+        if not entry["holds"]:
+            verdicts = ", ".join(f"{k} {'pass' if v else 'FAIL'}" for k, v in entry["verdicts"].items())
+            print(f"{'consistency':12s} {entry['rule']} does not hold: {verdicts}")
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -232,6 +238,7 @@ def cmd_check(args) -> int:
         "seed": args.seed,
         "suites": suites,
         "checks": [r.to_dict() for r in reports],
+        "consistency": consistency,
         "passed": failure is None and all(r.passed for r in reports),
         "failure": failure,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),

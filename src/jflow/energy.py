@@ -402,35 +402,18 @@ def sample_convexity(
 
 def sample_coercivity(
     F: Callable[[np.ndarray], float],
-    omega: float = 0.0,
-    jmat=None,
-    space: Optional[WeightedSpace] = None,
     levels: Sequence[float] = (1.0, 10.0),
     trials: int = 32,
     seed: int = 0,
     center=None,
     dim: Optional[int] = None,
 ) -> CoercivityReport:
-    """Ray probes of the sublevels of the shifted energy.
+    """Ray probes of the sublevels of ``F`` (a shifted energy, for a pair).
 
     For each level the report records the largest radius along random
-    unit rays from a domain point at which the shifted value stays below
-    the level; ``bounded`` is True when every probe exits before 1e3.
+    unit rays from a domain point at which ``F`` stays below the level;
+    ``bounded`` is True when every probe exits before 1e3.
     """
-    if omega != 0.0:
-        if space is None:
-            raise ValueError("sample_coercivity: shifted probe needs the image space")
-
-        def F_shift(x):
-            v = F(x)
-            if math.isinf(v):
-                return v
-            jx = np.asarray(jmat @ x, float) if jmat is not None else x
-            return v + 0.5 * omega * space.inner(jx, jx)
-
-    else:
-        F_shift = F
-
     rng = np.random.default_rng(seed)
     if center is None:
         if dim is None:
@@ -449,7 +432,7 @@ def sample_coercivity(
             r_in, r_out = 0.0, None
             r = 1.0
             while r <= 1e3:
-                if F_shift(center + r * d) > c:
+                if F(center + r * d) > c:
                     r_out = r
                     break
                 r_in = r
@@ -460,7 +443,7 @@ def sample_coercivity(
                 continue
             for _ in range(60):
                 mid = 0.5 * (r_in + r_out)
-                if F_shift(center + mid * d) > c:
+                if F(center + mid * d) > c:
                     r_out = mid
                 else:
                     r_in = mid

@@ -182,10 +182,7 @@ class JEllipticPair:
         if conv.max_violation > 1e-8:
             raise ValueError(f"shifted energy is not sampled-convex: violation {conv.max_violation:g}")
         coer = sample_coercivity(
-            self.E.value,
-            omega=self.omega + 1e-3,
-            jmat=self.j.matrix,
-            space=self.space,
+            lambda x: shifted_value(self.E, self.j.matrix, self.space, self.omega + 1e-3, x),
             levels=(self.E.value(center) + 10.0,),
             trials=24,
             seed=seed + 1,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -225,21 +227,59 @@ def test_psi_accretive_rejects_unverified_pairs(robin_small):
         checks.check_psi_accretive(robin_small, checks.l1_functional(robin_small.space), bogus, verify_tol=1e-6)
 
 
-def test_interpolation_consistency_robin(robin_small):
-    rep = checks.check_interpolation_consistency(robin_small, samples=6, T=0.3, tau=0.05, seed=26)
-    assert rep.passed
-    assert all(rep.details["verdicts"].values())
+def synthetic_report(name, **parts):
+    """A report whose parts pass (True) or fail (False) by a unit margin, each with one trial."""
+    return checks._assemble(
+        name,
+        [{"part": part, "violation": 0.0 if ok else 2.0, "tolerance": 1.0, "trials": 1} for part, ok in parts.items()],
+        trials=1,
+    )
 
 
-def test_interpolation_consistency_mutation_flagged(robin_small):
-    rep = checks.check_interpolation_consistency(
-        robin_small, override_verdicts={"order": True, "l1": True, "linf": True, "complete": False}
-    )
-    assert not rep.passed
-    rep_ok = checks.check_interpolation_consistency(
-        robin_small, override_verdicts={"order": True, "l1": False, "linf": True, "complete": False}
-    )
-    assert rep_ok.passed
+def bc_reports(order=True, l1=True, linf=True, power2=True):
+    return [
+        synthetic_report("order-preserving", functional=order),
+        synthetic_report("sup-norm-contractivity", **{"orbit-supnorm": linf}),
+        synthetic_report("complete-contractivity", **{"power(1.0)": l1, "power(2.0)": power2}),
+    ]
+
+
+def test_interpolation_consistency_mutation_flagged():
+    # order, L1 and Linf pass while a gauge fails: the Benilan-Crandall implication is violated
+    (entry,) = checks.consistency(bc_reports(power2=False))
+    assert entry["rule"] == "benilan-crandall" and not entry["holds"]
+    assert entry["verdicts"] == {
+        "order-preserving": True,
+        "complete-contractivity/power(1.0)": True,
+        "sup-norm-contractivity": True,
+        "complete-contractivity": False,
+    }
+    # with L1 failing the premise fails, and the implication holds
+    (entry,) = checks.consistency(bc_reports(l1=False, power2=False))
+    assert entry["holds"]
+    (entry,) = checks.consistency(bc_reports())
+    assert entry["holds"]
+
+
+def test_consistency_flags_a_functional_part_that_disagrees_with_its_orbit():
+    reports = [
+        synthetic_report("comparison", functional=True, **{"orbit-order": False}),
+        synthetic_report("domination", functional=False, **{"orbit-domination": False}),
+    ]
+    bad, good = checks.consistency(reports)
+    assert bad == {
+        "rule": "agreement",
+        "verdicts": {"comparison/functional": True, "comparison/orbit-order": False},
+        "holds": False,
+    }
+    assert good["rule"] == "agreement" and good["holds"]
+
+
+def test_consistency_evaluates_only_what_the_reports_hold():
+    # without order-preserving there is no Benilan-Crandall entry; a part with no trials is not compared
+    no_trials = {"part": "resolvent", "violation": -math.inf, "tolerance": 1.0, "trials": 0}
+    inv = checks._assemble("invariance", [{"part": "functional", "violation": 0.0, "tolerance": 1.0}, no_trials], 1)
+    assert checks.consistency(bc_reports()[1:] + [inv]) == []
 
 
 def test_reports_are_deterministic(robin_small):

@@ -124,6 +124,53 @@ def test_check_builtin_default_suite_verdicts(tmp_path, name):
     assert failing == FAILING_SUITES.get(name, set())
     assert code == (1 if failing else 0)
     assert report["failure"] is None
+    # each failing suite fails on its orbit part alone: its functional part disagrees
+    flagged = {k.split("/")[0] for e in report["consistency"] if not e["holds"] for k in e["verdicts"]}
+    assert flagged == failing
+
+
+def test_check_reports_comparison_disagreement_on_coupled_p2(tmp_path, capsys):
+    # the functional part of comparison misses the failing region that its orbit part finds
+    problem = write(tmp_path, "coupled_p2.json", builtin_problems()["coupled_p2"])
+    out = tmp_path / "rep"
+    code = main(["check", "--problem", problem, "--seed", "7", "--out", str(out)])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    violated = [e for e in report["consistency"] if not e["holds"]]
+    assert violated == [{
+        "rule": "agreement",
+        "verdicts": {"comparison/functional": True, "comparison/orbit-order": False},
+        "holds": False,
+    }]
+    assert "benilan-crandall" in {e["rule"] for e in report["consistency"]}
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("consistency")]
+    assert lines == ["consistency  agreement does not hold: comparison/functional pass, comparison/orbit-order FAIL"]
+
+
+def test_check_robin_p2_every_implication_holds(tmp_path, capsys):
+    problem = write(tmp_path, "robin_p2.json", builtin_problems()["robin_p2"])
+    out = tmp_path / "rep"
+    assert main(["check", "--problem", problem, "--seed", "7", "--out", str(out)]) == 0
+    entries = json.loads((out / "report.json").read_text())["consistency"]
+    assert {e["rule"] for e in entries} == {"benilan-crandall", "agreement"}
+    assert all(e["holds"] for e in entries)
+    assert "consistency" not in capsys.readouterr().out
+
+
+def test_check_report_is_strict_json_when_a_part_has_no_trials(tmp_path):
+    # with omega = 12 both probe steps lambda in {0.1, 1} are >= 1/omega: the resolvent part has no trials
+    problem = write(tmp_path, "robin.json", {**builtin_problems()["robin_p2"], "omega_override": 12})
+    out = tmp_path / "rep"
+    code = main(["check", "--problem", problem, "--seed", "7", "--suite", "positivity", "--tau", "0.05",
+                 "--out", str(out)])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    resolvent_part = report["checks"][0]["details"]["resolvent"]
+    assert resolvent_part["trials"] == 0 and resolvent_part["violation"] is None
 
 
 def test_check_unknown_kind_exit_2(tmp_path):

@@ -108,10 +108,9 @@ def test_sample_coercivity_flat_unbounded():
 
 
 def test_sample_coercivity_shift_restores_boundedness():
+    # the flat energy 0 plus omega/2 |x|^2 with omega = 1
     sp = WeightedSpace(np.ones(2))
-    rep = sample_coercivity(
-        lambda x: 0.0, omega=1.0, jmat=np.eye(2), space=sp, levels=(1.0,), trials=8, seed=0, dim=2
-    )
+    rep = sample_coercivity(lambda x: 0.0 + 0.5 * 1.0 * sp.inner(x, x), levels=(1.0,), trials=8, seed=0, dim=2)
     assert rep.bounded
 
 
