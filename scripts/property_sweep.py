@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run the full property battery over the bundled problems and print a
-verdict matrix (rows: problems, columns: checks).  The ``consistent``
-column reads ``checks.consistency`` off the row's reports: FAIL when an
-implication among their verdicts does not hold."""
+verdict matrix (rows: problems, columns: checks).  Problems with a
+``reference`` also run ``comparison`` and ``domination`` against it.  The
+``consistent`` column reads ``checks.consistency`` off the row's reports:
+FAIL when an implication among their verdicts does not hold (on
+coupled_p2/p3, the functional part of ``comparison`` passes while its
+orbit part fails)."""
 
 import argparse
 
@@ -20,7 +23,7 @@ def main():
     args = ap.parse_args()
 
     kw = dict(samples=args.samples, T=args.T, tau=args.tau, seed=args.seed, dynamic_samples=4)
-    names = ("positive", "order", "supnorm", "complete", "domination", "consistent")
+    names = ("positive", "order", "supnorm", "complete", "comparison", "domination", "consistent")
     print(f"{'problem':16s} " + " ".join(f"{n:>10s}" for n in names))
     for name, cfg in builtin_problems().items():
         bundle = load_problem(cfg)
@@ -32,6 +35,7 @@ def main():
             "complete": checks.check_complete_contractivity(pair, samples=4, T=args.T, tau=args.tau, seed=args.seed),
         }
         if bundle.reference is not None:
+            reports["comparison"] = checks.check_comparison(bundle.reference, pair, **kw)
             reports["domination"] = checks.check_domination(bundle.reference, pair, **kw)
         row = {n: r.passed for n, r in reports.items()}
         row["consistent"] = all(e["holds"] for e in checks.consistency(list(reports.values())))

@@ -22,12 +22,20 @@ implication among the order, sup-norm and complete reports of one pair.
 Every sample runs on one core (:class:`_Sampler`): lifted-energy gaps
 among a few related points, and implicit-Euler orbits.  A sample whose
 start lies outside the image of ``j`` (an infinite lifted value, or an
-empty fiber under an orbit start) is skipped and counted.  Each lifted
-value and orbit is solved once per ``memo``, a dict that callers may share.
+empty fiber under an orbit start) is skipped and counted.  Each checker
+has two phases: ``plan_<name>`` draws the samples and queues their
+requests, and returns the stages that finish the report from the results;
+``check_<name>`` plans, settles and finishes.  :func:`run_plans` settles
+several plans at once (``jflow check`` runs every suite of one call
+through it): one batch of lifted values per pair and one batch of orbits
+per pair and step.  Each lifted value and orbit is solved once per
+``memo``, a dict that callers may share.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -50,6 +58,15 @@ __all__ = [
     "check_psi_accretive",
     "consistency",
     "default_j0_family",
+    "plan_comparison",
+    "plan_complete_contractivity",
+    "plan_domination",
+    "plan_invariance",
+    "plan_linf_contractivity",
+    "plan_order_preserving",
+    "plan_psi_accretive",
+    "plan_relative_invariance",
+    "run_plans",
     "integral_functional",
     "l1_functional",
     "sample_states",
@@ -151,12 +168,12 @@ def _stays_in(part, space, C, witness):
 
 
 class _Sampler:
-    """The sampling core of one checker call: lifted-energy gaps and
-    implicit-Euler orbits of step ``tau`` up to ``T``, counting skipped
-    samples.  Requests are collected and solved by :meth:`settle`, one batch
-    per pair for the lifted values (to ``LIFTED_TOL``) and one for the
-    orbits; results are kept in ``memo`` under their pair and point, and the
-    step for an orbit."""
+    """The requests of one checker stage: lifted-energy gaps and
+    implicit-Euler orbits of step ``tau`` up to ``T``, each with the use of
+    its results, counting skipped samples.  A plan queues its requests;
+    :func:`_settle` solves them, together with those of other samplers, and
+    keeps each result in ``memo`` under its pair and point, and the step for
+    an orbit."""
 
     def __init__(self, T, tau, memo=None):
         self.T, self.tau = T, tau
@@ -168,24 +185,8 @@ class _Sampler:
         return (id(pair), u.tobytes()) if kind == "lifted" else (id(pair), u.tobytes(), self.T, self.tau)
 
     def settle(self):
-        """Solve every pending request not in the memo, then hand each use its
-        results, in the order of the requests."""
-        batches = {}
-        for kind, requests, _ in self.pending:
-            for pair, u in requests:
-                key = self._key(kind, pair, u)
-                if key not in self.memo:  # the entry holds its pair, whose id stays unique while the memo lives
-                    batches.setdefault((kind, id(pair)), (pair, {}))[1][key] = u
-        for (kind, _), (pair, points) in batches.items():
-            U = np.array(list(points.values()))
-            if kind == "lifted":
-                results = [r.value for r in lifted_values(pair, U, LIFTED_TOL)]
-            else:
-                results = [t.states for t in evolve(pair, U, self.T, self.tau, record_energies=False)]
-            self.memo.update((key, (pair, r)) for key, r in zip(points, results))
-        pending, self.pending = self.pending, []
-        for kind, requests, use in pending:
-            use([self.memo[self._key(kind, pair, u)][1] for pair, u in requests])
+        """Solve this sampler's pending requests on their own (:func:`_settle`)."""
+        _settle([self])
 
     def gap(self, part, plus, minus, witness):
         """Bump ``part``, once settled, by the lifted values at the ``(pair,
@@ -233,11 +234,81 @@ class _Sampler:
         self.orbits([(pair, u), (pair, v)], use)
 
 
+def _settle(samplers):
+    """Solve the pending requests of ``samplers`` that their memos lack: one
+    :func:`lifted_values` batch per pair (to ``LIFTED_TOL``) and one
+    :func:`evolve` batch per pair, ``T`` and ``tau``, each point once.  Each
+    result goes into every sampler's memo; then each sampler hands its uses
+    their results, in the order of its requests.  A batch that raises leaves
+    every request pending and the results of the batches before it in the
+    memos."""
+    batches = {}
+    for s in samplers:
+        for kind, requests, _ in s.pending:
+            for pair, u in requests:
+                key = s._key(kind, pair, u)
+                if key not in s.memo:  # the entry holds its pair, whose id stays unique while the memo lives
+                    batch = (kind, id(pair)) if kind == "lifted" else (kind, id(pair), s.T, s.tau)
+                    batches.setdefault(batch, (pair, s, {}))[2][key] = u
+    memos = {id(s.memo): s.memo for s in samplers}.values()
+    for (kind, *_), (pair, s, points) in batches.items():
+        U = np.array(list(points.values()))
+        if kind == "lifted":
+            results = [r.value for r in lifted_values(pair, U, LIFTED_TOL)]
+        else:
+            results = [t.states for t in evolve(pair, U, s.T, s.tau, record_energies=False)]
+        for memo in memos:
+            memo.update((key, (pair, r)) for key, r in zip(points, results))
+    for s in samplers:
+        pending, s.pending = s.pending, []
+        for kind, requests, use in pending:
+            use([s.memo[s._key(kind, pair, u)][1] for pair, u in requests])
+
+
+def run_plans(plans):
+    """Settle the samplers of every plan together (:func:`_settle`), then
+    finish the stages of each plan in order and yield its report (the value
+    of its last stage).
+
+    A plan is a list of stages ``(sampler, finish)``: the plan phase of a
+    checker queues its requests on the sampler, and ``finish()`` reads the
+    results, assembles the report or raises.  Where the joint settle
+    raises, each stage is settled on its own right before it finishes, so
+    that a failure surfaces where, and as, checking stage by stage meets it.
+    """
+    samplers = [s for plan in plans for s, _ in plan]
+    joint = True
+    try:
+        _settle(samplers)
+    except (RuntimeError, ValueError):  # a solver failure: met again below, in stage order
+        if len(samplers) == 1:
+            raise
+        joint = False
+    for plan in plans:
+        for s, finish in plan:
+            if not joint:
+                s.settle()
+            report = finish()
+        yield report
+
+
+def _checker(plan):
+    """The public checker of ``plan``: plan, settle and finish."""
+
+    @functools.wraps(plan)
+    def check(*args, **kwargs):
+        return next(run_plans([plan(*args, **kwargs)]))
+
+    check.__name__ = check.__qualname__ = "check" + plan.__name__[len("plan") :]
+    check.__signature__ = inspect.signature(plan).replace(return_annotation="PropertyReport")
+    return check
+
+
 # ---------------------------------------------------------------------------
 # invariance of closed convex sets
 
 
-def check_invariance(
+def plan_invariance(
     pair: JEllipticPair,
     C: ConvexSetOracle,
     samples: int = 50,
@@ -249,7 +320,7 @@ def check_invariance(
     resolvent_samples: int = 10,
     dynamic_samples: int = 5,
     memo: Optional[dict] = None,
-) -> PropertyReport:
+) -> list:
     """Invariance of a closed convex set under the flow.
 
     Functional side: projecting onto the set never raises the lifted
@@ -277,11 +348,13 @@ def check_invariance(
         cu = C.project(u)
         s.orbits([(pair, cu)], _stays_in(dyn, pair.space, C, {"u0": cu}))
 
-    s.settle()
-    return _assemble(f"invariance[{C.kind}]", [fun, res_part, dyn], samples, s.skipped)
+    return [(s, lambda: _assemble(f"invariance[{C.kind}]", [fun, res_part, dyn], samples, s.skipped))]
 
 
-def check_relative_invariance(
+check_invariance = _checker(plan_invariance)
+
+
+def plan_relative_invariance(
     pair: JEllipticPair,
     C1: ConvexSetOracle,
     C2: ConvexSetOracle,
@@ -292,7 +365,7 @@ def check_relative_invariance(
     tol_fun: float = FUNCTIONAL_TOL,
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
-) -> PropertyReport:
+) -> list:
     """Orbits started in ``C1`` stay in ``C2`` when projection onto
     ``C2`` maps ``C1`` into itself (checked first; failure is an error,
     not a property violation)."""
@@ -317,8 +390,10 @@ def check_relative_invariance(
             x = C1.project(C2.project(x))
         s.orbits([(pair, x)], _stays_in(dyn, pair.space, C2, {"u0": x}))
 
-    s.settle()
-    return _assemble("relative-invariance", [fun, dyn], samples, s.skipped)
+    return [(s, lambda: _assemble("relative-invariance", [fun, dyn], samples, s.skipped))]
+
+
+check_relative_invariance = _checker(plan_relative_invariance)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +411,7 @@ def _ordered_pair(space, u, v):
     return z[: space.dim], z[space.dim :]
 
 
-def check_comparison(
+def plan_comparison(
     pairA: JEllipticPair,
     pairB: JEllipticPair,
     C: Optional[ConvexSetOracle] = None,
@@ -349,7 +424,7 @@ def check_comparison(
     dynamic_samples: int = 5,
     memo: Optional[dict] = None,
     name: str = "comparison",
-) -> PropertyReport:
+) -> list:
     """Two-flow comparison: the crossed meet/join energy inequality and
     ordering of orbits from ordered starts.
 
@@ -385,17 +460,31 @@ def check_comparison(
         witness = {"u0": lo, "v0": hi}
         s.orbits([(pairA, lo), (pairB, hi)], lambda o, w=witness: _bump(dyn, float(np.max(o[0] - o[1])), w))
 
-    s.settle()
-    return _assemble(name, [fun, dyn], samples, s.skipped)
+    return [(s, lambda: _assemble(name, [fun, dyn], samples, s.skipped))]
 
 
-def check_order_preserving(pair: JEllipticPair, C=None, **kwargs) -> PropertyReport:
+def plan_order_preserving(pair: JEllipticPair, C=None, **kwargs) -> list:
     """Single-flow order preservation (comparison of the flow with itself)."""
     kwargs.setdefault("name", "order-preserving")
-    return check_comparison(pair, pair, C=C, **kwargs)
+    return plan_comparison(pair, pair, C=C, **kwargs)
 
 
-def check_domination(
+check_comparison = _checker(plan_comparison)
+check_order_preserving = _checker(plan_order_preserving)
+
+
+def _hypothesis(plan, why):
+    """The stage of a one-stage hypothesis plan, finished by raising when its report fails."""
+    ((s, finish),) = plan
+
+    def test():
+        if not finish().passed:
+            raise ValueError(f"domination hypothesis fails: {why}")
+
+    return s, test
+
+
+def plan_domination(
     pairA: JEllipticPair,
     pairB: JEllipticPair,
     samples: int = 50,
@@ -407,19 +496,22 @@ def check_domination(
     dynamic_samples: int = 5,
     memo: Optional[dict] = None,
     hypothesis_samples: int = 8,
-) -> PropertyReport:
+) -> list:
     """Pointwise domination of one flow by a positive, order-preserving one.
 
-    The hypotheses on the dominating flow are verified first (small
-    sample); their failure is an error, not a negative verdict.
+    The hypotheses on the dominating flow (small sample) are planned with
+    the check and tested first when it finishes; their failure is an error,
+    not a negative verdict.
     """
     _require_same_space(pairA, pairB)
     cone = positive_cone()
     hyp = dict(samples=hypothesis_samples, T=T, tau=tau, dynamic_samples=2, memo=memo)
-    if not check_invariance(pairB, cone, seed=seed + 101, resolvent_samples=2, **hyp).passed:
-        raise ValueError("domination hypothesis fails: dominating flow is not positive")
-    if not check_order_preserving(pairB, C=cone, seed=seed + 202, **hyp).passed:
-        raise ValueError("domination hypothesis fails: dominating flow is not order preserving")
+    hypotheses = [
+        _hypothesis(plan_invariance(pairB, cone, seed=seed + 101, resolvent_samples=2, **hyp),
+                    "dominating flow is not positive"),
+        _hypothesis(plan_order_preserving(pairB, C=cone, seed=seed + 202, **hyp),
+                    "dominating flow is not order preserving"),
+    ]
 
     rng = np.random.default_rng(seed)
     usA = sample_states(pairA, samples, rng)
@@ -437,15 +529,17 @@ def check_domination(
         s.orbits([(pairA, u), (pairB, np.abs(u))],
                  lambda o, w={"u0": u}: _bump(dyn, float(np.max(np.abs(o[0]) - o[1])), w))
 
-    s.settle()
-    return _assemble("domination", [fun, dyn], samples, s.skipped)
+    return [*hypotheses, (s, lambda: _assemble("domination", [fun, dyn], samples, s.skipped))]
+
+
+check_domination = _checker(plan_domination)
 
 
 # ---------------------------------------------------------------------------
 # sup-norm contraction and the gauge family
 
 
-def check_linf_contractivity(
+def plan_linf_contractivity(
     pair: JEllipticPair,
     samples: int = 50,
     T: float = 1.0,
@@ -455,7 +549,7 @@ def check_linf_contractivity(
     tol_dyn: float = DYNAMIC_TOL,
     dynamic_samples: int = 5,
     memo: Optional[dict] = None,
-) -> PropertyReport:
+) -> list:
     """Sup-norm contraction: the two-sided median truncation inequality
     on the lifted energy, and orbit distances in the max norm."""
     rng = np.random.default_rng(seed)
@@ -477,8 +571,10 @@ def check_linf_contractivity(
     for u, v in zip(us[:dynamic_samples], vs[:dynamic_samples]):
         s.contraction(pair, u, v, sup, first=0)
 
-    s.settle()
-    return _assemble("sup-norm-contractivity", [fun, dyn], samples, s.skipped)
+    return [(s, lambda: _assemble("sup-norm-contractivity", [fun, dyn], samples, s.skipped))]
+
+
+check_linf_contractivity = _checker(plan_linf_contractivity)
 
 
 def default_j0_family() -> list[NFunction]:
@@ -502,7 +598,7 @@ def l1_functional(space: WeightedSpace) -> Callable[[np.ndarray], float]:
     return integral_functional(space, power(1.0))
 
 
-def check_complete_contractivity(
+def plan_complete_contractivity(
     pair: JEllipticPair,
     psi_family: Optional[Sequence[NFunction]] = None,
     samples: int = 10,
@@ -511,7 +607,7 @@ def check_complete_contractivity(
     seed: int = 0,
     tol: float = DYNAMIC_TOL,
     memo: Optional[dict] = None,
-) -> PropertyReport:
+) -> list:
     """Modular contraction along orbits for a family of convex gauges.
 
     Meaningful under order preservation (standing hypothesis of the
@@ -529,12 +625,14 @@ def check_complete_contractivity(
     for u, v in zip(us, vs):
         s.contraction(pair, u, v, gauges)
 
-    s.settle()
     # starts drawn by sample_states lie in the image of j: a skip is reported when one happens
-    return _assemble("complete-contractivity", list(parts.values()), samples, s.skipped or None)
+    return [(s, lambda: _assemble("complete-contractivity", list(parts.values()), samples, s.skipped or None))]
 
 
-def check_psi_accretive(
+check_complete_contractivity = _checker(plan_complete_contractivity)
+
+
+def plan_psi_accretive(
     pair: JEllipticPair,
     psi: Callable[[np.ndarray], float],
     op_pairs: Sequence,
@@ -544,7 +642,7 @@ def check_psi_accretive(
     verify_tol: Optional[float] = 1e-6,
     crosscheck_samples: int = 4,
     psi_name: str = "psi",
-) -> PropertyReport:
+) -> list:
     """Gauge accretivity of the operator samples, cross-checked against
     gauge contraction of the flow.
 
@@ -577,15 +675,20 @@ def check_psi_accretive(
     for u, v in zip(starts[0::2], starts[1::2]):
         s.contraction(pair, u, v, [(contr, psi, {})])
 
-    s.settle()
-    contractive_ok = contr["violation"] <= contr["tolerance"]
-    # starts drawn by sample_states lie in the image of j: a skip is reported when one happens
-    report = _assemble(f"{psi_name}-accretivity", [acc], len(op_pairs), s.skipped or None)
-    report.details["contraction"] = {k: v for k, v in contr.items() if k != "part"}
-    report.details["accretive_passed"] = report.passed
-    report.details["contractive_passed"] = contractive_ok
-    report.details["crosscheck_agrees"] = report.passed == contractive_ok
-    return report
+    def finish():
+        contractive_ok = contr["violation"] <= contr["tolerance"]
+        # starts drawn by sample_states lie in the image of j: a skip is reported when one happens
+        report = _assemble(f"{psi_name}-accretivity", [acc], len(op_pairs), s.skipped or None)
+        report.details["contraction"] = {k: v for k, v in contr.items() if k != "part"}
+        report.details["accretive_passed"] = report.passed
+        report.details["contractive_passed"] = contractive_ok
+        report.details["crosscheck_agrees"] = report.passed == contractive_ok
+        return report
+
+    return [(s, finish)]
+
+
+check_psi_accretive = _checker(plan_psi_accretive)
 
 
 # ---------------------------------------------------------------------------

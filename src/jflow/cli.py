@@ -178,21 +178,21 @@ def _applicable_suites(bundle) -> list[str]:
     return suites
 
 
-def _run_suite(bundle, suite: str, args, memo) -> checks.PropertyReport:
+def _plan_suite(bundle, suite: str, args, memo) -> list:
     pair = bundle.pair
     kw = dict(samples=args.samples, T=args.T, tau=args.tau, seed=args.seed, memo=memo)
     if suite == "positivity":
-        return checks.check_invariance(pair, positive_cone(), **kw)
+        return checks.plan_invariance(pair, positive_cone(), **kw)
     if suite == "order":
-        return checks.check_order_preserving(pair, **kw)
+        return checks.plan_order_preserving(pair, **kw)
     if suite == "linf":
-        return checks.check_linf_contractivity(pair, **kw)
+        return checks.plan_linf_contractivity(pair, **kw)
     if suite == "complete":
-        return checks.check_complete_contractivity(pair, **{**kw, "samples": min(args.samples, 6)})
+        return checks.plan_complete_contractivity(pair, **{**kw, "samples": min(args.samples, 6)})
     if suite == "comparison":
-        return checks.check_comparison(bundle.reference, pair, **kw)
+        return checks.plan_comparison(bundle.reference, pair, **kw)
     if suite == "domination":
-        return checks.check_domination(bundle.reference, pair, **kw)
+        return checks.plan_domination(bundle.reference, pair, **kw)
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -210,19 +210,33 @@ def cmd_check(args) -> int:
     if _bad_steps(args, [bundle.pair] + ([bundle.reference] if uses_reference else [])):
         return 2
 
-    reports = []
-    failure = None
-    memo = {}  # the suites share their lifted values and orbits
+    # every suite is planned, then all are settled at once: they share one memo of lifted values
+    # and orbits, and one batch of each per pair; suite by suite where that settle fails
+    planned, failure, memo = [], None, {}
     for suite in suites:
         try:
-            report = _run_suite(bundle, suite, args, memo)
+            planned.append((suite, _plan_suite(bundle, suite, args, memo)))
+        except (RuntimeError, ValueError) as exc:  # met once the suites planned before it have finished
+            failure = (suite, exc)
+            break
+    reports = []
+    finished = checks.run_plans([plan for _, plan in planned])
+    for suite, _ in planned:
+        try:
+            report = next(finished)
         except (RuntimeError, ValueError) as exc:  # a solver failure or a failed checker hypothesis
-            print(f"jflow: suite {suite!r} failed: {exc}", file=sys.stderr)
-            failure = {"suite": suite, "error": str(exc)}
+            failure = (suite, exc)
             break
         reports.append(report)
         status = "pass" if report.passed else "FAIL"
         print(f"{suite:12s} {status}  max_violation={report.max_violation:.3g} tol={report.tolerance:.3g}")
+        for name, part in report.details.items():
+            if isinstance(part, dict) and part.get("trials") == 0:
+                print(f"{suite:12s} part {name!r} ran no trial")
+    if failure is not None:
+        suite, exc = failure
+        print(f"jflow: suite {suite!r} failed: {exc}", file=sys.stderr)
+        failure = {"suite": suite, "error": str(exc)}
 
     consistency = checks.consistency(reports)
     for entry in consistency:

@@ -154,7 +154,8 @@ def test_check_robin_p2_every_implication_holds(tmp_path, capsys):
     entries = json.loads((out / "report.json").read_text())["consistency"]
     assert {e["rule"] for e in entries} == {"benilan-crandall", "agreement"}
     assert all(e["holds"] for e in entries)
-    assert "consistency" not in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "consistency" not in printed and "ran no trial" not in printed
 
 
 def test_check_report_is_strict_json_when_a_part_has_no_trials(tmp_path):
@@ -171,6 +172,18 @@ def test_check_report_is_strict_json_when_a_part_has_no_trials(tmp_path):
     report = json.loads((out / "report.json").read_text(), parse_constant=reject)
     resolvent_part = report["checks"][0]["details"]["resolvent"]
     assert resolvent_part["trials"] == 0 and resolvent_part["violation"] is None
+
+
+def test_check_prints_each_part_that_ran_no_trial(tmp_path, capsys):
+    # omega = 12 leaves positivity's resolvent part without a probe step; the verdict stands
+    problem = write(tmp_path, "robin.json", {**builtin_problems()["robin_p2"], "omega_override": 12})
+    code = main(["check", "--problem", problem, "--seed", "7", "--samples", "4", "--T", "0.1", "--out", str(tmp_path)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [lines[0], "positivity   part 'resolvent' ran no trial"] and lines[0].startswith("positivity")
+    assert sum("ran no trial" in line for line in lines) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] and report["checks"][0]["details"]["resolvent"]["trials"] == 0
 
 
 def test_check_unknown_kind_exit_2(tmp_path):
@@ -208,18 +221,53 @@ def _boom(*args, **kwargs):
     raise RuntimeError("synthetic solver failure")
 
 
+def _order_only_point(cfg, seed, samples):
+    """The first meet of two unordered starts of the order suite: a fibre that no other suite requests."""
+    from jflow import checks
+
+    rng = np.random.default_rng(seed)
+    us, vs = (checks.sample_states(load_problem(cfg).pair, samples, rng) for _ in range(2))
+    return next(np.minimum(u, v) for u, v in zip(us, vs) if np.any(u < v) and np.any(v < u))
+
+
+def _fail_batches_holding(monkeypatch, name, point, raised):
+    """``checks.<name>`` (``lifted_values`` or ``evolve``) fails every batch holding
+    ``point``, naming its row and the batch size; each message goes into ``raised``."""
+    from jflow import checks
+
+    real = getattr(checks, name)
+
+    def failing(pair, U, *args, **kwargs):
+        rows = [i for i, u in enumerate(U) if np.array_equal(u, point)]
+        if rows:
+            raised.append(f"synthetic solver failure at row {rows[0]} of {len(U)}")
+            raise RuntimeError(raised[-1])
+        return real(pair, U, *args, **kwargs)
+
+    monkeypatch.setattr(checks, name, failing)
+
+
+def _suite_by_suite(bundle, samples, T, tau, seed):
+    """The reports of the public checkers of ``jflow check --suite all``, one
+    suite after another in suite order, sharing one memo."""
+    from jflow import checks
+    from jflow.hilbert import positive_cone
+
+    pair, ref = bundle.pair, bundle.reference
+    kw = dict(samples=samples, T=T, tau=tau, seed=seed, memo={})
+    yield checks.check_invariance(pair, positive_cone(), **kw)
+    yield checks.check_order_preserving(pair, **kw)
+    yield checks.check_linf_contractivity(pair, **kw)
+    yield checks.check_complete_contractivity(pair, **{**kw, "samples": min(samples, 6)})
+    if ref is not None:
+        yield checks.check_comparison(ref, pair, **kw)
+        yield checks.check_domination(ref, pair, **kw)
+
+
 def test_check_solver_failure_exit_1_with_partial_report(tmp_path, monkeypatch):
-    # the Newton core fails from the second suite on: the first suite's
+    # a fibre that only the order suite requests fails: the first suite's
     # report survives, and the failing suite is named with its error
-    from jflow import checks, solvers
-
-    order = checks.check_order_preserving
-
-    def failing_order(*args, **kwargs):
-        monkeypatch.setattr(solvers, "newton", _boom)
-        return order(*args, **kwargs)
-
-    monkeypatch.setattr(checks, "check_order_preserving", failing_order)
+    _fail_batches_holding(monkeypatch, "lifted_values", _order_only_point(ROBIN_SMALL, 7, 4), [])
     problem = write(tmp_path, "robin.json", ROBIN_SMALL)
     out = tmp_path / "rep_fail"
     code = main([
@@ -232,6 +280,70 @@ def test_check_solver_failure_exit_1_with_partial_report(tmp_path, monkeypatch):
     assert [c["name"] for c in report["checks"]] == ["invariance[positive-cone]"]
     assert report["failure"]["suite"] == "order"
     assert "synthetic solver failure" in report["failure"]["error"]
+
+
+CHECK_SMALL = ["check", "--seed", "7", "--samples", "3", "--T", "0.1", "--tau", "0.05"]
+
+
+@pytest.mark.parametrize("case", ["fibre-of-order", "orbit-of-domination"])
+def test_check_failure_after_the_joint_settle_is_that_of_checking_suite_by_suite(tmp_path, monkeypatch, capsys, case):
+    # the joint settle meets the failure in a larger batch, so its message differs;
+    # the suite and error reported are those of the public checkers run in turn
+    from jflow import checks
+
+    if case == "fibre-of-order":
+        cfg, name, point, suite = ROBIN_SMALL, "lifted_values", _order_only_point(ROBIN_SMALL, 7, 3), "order"
+    else:  # the first orbit start of domination's own sample, on the reference pair
+        cfg, name, suite = builtin_problems()["coupled_p3"], "evolve", "domination"
+        point = checks.sample_states(load_problem(cfg).reference, 3, np.random.default_rng(7))[0]
+    raised = []
+    _fail_batches_holding(monkeypatch, name, point, raised)
+    out = tmp_path / "rep"
+    assert main(CHECK_SMALL + ["--problem", write(tmp_path, "p.json", cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert len(raised) == 2 and raised[0] != raised[1]  # the joint settle's, then the suite's own
+
+    expected = []
+    with pytest.raises(RuntimeError) as exc:
+        for r in _suite_by_suite(load_problem(cfg), 3, 0.1, 0.05, 7):
+            expected.append(r)
+    assert report["failure"] == {"suite": suite, "error": str(exc.value)}
+    assert report["checks"] == [json.loads(json.dumps(r.to_dict())) for r in expected]
+    assert capsys.readouterr().err == f"jflow: suite {suite!r} failed: {exc.value}\n"
+
+
+@pytest.mark.parametrize("name", ["robin-small", "coupled_p3"])
+def test_check_all_settles_one_batch_of_each_kind_per_pair(tmp_path, monkeypatch, name):
+    from jflow import checks
+
+    cfg = ROBIN_SMALL if name == "robin-small" else builtin_problems()[name]
+    calls = {"lifted_values": [], "evolve": []}
+    for kind, seen in calls.items():
+        real = getattr(checks, kind)
+
+        def spy(pair, U, *args, real=real, seen=seen, **kwargs):
+            seen.append(id(pair))
+            return real(pair, U, *args, **kwargs)
+
+        monkeypatch.setattr(checks, kind, spy)
+    out = tmp_path / "rep"
+    main(CHECK_SMALL + ["--problem", write(tmp_path, "p.json", cfg), "--out", str(out)])
+    suites = json.loads((out / "report.json").read_text())["suites"]
+    pairs = 2 if name == "coupled_p3" else 1
+    assert ("domination" in suites) == (pairs == 2)
+    assert [len(set(seen)) for seen in calls.values()] == [pairs, pairs]
+    assert [len(seen) for seen in calls.values()] == [pairs, pairs]
+
+
+@pytest.mark.parametrize("name", ["robin-small", "coupled_p3"])
+def test_check_reports_equal_those_of_the_checkers_run_suite_by_suite(tmp_path, name):
+    cfg = ROBIN_SMALL if name == "robin-small" else builtin_problems()[name]
+    out = tmp_path / "rep"
+    main(CHECK_SMALL + ["--problem", write(tmp_path, "p.json", cfg), "--out", str(out)])
+    reports = list(_suite_by_suite(load_problem(cfg), 3, 0.1, 0.05, 7))
+    assert json.loads((out / "report.json").read_text())["checks"] == [
+        json.loads(json.dumps(r.to_dict())) for r in reports
+    ]
 
 
 def test_run_initial_fiber_failure_exit_1(tmp_path, monkeypatch, capsys):
