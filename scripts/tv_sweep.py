@@ -10,8 +10,9 @@ tv_chain32, where every node is observed (full-anchor steps,
 block (``solvers.partial_anchor_tv``).  Prints per problem the orbits,
 the steps, the failed steps, the HiGHS feasibility problems of the
 plateau polish (``linprog`` with equality rows), the worst step
-certificate (duality gap on the chain, KKT residual on the grid) and the
-wall time.  Exits 1 when a step fails.
+certificate (duality gap on the chain, KKT residual on the grid; a failed
+step counts with the residual its ``SliceError`` carries) and the wall
+time.  Exits 1 when a step fails.
 
     PYTHONPATH=src python3 scripts/tv_sweep.py [--orbits 20]
 """
@@ -24,6 +25,7 @@ import numpy as np
 import scipy.optimize
 
 from jflow.flow import EvolveError, evolve
+from jflow.pairs import SliceError
 from jflow.problems import builtin_problems, load_problem
 
 _STEPS = 10
@@ -78,6 +80,8 @@ def main():
                 failed += 1
                 steps += 1  # the step that failed
                 residuals = err.partial.step_residuals
+                if isinstance(err.__cause__, SliceError):
+                    worst = max(worst, err.__cause__.residual)
             else:
                 residuals = traj.step_residuals
             steps += residuals.size - 1

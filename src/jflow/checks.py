@@ -19,17 +19,16 @@ reports: the two layers of one report, and the Bénilan–Crandall
 implication among the order, sup-norm and complete reports of one pair.
 ``jflow check`` writes its entries to ``report.json``.
 
-Every sample runs on one core (:class:`_Sampler`): lifted-energy gaps
-among a few related points, and implicit-Euler orbits.  A sample whose
-start lies outside the image of ``j`` (an infinite lifted value, or an
-empty fiber under an orbit start) is skipped and counted.  Each checker
-has two phases: ``plan_<name>`` draws the samples and queues their
-requests, and returns the stages that finish the report from the results;
-``check_<name>`` plans, settles and finishes.  :func:`run_plans` settles
-several plans at once (``jflow check`` runs every suite of one call
-through it): one batch of lifted values per pair and one batch of orbits
-per pair and step.  Each lifted value and orbit is solved once per
-``memo``, a dict that callers may share.
+Every sample runs on one core (:class:`_Sampler`): lifted-energy gaps,
+backward steps and implicit-Euler orbits.  A sample whose start lies
+outside the image of ``j`` (an infinite lifted value, or an empty fiber)
+is skipped and counted.  Each checker has two phases: ``plan_<name>``
+draws the samples and queues their requests, and returns the stages that
+finish the report from the results; ``check_<name>`` plans, settles and
+finishes.  A plan never solves.  :func:`run_plans` settles several plans
+at once (``jflow check`` runs every suite of one call through it): one
+batch of steps and one of lifted values per pair, one of orbits per pair
+and step, each point solved once per ``memo``, a dict callers may share.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from .flow import evolve, resolvent
 from .hilbert import ConvexSetOracle, NFunction, WeightedSpace, huber, order_cone, positive_cone, power, threshold_excess
-from .pairs import JEllipticPair, _fiber_coordinates, lifted_values, subgradient_residual
+from .pairs import JEllipticPair, fibers, lifted_values, subgradient_residual
 
 __all__ = [
     "PropertyReport",
@@ -158,7 +157,7 @@ def _bump(part, violation, witness):
 
 
 def _stays_in(part, space, C, witness):
-    """The use of one orbit: bump ``part`` by the distance of each state from ``C``."""
+    """The use of one orbit or step: bump ``part`` by the distance of each state from ``C``."""
 
     def use(orbits):
         for state in orbits[0]:
@@ -168,21 +167,17 @@ def _stays_in(part, space, C, witness):
 
 
 class _Sampler:
-    """The requests of one checker stage: lifted-energy gaps and
-    implicit-Euler orbits of step ``tau`` up to ``T``, each with the use of
-    its results, counting skipped samples.  A plan queues its requests;
+    """The requests of one checker stage: lifted-energy gaps, backward steps
+    and implicit-Euler orbits of step ``tau`` up to ``T``, each with the use
+    of its results, counting skipped samples.  A plan queues its requests;
     :func:`_settle` solves them, together with those of other samplers, and
-    keeps each result in ``memo`` under its pair and point, and the step for
-    an orbit."""
+    keeps each result in ``memo`` under its pair, point and step length."""
 
     def __init__(self, T, tau, memo=None):
         self.T, self.tau = T, tau
         self.memo = {} if memo is None else memo
         self.skipped = 0
-        self.pending = []  # (kind, (pair, point) requests, the use of their results)
-
-    def _key(self, kind, pair, u):
-        return (id(pair), u.tobytes()) if kind == "lifted" else (id(pair), u.tobytes(), self.T, self.tau)
+        self.pending = []  # ((kind, *lengths), (pair, point) requests, their use); lengths: lam, or T and tau
 
     def settle(self):
         """Solve this sampler's pending requests on their own (:func:`_settle`)."""
@@ -203,21 +198,25 @@ class _Sampler:
                 total -= v
             _bump(part, total, witness)
 
-        self.pending.append(("lifted", [*plus, *minus], use))
+        self.pending.append((("lifted",), [*plus, *minus], use))
 
     def skip(self, *starts):
         """Whether a sample is skipped: one of its ``(pair, u)`` starts has an
-        empty fiber, which needs no solve."""
-        if any(_fiber_coordinates(pair, u)[0] is None for pair, u in starts):
+        empty fiber (:func:`pairs.fibers`), which needs no solve."""
+        if any(fibers(pair, u[None])[2][0] for pair, u in starts):
             self.skipped += 1
             return True
         return False
+
+    def step(self, pair, u, lam, use):
+        """Hand ``use``, once settled, the backward step of length ``lam`` from ``u`` as a one-state orbit."""
+        self.pending.append((("step", lam), [(pair, u)], use))
 
     def orbits(self, starts, use):
         """Hand ``use``, once settled, the states of the orbits from the
         ``(pair, u0)`` starts, unless the sample is skipped."""
         if not self.skip(*starts):
-            self.pending.append(("orbit", starts, use))
+            self.pending.append((("orbit", self.T, self.tau), starts, use))
 
     def contraction(self, pair, u, v, gauges, first=1):
         """Evolve from ``u`` and ``v`` and bump the part of each ``(part,
@@ -235,34 +234,37 @@ class _Sampler:
 
 
 def _settle(samplers):
-    """Solve the pending requests of ``samplers`` that their memos lack: one
-    :func:`lifted_values` batch per pair (to ``LIFTED_TOL``) and one
-    :func:`evolve` batch per pair, ``T`` and ``tau``, each point once.  Each
-    result goes into every sampler's memo; then each sampler hands its uses
-    their results, in the order of its requests.  A batch that raises leaves
-    every request pending and the results of the batches before it in the
-    memos."""
-    batches = {}
+    """Solve the pending requests of ``samplers`` that their memos lack, each
+    point once, kind by kind: one :func:`resolvent` batch per pair (a step
+    length per sample), one :func:`lifted_values` batch per pair (to
+    ``LIFTED_TOL``) and one :func:`evolve` batch per pair, ``T`` and ``tau``.
+    Each result goes into every sampler's memo; then each sampler hands its
+    uses their results, in the order of its requests.  A batch that raises
+    leaves every request pending and the earlier batches' results memoized."""
+    batches = {"step": {}, "lifted": {}, "orbit": {}}  # in this order: a stage's failed step comes first
     for s in samplers:
-        for kind, requests, _ in s.pending:
+        for (kind, *lengths), requests, _ in s.pending:
             for pair, u in requests:
-                key = s._key(kind, pair, u)
+                key = (id(pair), u.tobytes(), *lengths)
                 if key not in s.memo:  # the entry holds its pair, whose id stays unique while the memo lives
-                    batch = (kind, id(pair)) if kind == "lifted" else (kind, id(pair), s.T, s.tau)
-                    batches.setdefault(batch, (pair, s, {}))[2][key] = u
+                    batch = (id(pair), *lengths) if kind == "orbit" else (id(pair),)
+                    batches[kind].setdefault(batch, (pair, {}))[1][key] = u
     memos = {id(s.memo): s.memo for s in samplers}.values()
-    for (kind, *_), (pair, s, points) in batches.items():
-        U = np.array(list(points.values()))
-        if kind == "lifted":
-            results = [r.value for r in lifted_values(pair, U, LIFTED_TOL)]
-        else:
-            results = [t.states for t in evolve(pair, U, s.T, s.tau, record_energies=False)]
-        for memo in memos:
-            memo.update((key, (pair, r)) for key, r in zip(points, results))
+    for kind, group in batches.items():
+        for (_, *orbit), (pair, points) in group.items():
+            U = np.array(list(points.values()))
+            if kind == "step":
+                results = [r.u[None] for r in resolvent(pair, [key[2] for key in points], U)]
+            elif kind == "lifted":
+                results = [r.value for r in lifted_values(pair, U, LIFTED_TOL)]
+            else:
+                results = [t.states for t in evolve(pair, U, *orbit, record_energies=False)]
+            for memo in memos:
+                memo.update((key, (pair, r)) for key, r in zip(points, results))
     for s in samplers:
         pending, s.pending = s.pending, []
-        for kind, requests, use in pending:
-            use([s.memo[s._key(kind, pair, u)][1] for pair, u in requests])
+        for (_, *lengths), requests, use in pending:
+            use([s.memo[(id(pair), u.tobytes(), *lengths)][1] for pair, u in requests])
 
 
 def run_plans(plans):
@@ -336,12 +338,10 @@ def plan_invariance(
 
     res_part = _max_part("resolvent", tol_dyn)
     lams = [lam for lam in (0.1, 1.0) if not (pair.omega > 0 and lam >= 1.0 / pair.omega)]
-    cus = [C.project(u) for u in us[:resolvent_samples]]
-    steps = [(cu, lam) for cu in cus if not s.skip((pair, cu)) for lam in lams]  # one batch
-    if steps:
-        done = resolvent(pair, [lam for _, lam in steps], np.array([cu for cu, _ in steps]))
-        for (cu, lam), step in zip(steps, done):
-            _bump(res_part, pair.space.norm(step.u - C.project(step.u)), {"u": cu, "lambda": lam})
+    for cu in [C.project(u) for u in us[:resolvent_samples]]:
+        if not s.skip((pair, cu)):
+            for lam in lams:
+                s.step(pair, cu, lam, _stays_in(res_part, pair.space, C, {"u": cu, "lambda": lam}))
 
     dyn = _max_part("orbit", tol_dyn)
     for u in us[:dynamic_samples]:
@@ -371,17 +371,14 @@ def plan_relative_invariance(
     not a property violation)."""
     rng = np.random.default_rng(seed)
     us = sample_states(pair, samples, rng)
+    s = _Sampler(T, tau)
+    fun = _max_part("functional", tol_fun)
     for u in us:
         x = C1.project(u)
         px = C2.project(x)
         if pair.space.norm(px - C1.project(px)) > 1e-9 * (1.0 + pair.space.norm(px)):
             raise ValueError("compatibility precondition fails: projection onto C2 leaves C1")
-
-    s = _Sampler(T, tau)
-    fun = _max_part("functional", tol_fun)
-    for u in us:
-        x = C1.project(u)
-        s.gap(fun, [(pair, C2.project(x))], [(pair, x)], {"u": x})
+        s.gap(fun, [(pair, px)], [(pair, x)], {"u": x})
 
     dyn = _max_part("orbit", tol_dyn)
     for u in us[:dynamic_samples]:
@@ -650,9 +647,12 @@ def plan_psi_accretive(
     difference of their operator values never decreases the gauge.  The
     verdict and headline are those of accretivity; the details carry the
     contraction part, its verdict and an agreement flag, as the two must
-    agree for flows generated by the same operator.
+    agree for flows generated by the same operator.  With ``verify_tol``,
+    each operator sample's membership is tested first when the check
+    finishes (it solves fibers); a failure is an error, not a verdict.
     """
-    if verify_tol is not None:
+
+    def verify():
         for u, f in op_pairs:
             gap = subgradient_residual(pair, u, f, directions=50, seed=seed)
             if gap > verify_tol:
@@ -685,7 +685,8 @@ def plan_psi_accretive(
         report.details["crosscheck_agrees"] = report.passed == contractive_ok
         return report
 
-    return [(s, finish)]
+    membership = [(_Sampler(T, tau), verify)] if verify_tol is not None else []
+    return [*membership, (s, finish)]
 
 
 check_psi_accretive = _checker(plan_psi_accretive)

@@ -210,18 +210,11 @@ def cmd_check(args) -> int:
     if _bad_steps(args, [bundle.pair] + ([bundle.reference] if uses_reference else [])):
         return 2
 
-    # every suite is planned, then all are settled at once: they share one memo of lifted values
-    # and orbits, and one batch of each per pair; suite by suite where that settle fails
-    planned, failure, memo = [], None, {}
+    # every suite is planned, without a solve, then all are settled at once: they share one memo of
+    # steps, lifted values and orbits, and one batch of each per pair; suite by suite where that settle fails
+    memo, reports, failure = {}, [], None
+    finished = checks.run_plans([_plan_suite(bundle, suite, args, memo) for suite in suites])
     for suite in suites:
-        try:
-            planned.append((suite, _plan_suite(bundle, suite, args, memo)))
-        except (RuntimeError, ValueError) as exc:  # met once the suites planned before it have finished
-            failure = (suite, exc)
-            break
-    reports = []
-    finished = checks.run_plans([plan for _, plan in planned])
-    for suite, _ in planned:
         try:
             report = next(finished)
         except (RuntimeError, ValueError) as exc:  # a solver failure or a failed checker hypothesis

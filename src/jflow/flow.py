@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import PEdgeEnergy
-from .pairs import JEllipticPair, SliceError, _fiber_coordinates, _solve_slice, lifted_values
+from .pairs import JEllipticPair, SliceError, _solve_slice, fibers, lifted_values
 
 __all__ = [
     "ResolventResult",
@@ -131,18 +131,19 @@ def evolve(
     ``u0`` of shape ``(S, m)`` holds S initial data: their orbits advance
     as one batch, each step one slice solve of S samples, and a list of S
     trajectories is returned, each bitwise the orbit of its datum alone.
-    The initial data must lie in the image of the effective domain; with
-    ``project_initial`` one that does not is first projected onto that
-    affine set.  The fiber above an initial datum is solved only when its
-    value or minimizer is kept (``record_energies``, one flag for all
-    orbits or one per orbit, and ``keep_extensions``), the kept ones as one
-    batch (:func:`pairs.lifted_values`, whose :class:`pairs.SliceError`
-    names the orbit's row), and the first step then starts from that
-    minimizer; otherwise the first step starts as :func:`resolvent` does
+    The initial data must lie in the image of the effective domain
+    (:func:`pairs.fibers`); with ``project_initial`` one that does not is
+    first projected onto that affine set.  The fiber above an initial datum
+    is solved only when its value or minimizer is kept (``record_energies``,
+    one flag for all orbits or one per orbit, and ``keep_extensions``), the
+    kept ones as one batch (:func:`pairs.lifted_values`, whose
+    :class:`pairs.SliceError` names the orbit's row), and the first step
+    then starts from that minimizer; otherwise as :func:`resolvent` does
     without ``start``.  A failed step raises :class:`EvolveError` with the
-    partial trajectory of its orbit.
-    For shifted-convex pairs the step must satisfy ``tau <= 0.9/omega`` so
-    every step objective stays strongly convex on data directions.
+    partial trajectory of the orbit its :class:`pairs.SliceError` names
+    (row 0 for an error of the whole batch).  For shifted-convex pairs the
+    step must satisfy ``tau <= 0.9/omega`` so every step objective stays
+    strongly convex on data directions.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -154,11 +155,11 @@ def evolve(
     pair.space.check_dim(*U)
     S, record = len(U), np.broadcast_to(record_energies, len(U))
     kept, lifted_tol = record | keep_extensions, tol if tol is not None else _FALLBACK_TOL
-    for s in range(S):
-        if _fiber_coordinates(pair, U[s])[0] is None:
-            if not project_initial:
-                raise ValueError("initial datum is outside the image of the effective domain")
-            U[s] = _project_onto_image(pair, U[s])
+    empty = fibers(pair, U)[2]
+    if empty.any() and not project_initial:
+        raise ValueError("initial datum is outside the image of the effective domain")
+    for s in np.flatnonzero(empty):
+        U[s] = _project_onto_image(pair, U[s])
     first, rows = [None] * S, np.flatnonzero(kept)
     try:
         for s, fiber in zip(rows, lifted_values(pair, U[rows], lifted_tol) if rows.size else []):
@@ -182,7 +183,7 @@ def evolve(
         try:
             step = _solve_slice(pair, x0, Z, tol, warm, data=(tau, states[:, k]))
         except Exception as exc:  # noqa: BLE001 - re-raised with the partial orbit
-            s = getattr(exc, "sample", 0)
+            s = exc.sample if isinstance(exc, SliceError) else 0
             partial = Trajectory(times[: k + 1], states[s, : k + 1].copy(),
                                  energies[s, : k + 1].copy() if record[s] else None, residuals[s, : k + 1].copy())
             raise EvolveError(f"step {k + 1} failed: {exc}", partial, s) from exc

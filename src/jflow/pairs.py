@@ -49,6 +49,7 @@ __all__ = [
     "JEllipticPair",
     "kernel_basis",
     "graph_reduce",
+    "fibers",
     "lifted_value",
     "lifted_values",
     "elliptic_extension",
@@ -148,15 +149,6 @@ class JEllipticPair:
         return _EdgeSystem(self.E, self.j)
 
     @functools.cached_property
-    def fiber_geometry(self):
-        """``(A, A^+, N, b)``, computed once: the fiber above ``u`` is ``{A x = (u, b)}``
-        (the map over the indicator rows), ``N`` an orthonormal null basis."""
-        inds = self.E.indicator_terms
-        A = np.vstack([self.j.matrix] + [t.A for t in inds])
-        b = np.concatenate([np.zeros(0)] + [t.b for t in inds])
-        return A, np.linalg.pinv(A), scipy.linalg.null_space(A) if inds else self.j.kernel_basis(), b
-
-    @functools.cached_property
     def step_slice(self):
         """``(x0, Z)``, computed once: the indicator constraints' affine set
         ``x0 + range(Z)`` (``Z`` an orthonormal null basis, or the index array
@@ -170,6 +162,14 @@ class JEllipticPair:
         if not _fits(A @ x0, b):
             raise ValueError("effective domain is empty: the indicator constraints have no common point")
         return x0, scipy.linalg.null_space(A)
+
+    @functools.cached_property
+    def _fiber_frame(self):
+        """``(A, A^+, N, b)`` of :func:`_fiber_slice`, computed once."""
+        inds = self.E.indicator_terms
+        A = np.vstack([self.j.matrix] + [t.A for t in inds])
+        b = np.concatenate([np.zeros(0)] + [t.b for t in inds])
+        return A, np.linalg.pinv(A), scipy.linalg.null_space(A) if inds else self.j.kernel_basis(), b
 
     def shifted(self, u_hat) -> float:
         return shifted_value(self.E, self.j.matrix, self.space, self.omega, u_hat)
@@ -265,32 +265,35 @@ class LiftedResult:
     residual: float = 0.0
 
 
-def _fiber_slice(pair: JEllipticPair, u):
-    """Particular point and orthonormal basis of the affine set where the map
-    equals ``u`` and every indicator holds, ``(None, None)`` when it is empty."""
-    A, pinv, Z, b = pair.fiber_geometry
-    r = np.concatenate([np.asarray(u, float), b])
-    x0 = pinv @ r
-    return (x0, Z) if _fits(A @ x0, r) else (None, None)
-
-
-def _fits(image, target) -> bool:
-    gap = float(np.max(np.abs(image - target), initial=0.0))
-    return gap <= _RANGE_TOL * (1.0 + float(np.max(np.abs(target), initial=0.0)))
-
-
-def _fiber_coordinates(pair: JEllipticPair, u):
-    """``(x0, Z)`` with fiber ``x0 + range(Z)``, ``(None, None)`` when empty:
-    for a restriction map without indicator terms, ``Z`` is the index array
-    of the unobserved coordinates; other pairs go through :func:`_fiber_slice`."""
+def fibers(pair: JEllipticPair, U):
+    """``(X0, Z, empty)``: the fiber above sample row ``s`` of ``U`` is
+    ``X0[s] + range(Z)``, or nothing where ``empty[s]``.  For a restriction
+    map without indicator terms ``Z`` is the index array of the unobserved
+    coordinates (a row that gives a node observed twice two values is
+    empty); other pairs go through :func:`_fiber_slice`."""
+    U = np.asarray(U, float)
     observed = pair.j.observed
     if observed is None or pair.E.indicator_terms:
-        return _fiber_slice(pair, u)
-    x0 = np.zeros(pair.E.dim)
-    x0[observed] = u
-    if not _fits(x0[observed], u):  # a node observed twice with two values
-        return None, None
-    return x0, np.flatnonzero(np.bincount(observed, minlength=pair.E.dim) == 0)
+        return _fiber_slice(pair, U)
+    X0 = np.zeros(U.shape[:-1] + (pair.E.dim,))
+    X0[..., observed] = U
+    free = np.flatnonzero(np.bincount(observed, minlength=pair.E.dim) == 0)
+    return X0, free, ~_fits(X0[..., observed], U)
+
+
+def _fiber_slice(pair: JEllipticPair, U):
+    """:func:`fibers` of a general map or with indicator terms: the points
+    ``A^+ (u, b)`` of ``{A x = (u, b)}`` (the map over the indicator rows),
+    row by row, and an orthonormal null basis of ``A``, computed once."""
+    A, pinv, Z, b = pair._fiber_frame
+    R = np.concatenate([U, np.broadcast_to(b, U.shape[:-1] + b.shape)], axis=-1)
+    X0 = _rowwise(pinv, R)
+    return X0, Z, ~_fits(_rowwise(A, X0), R)
+
+
+def _fits(image, target):
+    gap = np.max(np.abs(image - target), axis=-1, initial=0.0)
+    return gap <= _RANGE_TOL * (1.0 + np.max(np.abs(target), axis=-1, initial=0.0))
 
 
 def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> LiftedResult:
@@ -302,30 +305,24 @@ def lifted_value(pair: JEllipticPair, u, tol: float = 1e-6, start=None) -> Lifte
 def lifted_values(pair: JEllipticPair, U, tol: float = 1e-6, starts=None) -> list:
     """The :class:`LiftedResult` above each sample row of ``U``, in order.
 
-    Each fiber is parametrized by :func:`_fiber_coordinates` (the free
-    coordinates of a restriction map, otherwise a particular point plus an
-    orthonormal null-space basis, computed once per pair); the nonempty
-    ones are solved as one batch by :func:`_solve_slice` to optimality
-    residual ``tol``, each from its entry of ``starts`` (None: the default
-    start), and a fiber that misses ``tol`` raises :class:`SliceError`
-    naming its row of ``U``.  Every value is bitwise the one its sample
-    gets alone.  Two returned extensions agree in energy to twice the
-    tolerance.
+    The fibers are placed by :func:`fibers`; the nonempty ones are solved
+    as one batch by :func:`_solve_slice` to optimality residual ``tol``,
+    each from its entry of ``starts`` (None: the default start), and the
+    :class:`SliceError` of a fiber that misses ``tol`` names its row of
+    ``U``.  Every value is bitwise the one its sample gets alone.  Two
+    returned extensions agree in energy to twice the tolerance.
     """
     U = np.asarray(U, float)
     pair.space.check_dim(*U)
-    coords = [_fiber_coordinates(pair, u) for u in U]
-    live = [i for i, (x0, _) in enumerate(coords) if x0 is not None]
-    out = [LiftedResult(value=math.inf, minimizer=None) for _ in coords]
-    if not live:
-        return out
-    X, Z = np.array([coords[i][0] for i in live]), coords[live[0]][1]
-    residuals = np.zeros(len(live))
-    if Z.shape[-1]:
+    X, Z, empty = fibers(pair, U)
+    live = np.flatnonzero(~empty)
+    out = [LiftedResult(value=math.inf, minimizer=None) for _ in U]
+    X, residuals = X[live], np.zeros(live.size)
+    if live.size and Z.shape[-1]:
         try:
             res = _solve_slice(pair, X, Z, tol, None if starts is None else [starts[i] for i in live])
         except SliceError as exc:
-            exc.sample = live[exc.sample]
+            exc.sample = int(live[exc.sample])
             raise
         X, residuals = res.x, res.residual
     for i, x, r in zip(live, X, residuals):
@@ -361,14 +358,16 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
     ``tol^2 min(m)/4`` (at most ``tol/sqrt(2)`` from the exact step).
     Returns the :class:`solvers.SolveResult` in source coordinates, per
     sample its ``x``, residual and ``value`` (the slice objective at
-    ``x``); a sample whose certificate misses ``tol`` raises
-    :class:`SliceError`.
+    ``x``).  The one place where a missed certificate becomes an error: the
+    first sample that its solver reports not converged raises
+    :class:`SliceError` with its row, residual and the batch's iterations.
     """
     what, S = "fiber" if data is None else "backward step", len(x0)
     starts = [None] * S if starts is None else starts
     tv = pair.E.tv_terms
     if not tv:
         res = _slice_newton(pair, x0, Z, tol, starts, data)
+        certified = res.residual <= tol
     else:
         observed, n = pair.j.observed, pair.E.dim
         if pair.E.smooth_terms or pair.E.indicator_terms:
@@ -395,10 +394,11 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
             return replace(step, value=step.value / lam)  # tv_prox reports lam times the step objective
 
         each = [solve(s) for s in range(S)]
-        res = solvers.SolveResult(*(np.array([getattr(r, k) for r in each]) for k in ("x", "residual")),
-                                  sum(r.iterations for r in each), True, np.array([r.value for r in each]))
+        certified = np.array([r.converged for r in each])
+        x, residual, value = (np.array([getattr(r, k) for r in each]) for k in ("x", "residual", "value"))
+        res = solvers.SolveResult(x, residual, sum(r.iterations for r in each), bool(certified.all()), value)
     if not res.converged:
-        s = int(np.flatnonzero(~(res.residual <= tol))[0])
+        s = int(np.flatnonzero(~certified)[0])
         raise SliceError(what, s, float(res.residual[s]), res.iterations)
     return res
 

@@ -30,9 +30,10 @@ phase: the plateaus it suggests take their levels in closed form, and
 the phase's own edge field, projected onto the plateau equations by one
 sparse solve, is the edge field of the certificate; a HiGHS feasibility
 problem runs only where that projection leaves its box and the plateau
-equations have cycles (:func:`_tv_polish`).  The fiber :func:`constrained_tv_min` is a linear
-program solved by HiGHS, certified by its edge dual.  Each returns a
-:class:`SolveResult` with the measured certificate, or raises.  HiGHS
+equations have cycles (:func:`_tv_polish`).  The fiber
+:func:`constrained_tv_min` is a linear program solved by HiGHS,
+certified by its edge dual.  Each returns a :class:`SolveResult` with
+its measured certificate, not ``converged`` above ``tol``.  HiGHS
 (``scipy.optimize``) loads on the first TV linear program, not with this
 module.  Edge differences go through :class:`EdgeOperator`, a gather
 and a ``bincount`` scatter (:class:`Scatter`, per sample row).
@@ -459,10 +460,10 @@ def tv_prox(edges, weights, anchor, lam: float, tol: float = 1e-12, node_weights
         d = D x,  r = x - (anchor - M^(-1) D^T z),
 
     which is the primal value minus the dual value without the
-    cancellation of evaluating both.  Raises ``RuntimeError`` when no
-    polish certifies a gap of at most ``tol``.  ``node_weights`` defaults
-    to ones.  Returns the :class:`SolveResult` (residual: the gap;
-    iterations: those of the approximate phase).
+    cancellation of evaluating both.  ``node_weights`` defaults to ones.
+    Returns the :class:`SolveResult` of :func:`_tv_polish` (residual: the
+    gap; iterations: those of the approximate phase; not ``converged``
+    when no polish certifies a gap of at most ``tol``).
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -484,7 +485,7 @@ def tv_prox(edges, weights, anchor, lam: float, tol: float = 1e-12, node_weights
         r = x - a_vec + lam * dtz / m_vec
         return float(lam * np.sum(w * np.abs(d) - z * d) + 0.5 * np.sum(m_vec * r * r))
 
-    res = _tv_polish(edges, w, a_vec, m_vec, lam, gap, tol, "tv_prox")
+    res = _tv_polish(edges, w, a_vec, m_vec, lam, gap, tol)
     res.value *= lam
     return res
 
@@ -507,7 +508,7 @@ def partial_anchor_tv(
     from ``x0``), certified by the measured KKT residual of the polished
     point and its edge field ``z`` (``|z_e| <= w_e``): the larger of the
     complementarity gap ``sum_e (w_e |d_e| - z_e d_e)`` and the norm of
-    ``D^T z + (m / lam) (x - g)``.  Raises ``RuntimeError`` when no polish
+    ``D^T z + (m / lam) (x - g)``.  Not ``converged`` when no polish
     certifies a residual of at most ``tol``.
     """
     w = np.asarray(weights, float)
@@ -521,7 +522,7 @@ def partial_anchor_tv(
     def kkt(x, d, z, dtz):
         return max(float(np.sum(w * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef * (x - a_vec))))
 
-    return _tv_polish(edges, w, a_vec, m_vec, lam, kkt, tol, "partial_anchor_tv", x0)
+    return _tv_polish(edges, w, a_vec, m_vec, lam, kkt, tol, x0)
 
 
 def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float = 1e-9) -> SolveResult:
@@ -532,8 +533,8 @@ def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float =
     certificate is read off the marginals of the two inequality blocks;
     the measured KKT residual is the largest of the complementarity gap
     ``sum_e (w_e |d_e| - z_e d_e)``, the norm of ``D_free^T z`` and the box
-    violation ``max_e (|z_e| - w_e)``.  Raises ``RuntimeError`` when HiGHS
-    fails or the residual exceeds ``tol``; iterations are HiGHS's.
+    violation ``max_e (|z_e| - w_e)``; iterations are HiGHS's.  Not
+    ``converged`` above ``tol``; the residual is ``inf`` when HiGHS fails.
     """
     D = edge_incidence(edges, n)
     w = np.asarray(weights, float)
@@ -553,7 +554,7 @@ def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float =
         np.r_[np.zeros(nf), w], A_ub=A, b_ub=np.r_[-shift, shift], bounds=bounds, method="highs", options=_HIGHS
     )
     if lp.status != 0:
-        raise RuntimeError(f"constrained_tv_min: HiGHS failed ({lp.message})")
+        return SolveResult(x, math.inf, int(lp.nit), False, math.nan)
     x[free] = lp.x[:nf]
     z = lp.ineqlin.marginals[m:] - lp.ineqlin.marginals[:m]
     d = D @ x
@@ -562,12 +563,10 @@ def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float =
         float(np.linalg.norm(D_free.T @ z)),
         float(np.max(np.abs(z) - w, initial=0.0)),
     )
-    if not kkt <= tol:
-        raise RuntimeError(f"constrained_tv_min: KKT residual {kkt:g} exceeds {tol:g}")
-    return SolveResult(x, kkt, int(lp.nit), True, float(np.sum(w * np.abs(d))))
+    return SolveResult(x, kkt, int(lp.nit), kkt <= tol, float(np.sum(w * np.abs(d))))
 
 
-def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None):
+def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, x0=None):
     """Exact minimizer of ``sum_e w_e |(Dx)_e| + 1/(2 lam) sum_i m_i (x_i - a_i)^2``.
 
     Solution polishing from an active-set guess (OSQP, Stellato et al.
@@ -578,10 +577,10 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
     each ``delta`` of ``_POLISH_DELTAS``, and :func:`_plateau_solution`
     sets their exact levels and, from the phase's dual iterate, their
     edge field.  The first candidate with
-    ``measure(x, Dx, z, D^T z) <= tol`` is returned as a
+    ``measure(x, Dx, z, D^T z) <= tol`` is returned as a converged
     :class:`SolveResult` with that residual, the approximate phase's
-    iteration count and the objective value; ``RuntimeError`` when none
-    certifies.
+    iteration count and the objective value; when none certifies, the one
+    of the lowest residual, not converged (residual ``inf`` without one).
     """
     D = EdgeOperator(edges, anchor.size)
     coef = masses / lam
@@ -589,8 +588,10 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
     step = 0.99 / math.sqrt(max(float(np.max(np.bincount(node, np.bincount(edge)[edge]), initial=0.0)), 1e-24))
     x = anchor.copy() if x0 is None else np.asarray(x0, float).copy()
     z = np.zeros(D.head.size)
-    iterations, best, tried = 0, math.inf, set()
+    iterations, best, tried = 0, (math.inf, x, D.diff(x)), set()  # (residual, x, Dx) of the best candidate
     for rung in _POLISH_RUNGS:
+        if best[0] <= tol:
+            break
         x, z, k = _pdhg(D, weights, coef, anchor, x, z, step, rung, _PDHG_MAX_ITER - iterations)
         iterations += k
         d = D.diff(x)
@@ -606,11 +607,13 @@ def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, name, x0=None)
             xp, zp = cand
             dp = D.diff(xp)
             r = measure(xp, dp, zp, D.adjoint(zp))
+            if r < best[0]:
+                best = (r, xp, dp)
             if r <= tol:
-                value = float(np.sum(weights * np.abs(dp)) + 0.5 * np.sum(coef * (xp - anchor) ** 2))
-                return SolveResult(xp, r, iterations, True, value)
-            best = min(best, r)
-    raise RuntimeError(f"{name}: no plateau polish certified below {tol:g} (best {best:g}) after {iterations} iterations")
+                break
+    r, x, d = best
+    value = float(np.sum(weights * np.abs(d)) + 0.5 * np.sum(coef * (x - anchor) ** 2))
+    return SolveResult(x, r, iterations, r <= tol, value)
 
 
 def _plateau_solution(D, weights, coef, anchor, x, z, pattern):

@@ -353,6 +353,44 @@ def test_shared_memo_evolves_each_orbit_once(robin_small, monkeypatch):
     assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
 
 
+def test_no_plan_solves(robin_small, coupled_small, monkeypatch):
+    # every solve of a check belongs to its settle: planning runs no step,
+    # fiber, orbit or slice solve, and the plans then settle to the reports
+    # of the checkers
+    from jflow import flow, pairs
+
+    dirichlet = P.build_dirichlet(P.chain(6, 0.2), 2.0)
+    small = dict(samples=4, T=0.2, tau=0.05, seed=26)
+    cases = {
+        "invariance": ((robin_small, positive_cone()), dict(resolvent_samples=2, dynamic_samples=1)),
+        "relative_invariance": ((robin_small, full_space(), positive_cone()), dict(dynamic_samples=1)),
+        "comparison": ((dirichlet, coupled_small, positive_cone()), dict(dynamic_samples=1)),
+        "order_preserving": ((robin_small,), dict(dynamic_samples=1)),
+        "domination": ((dirichlet, coupled_small), dict(dynamic_samples=1, hypothesis_samples=3)),
+        "linf_contractivity": ((robin_small,), dict(dynamic_samples=1)),
+        "complete_contractivity": ((robin_small,), {}),
+        "psi_accretive": ((robin_small, checks.l1_functional(robin_small.space), make_op_pairs(robin_small, 3)),
+                          dict(crosscheck_samples=1)),
+    }
+    assert {f"plan_{name}" for name in cases} == {n for n in checks.__all__ if n.startswith("plan_")}
+    for name, (args, kwargs) in cases.items():
+        kwargs.update({k: v for k, v in small.items() if k != "samples" or name != "psi_accretive"})
+
+    solves = []
+    for module, names in ((checks, ("resolvent", "lifted_values", "evolve")),
+                          (flow, ("lifted_values", "_solve_slice")), (pairs, ("lifted_values", "_solve_slice"))):
+        for fn in names:
+            monkeypatch.setattr(module, fn, lambda *a, fn=fn, **k: solves.append(fn))
+    plans = {name: getattr(checks, f"plan_{name}")(*args, **kwargs) for name, (args, kwargs) in cases.items()}
+    assert solves == []
+    assert all(any(s.pending for s, _ in plan) for plan in plans.values())
+
+    monkeypatch.undo()
+    for name, report in zip(plans, checks.run_plans(list(plans.values()))):
+        args, kwargs = cases[name]
+        assert report.to_dict() == getattr(checks, f"check_{name}")(*args, **kwargs).to_dict(), name
+
+
 def test_comparison_orbits_solve_no_fiber_outside_evolve(robin_small, monkeypatch):
     calls = _spy_lifted(monkeypatch)
     counts = []

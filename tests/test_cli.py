@@ -231,18 +231,20 @@ def _order_only_point(cfg, seed, samples):
 
 
 def _fail_batches_holding(monkeypatch, name, point, raised):
-    """``checks.<name>`` (``lifted_values`` or ``evolve``) fails every batch holding
-    ``point``, naming its row and the batch size; each message goes into ``raised``."""
+    """``checks.<name>`` (``lifted_values``, ``evolve`` or ``resolvent``) fails every
+    batch holding ``point``, naming its row and the batch size; each message goes
+    into ``raised``."""
     from jflow import checks
 
     real = getattr(checks, name)
 
-    def failing(pair, U, *args, **kwargs):
+    def failing(pair, *args, **kwargs):
+        U = args[name == "resolvent"]  # resolvent takes the step lengths first
         rows = [i for i, u in enumerate(U) if np.array_equal(u, point)]
         if rows:
             raised.append(f"synthetic solver failure at row {rows[0]} of {len(U)}")
             raise RuntimeError(raised[-1])
-        return real(pair, U, *args, **kwargs)
+        return real(pair, *args, **kwargs)
 
     monkeypatch.setattr(checks, name, failing)
 
@@ -314,16 +316,18 @@ def test_check_failure_after_the_joint_settle_is_that_of_checking_suite_by_suite
 
 @pytest.mark.parametrize("name", ["robin-small", "coupled_p3"])
 def test_check_all_settles_one_batch_of_each_kind_per_pair(tmp_path, monkeypatch, name):
+    # backward steps: positivity's probes, and on coupled_p3 those of domination's
+    # positivity hypothesis too, all on the problem's own pair
     from jflow import checks
 
     cfg = ROBIN_SMALL if name == "robin-small" else builtin_problems()[name]
-    calls = {"lifted_values": [], "evolve": []}
+    calls = {"lifted_values": [], "evolve": [], "resolvent": []}
     for kind, seen in calls.items():
         real = getattr(checks, kind)
 
-        def spy(pair, U, *args, real=real, seen=seen, **kwargs):
+        def spy(pair, *args, real=real, seen=seen, **kwargs):
             seen.append(id(pair))
-            return real(pair, U, *args, **kwargs)
+            return real(pair, *args, **kwargs)
 
         monkeypatch.setattr(checks, kind, spy)
     out = tmp_path / "rep"
@@ -331,8 +335,51 @@ def test_check_all_settles_one_batch_of_each_kind_per_pair(tmp_path, monkeypatch
     suites = json.loads((out / "report.json").read_text())["suites"]
     pairs = 2 if name == "coupled_p3" else 1
     assert ("domination" in suites) == (pairs == 2)
-    assert [len(set(seen)) for seen in calls.values()] == [pairs, pairs]
-    assert [len(seen) for seen in calls.values()] == [pairs, pairs]
+    assert [len(set(seen)) for seen in calls.values()] == [pairs, pairs, 1]
+    assert [len(seen) for seen in calls.values()] == [pairs, pairs, 1]
+
+
+# stdout and stderr of ``check --suite all`` on coupled_p3 (CHECK_SMALL) when the
+# probe step from the second start of a positivity check fails, measured while
+# the probe steps were solved as each checker was planned
+PROBE_FAILURES = {
+    "positivity": ("", "jflow: suite 'positivity' failed: synthetic solver failure at row 2 of 6\n"),
+    "domination-hypothesis": (
+        "positivity   pass  max_violation=0 tol=1e-06\n"
+        "order        pass  max_violation=0 tol=1e-06\n"
+        "linf         pass  max_violation=0 tol=1e-08\n"
+        "complete     pass  max_violation=-0.0744 tol=1e-06\n"
+        "comparison   FAIL  max_violation=0.0667 tol=1e-06\n"
+        "consistency  agreement does not hold: comparison/functional pass, comparison/orbit-order FAIL\n",
+        "jflow: suite 'domination' failed: synthetic solver failure at row 2 of 4\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PROBE_FAILURES)
+def test_check_probe_step_failure_gives_the_output_of_steps_solved_at_planning(tmp_path, monkeypatch, capsys, case):
+    # the joint settle meets the failure in the one step batch of the pair; settled
+    # stage by stage, the failing stage's own batch is that of the planning-time solve
+    from jflow import checks
+    from jflow.hilbert import positive_cone
+
+    cfg = builtin_problems()["coupled_p3"]
+    seed, count = (7, 3) if case == "positivity" else (7 + 101, 8)  # domination: its hypothesis' sample
+    starts = checks.sample_states(load_problem(cfg).pair, count, np.random.default_rng(seed))
+    raised = []
+    _fail_batches_holding(monkeypatch, "resolvent", positive_cone().project(starts[1]), raised)
+    out = tmp_path / "rep"
+    assert main(CHECK_SMALL + ["--problem", write(tmp_path, "p.json", cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == PROBE_FAILURES[case]
+    assert len(raised) == 2 and raised[0] != raised[1]
+
+    expected = []
+    with pytest.raises(RuntimeError) as exc:
+        for r in _suite_by_suite(load_problem(cfg), 3, 0.1, 0.05, 7):
+            expected.append(r)
+    report = json.loads((out / "report.json").read_text())
+    assert report["failure"] == {"suite": case.split("-")[0], "error": str(exc.value)} and str(exc.value) == raised[1]
+    assert report["checks"] == [json.loads(json.dumps(r.to_dict())) for r in expected]
 
 
 @pytest.mark.parametrize("name", ["robin-small", "coupled_p3"])
@@ -353,6 +400,29 @@ def test_run_initial_fiber_failure_exit_1(tmp_path, monkeypatch, capsys):
     problem = write(tmp_path, "robin.json", ROBIN_SMALL)
     assert main(["run", "--problem", problem, "--T", "0.1", "--tau", "0.05", "--out", str(tmp_path)]) == 1
     assert "synthetic solver failure" in capsys.readouterr().err
+
+
+def test_run_tv_failure_of_the_contraction_orbit_flushes_no_trajectory(tmp_path, monkeypatch, capsys):
+    # tv_chain32 steps go row by row through tv_prox: the second call is the first
+    # step of the perturbed orbit, whose failure is not the run's own
+    from dataclasses import replace
+
+    from jflow import solvers
+
+    real, calls = solvers.tv_prox, []
+
+    def missed_on_call_2(*args, **kwargs):
+        calls.append(args)
+        res = real(*args, **kwargs)
+        return replace(res, converged=False) if len(calls) == 2 else res
+
+    monkeypatch.setattr(solvers, "tv_prox", missed_on_call_2)
+    problem = str(Path(__file__).parent.parent / "problems" / "tv_chain32.json")
+    out = tmp_path / "out"
+    assert main(["run", "--problem", problem, "--T", "0.1", "--tau", "0.05", "--out", str(out)]) == 1
+    assert not (out / "trajectory.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("jflow: step 1 failed: backward step solve stalled: ") and err.endswith("(sample 1)\n")
 
 
 def test_check_failed_hypothesis_exit_1_with_failure_entry(tmp_path):

@@ -243,6 +243,34 @@ def test_evolve_error_carries_partial_orbit():
     assert partial.states[0][0] == 1.0
 
 
+def test_a_tv_step_that_misses_its_certificate_names_its_own_orbit(monkeypatch):
+    # two tv_chain32 orbits (every node observed: tv_prox steps, row by row);
+    # the second orbit's second step misses its certificate
+    from dataclasses import replace
+
+    from jflow import solvers
+    from jflow.pairs import SliceError
+
+    pair = P.load_problem(P.builtin_problems()["tv_chain32"]).pair
+    U = np.random.default_rng(3).normal(size=(2, pair.space.dim))
+    alone = evolve(pair, U[1], 0.05, 0.05, record_energies=False)
+    real, calls = solvers.tv_prox, []
+
+    def missed_on_call_4(*args, **kwargs):
+        calls.append(args)
+        res = real(*args, **kwargs)
+        return replace(res, converged=False) if len(calls) == 4 else res
+
+    monkeypatch.setattr(solvers, "tv_prox", missed_on_call_4)
+    with pytest.raises(EvolveError, match=r"step 2 failed: backward step solve stalled: .* \(sample 1\)") as info:
+        evolve(pair, U, 0.2, 0.05, record_energies=(True, False))
+    assert info.value.orbit == 1 and isinstance(info.value.__cause__, SliceError)
+    partial = info.value.partial
+    np.testing.assert_array_equal(partial.states, alone.states)
+    np.testing.assert_array_equal(partial.step_residuals, alone.step_residuals)
+    assert partial.energies is None
+
+
 def test_subquadratic_resolvent_reaches_tight_tolerance():
     # p = 1.5 steps certified well below the default 1e-7 floor
     pair = P.load_problem(P.builtin_problems()["robin_p1.5"]).pair

@@ -339,18 +339,17 @@ def test_lifted_value_reaches_tight_tolerance(name, seed):
 
 def _fiber_slice_minimize(pair, u, tol):
     # an independent reference: least-squares particular point, SciPy's
-    # null-space basis and first-order descent
+    # null-space basis and SciPy's BFGS to a Euclidean gradient norm of tol
     import scipy.linalg
-    from jflow import solvers
+    import scipy.optimize
 
     x0 = np.linalg.lstsq(pair.j.matrix, u, rcond=None)[0]
     Z = scipy.linalg.null_space(pair.j.matrix)
-    obj = solvers.Objective(
-        smooth_value=lambda w: pair.E.smooth_value(x0 + Z @ w),
-        smooth_grad=lambda w: Z.T @ pair.E.smooth_grad(x0 + Z @ w),
+    res = scipy.optimize.minimize(
+        lambda w: pair.E.smooth_value(x0 + Z @ w), np.zeros(Z.shape[1]), method="BFGS",
+        jac=lambda w: Z.T @ pair.E.smooth_grad(x0 + Z @ w), options={"gtol": tol, "norm": 2},
     )
-    res = solvers.minimize(solvers.SolveSpec(objective=obj, start=np.zeros(Z.shape[1]), tol=tol))
-    assert res.converged
+    assert res.success and np.linalg.norm(res.jac) <= tol
     return pair.E.value(x0 + Z @ res.x)
 
 
@@ -456,6 +455,31 @@ def test_tv_step_on_a_map_observing_a_node_twice_is_refused(n, observed):
     assert math.isinf(lifted_value(pair, np.array([0.0, 2.0, 5.0])).value)
 
 
+def test_a_tv_fibre_that_misses_its_certificate_names_its_row_of_U(monkeypatch):
+    # node 0 observed twice: row 1 gives it two values (an empty fibre, not
+    # solved); the fibre of row 2 misses its certificate, reported by its solver
+    from dataclasses import replace
+
+    from jflow import solvers
+    from jflow.pairs import SliceError, lifted_values
+
+    pair = tv_chain_pair(5, [0, 0, 4])
+    U = np.array([[1.0, 1.0, 3.0], [0.0, 2.0, 5.0], [2.0, 2.0, -1.0]])
+    real, missed = solvers.constrained_tv_min, []
+
+    def missed_above_row_2(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if args[3][-1] != -1.0:  # the fixed values: those of row 2 end in -1
+            return res
+        missed.append(res.residual)
+        return replace(res, converged=False)
+
+    monkeypatch.setattr(solvers, "constrained_tv_min", missed_above_row_2)
+    with pytest.raises(SliceError, match=r"fiber solve stalled: .* \(sample 2\)") as info:
+        lifted_values(pair, U, tol=1e-9)
+    assert info.value.sample == 2 and info.value.residual == missed[0]
+
+
 def test_tv_with_a_smooth_term_is_refused_by_fibers_and_steps():
     pair = tv_chain_pair(3, [0, 2], extra=[QuadraticTerm(np.eye(3))])
     with pytest.raises(NotImplementedError, match="total-variation fiber with extra terms"):
@@ -484,12 +508,12 @@ def test_slice_value_is_the_slice_objective(name):
     # the conjugate edge dual (p = 1.5) tracks the dual objective, and tv_prox
     # (every node of tv_chain32 observed) reports lam times the step objective
     from jflow import problems as P
-    from jflow.pairs import _fiber_coordinates, _solve_slice
+    from jflow.pairs import _solve_slice, fibers
 
     pair = P.load_problem(P.builtin_problems()[name]).pair
     u = np.random.default_rng(3).normal(size=pair.space.dim)
-    x0, Z = _fiber_coordinates(pair, u)
-    fiber = _solve_slice(pair, x0[None], Z, 1e-8)
+    x0, Z, _ = fibers(pair, u[None])
+    fiber = _solve_slice(pair, x0, Z, 1e-8)
     assert fiber.value[0] == pytest.approx(pair.E.value(fiber.x[0]), rel=1e-12)
     lam = 0.1
     x0, Z = pair.step_slice

@@ -332,8 +332,8 @@ def test_weighted_gram_triplets_match_dense():
 
 
 def test_tv_prox_two_node_closed_form():
-    x = tv_prox([(0, 1)], [1.0], np.array([0.0, 2.0]), 0.5, tol=1e-14).x
-    assert x == pytest.approx([0.5, 1.5], abs=1e-9)
+    res = tv_prox([(0, 1)], [1.0], np.array([0.0, 2.0]), 0.5, tol=1e-14)
+    assert res.converged and res.x == pytest.approx([0.5, 1.5], abs=1e-9)
 
 
 def test_tv_prox_lambda_zero_returns_anchor():
@@ -343,8 +343,8 @@ def test_tv_prox_lambda_zero_returns_anchor():
 
 def test_tv_prox_constant_anchor_is_fixed():
     a = np.full(4, 0.7)
-    x = tv_prox([(0, 1), (1, 2), (2, 3)], np.ones(3), a, 2.0, tol=1e-14).x
-    assert x == pytest.approx(a, abs=1e-12)
+    res = tv_prox([(0, 1), (1, 2), (2, 3)], np.ones(3), a, 2.0, tol=1e-14)
+    assert res.converged and res.x == pytest.approx(a, abs=1e-12)
 
 
 @given(
@@ -354,7 +354,9 @@ def test_tv_prox_constant_anchor_is_fixed():
 @settings(max_examples=60, deadline=None)
 def test_tv_prox_two_node_matches_shrinkage(a0, a1, lam, w0, w1):
     # equal node masses: mean preserved, difference shrunk by 2*lam*w/m
-    x = tv_prox([(0, 1)], [w0], np.array([a0, a1]), lam, tol=1e-14, node_weights=np.array([w1, w1])).x
+    res = tv_prox([(0, 1)], [w0], np.array([a0, a1]), lam, tol=1e-14, node_weights=np.array([w1, w1]))
+    x = res.x
+    assert res.converged
     mean = 0.5 * (a0 + a1)
     d = a0 - a1
     shrunk = np.sign(d) * max(abs(d) - 2.0 * lam * w0 / w1, 0.0)
@@ -370,7 +372,9 @@ def test_tv_prox_optimality_certificate():
     w = np.array([1.0, 0.5, 2.0, 1.0])
     anchor = rng.normal(size=4)
     lam = 0.3
-    x = tv_prox(edges, w, anchor, lam, tol=1e-16).x
+    res = tv_prox(edges, w, anchor, lam, tol=1e-16)
+    assert res.converged
+    x = res.x
 
     def tv(v):
         d = np.array([v[0] - v[1], v[1] - v[2], v[2] - v[3], v[3]])
@@ -388,19 +392,33 @@ def test_tv_prox_optimality_certificate():
 
 def test_partial_anchor_tv_free_nodes():
     # nodes 0, 1 anchored; node 2 free: the free node settles inside the hull
-    x = partial_anchor_tv(
+    res = partial_anchor_tv(
         edges=[(0, 1), (1, 2)], weights=[1.0, 1.0], anchored=[0, 1], anchor_values=[0.0, 2.0],
         node_weights_anchored=[1.0, 1.0], lam=0.2, n=3, tol=1e-11,
-    ).x
-    assert x[2] == pytest.approx(x[1], abs=1e-6)  # free endpoint matches its only neighbour
+    )
+    assert res.converged
+    assert res.x[2] == pytest.approx(res.x[1], abs=1e-6)  # free endpoint matches its only neighbour
 
 
 def test_constrained_tv_min_interpolates():
-    x = constrained_tv_min(
+    res = constrained_tv_min(
         edges=[(0, 1), (1, 2)], weights=[1.0, 1.0], fixed=[0, 2], fixed_values=[0.0, 1.0], n=3, tol=1e-12
-    ).x
-    assert x[0] == 0.0 and x[2] == 1.0
+    )
+    x = res.x
+    assert res.converged and x[0] == 0.0 and x[2] == 1.0
     assert 0.0 - 1e-9 <= x[1] <= 1.0 + 1e-9  # any monotone value is optimal; must stay in hull
+
+
+def test_tv_solvers_report_a_missed_certificate_without_raising():
+    # a tolerance no residual meets: each returns its best measured result, not converged
+    edges, w = [(0, 1), (1, 2)], [1.0, 1.0]
+    for res in (
+        tv_prox(edges, w, np.array([0.0, 2.0, 1.0]), 0.5, tol=-1.0),
+        partial_anchor_tv(edges, w, [0, 1], [0.0, 2.0], [1.0, 1.0], 0.2, 3, tol=-1.0),
+        constrained_tv_min(edges, w, [0, 2], [0.0, 1.0], 3, tol=-1.0),
+    ):
+        assert not res.converged and 0.0 <= res.residual <= 1e-9
+        assert np.all(np.isfinite(res.x)) and np.isfinite(res.value)
 
 
 def _grounded_chain(n):
