@@ -11,13 +11,16 @@ block (``solvers.partial_anchor_tv``).  Prints per problem the orbits,
 the steps, the failed steps, the HiGHS feasibility problems of the
 plateau polish (``linprog`` with equality rows), the worst step
 certificate (duality gap on the chain, KKT residual on the grid; a failed
-step counts with the residual its ``SliceError`` carries) and the wall
-time.  Exits 1 when a step fails.
+step counts with the residual its ``SliceError`` carries), the wall time
+and ``states_sha256``, one SHA-256 over the states and step residuals of
+every orbit (the partial orbit of a failed one), so two trees that print
+the same hash computed the same orbits bitwise.  Exits 1 when a step fails.
 
     PYTHONPATH=src python3 scripts/tv_sweep.py [--orbits 20]
 """
 
 import argparse
+import hashlib
 import sys
 import time
 
@@ -68,9 +71,9 @@ def main():
 
     scipy.optimize.linprog = counted  # the TV solvers import it from scipy.optimize at each call
     failed_any = False
-    print("problem,tau,orbits,steps,failed_steps,highs_feasibility_calls,worst_certificate,wall_s")
+    print("problem,tau,orbits,steps,failed_steps,highs_feasibility_calls,worst_certificate,wall_s,states_sha256")
     for name, pair, start in _problems():
-        feasibility, steps, failed, worst = 0, 0, 0, 0.0
+        feasibility, steps, failed, worst, sha = 0, 0, 0, 0.0, hashlib.sha256()
         t0 = time.perf_counter()
         for i in range(args.orbits):
             u0 = start(np.random.default_rng(200 + i))
@@ -79,16 +82,16 @@ def main():
             except EvolveError as err:
                 failed += 1
                 steps += 1  # the step that failed
-                residuals = err.partial.step_residuals
+                traj = err.partial
                 if isinstance(err.__cause__, SliceError):
                     worst = max(worst, err.__cause__.residual)
-            else:
-                residuals = traj.step_residuals
+            residuals = traj.step_residuals
             steps += residuals.size - 1
+            sha.update(np.ascontiguousarray(traj.states, float).tobytes() + np.asarray(residuals, float).tobytes())
             worst = max(worst, float(np.max(residuals, initial=0.0)))
         wall = time.perf_counter() - t0
         failed_any |= failed > 0
-        print(f"{name},{_TAU:g},{args.orbits},{steps},{failed},{feasibility},{worst:.3g},{wall:.2f}")
+        print(f"{name},{_TAU:g},{args.orbits},{steps},{failed},{feasibility},{worst:.3g},{wall:.2f},{sha.hexdigest()}")
     sys.exit(1 if failed_any else 0)
 
 

@@ -351,15 +351,16 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
 
     Smooth energies take :func:`_slice_newton` on the whole batch (gradient
     norm in slice coordinates).  Total variation on a restriction map is
-    solved exactly, sample by sample: a fiber by
-    :func:`solvers.constrained_tv_min`, a step by
+    solved exactly: the fibers sample by sample by
+    :func:`solvers.constrained_tv_min`, the steps in one batched call of
     :func:`solvers.partial_anchor_tv` (measured KKT residuals) or, with
     every node observed, :func:`solvers.tv_prox` to the duality gap
     ``tol^2 min(m)/4`` (at most ``tol/sqrt(2)`` from the exact step).
     Returns the :class:`solvers.SolveResult` in source coordinates, per
     sample its ``x``, residual and ``value`` (the slice objective at
     ``x``).  The one place where a missed certificate becomes an error: the
-    first sample that its solver reports not converged raises
+    first sample whose residual misses the tolerance its solver was given
+    (a fiber: that its solver reports not converged) raises
     :class:`SliceError` with its row, residual and the batch's iterations.
     """
     what, S = "fiber" if data is None else "backward step", len(x0)
@@ -378,26 +379,23 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
         weights = np.concatenate([t.weights for t in tv])
         if data is not None and not pair.j.distinct:
             raise NotImplementedError("total-variation backward step on a map that observes a node twice")
-
-        def solve(s):
-            if data is None:
-                return solvers.constrained_tv_min(edges, weights, observed, x0[s, observed], n, tol=tol)
-            lam, g = np.broadcast_to(data[0], S)[s], data[1][s]
+        if data is None:
+            each = [solvers.constrained_tv_min(edges, weights, observed, x0[s, observed], n, tol=tol) for s in range(S)]
+            certified = np.array([r.converged for r in each])
+            x, residual, value = (np.array([getattr(r, k) for r in each]) for k in ("x", "residual", "value"))
+            res = solvers.SolveResult(x, residual, sum(r.iterations for r in each), bool(certified.all()), value)
+        else:
+            lam, g, m = np.broadcast_to(data[0], S), data[1], pair.space.weights
             if observed.size < n:
-                return solvers.partial_anchor_tv(
-                    edges, weights, observed, g, pair.space.weights, lam, n, tol=tol, x0=starts[s]
-                )
-            anchor, masses = np.zeros(n), np.zeros(n)
-            anchor[observed], masses[observed] = g, pair.space.weights
-            gap_tol = 0.25 * tol * tol * float(np.min(pair.space.weights))
-            step = solvers.tv_prox(edges, weights, anchor, lam, tol=gap_tol, node_weights=masses)
-            return replace(step, value=step.value / lam)  # tv_prox reports lam times the step objective
-
-        each = [solve(s) for s in range(S)]
-        certified = np.array([r.converged for r in each])
-        x, residual, value = (np.array([getattr(r, k) for r in each]) for k in ("x", "residual", "value"))
-        res = solvers.SolveResult(x, residual, sum(r.iterations for r in each), bool(certified.all()), value)
-    if not res.converged:
+                res = solvers.partial_anchor_tv(edges, weights, observed, g, m, lam, n, tol=tol, x0=starts)
+            else:
+                anchor, masses = np.zeros((S, n)), np.zeros(n)
+                anchor[:, observed], masses[observed] = g, m
+                tol = 0.25 * tol * tol * float(np.min(m))  # the duality gap tv_prox certifies
+                res = solvers.tv_prox(edges, weights, anchor, lam, tol=tol, node_weights=masses)
+                res = replace(res, value=res.value / lam)  # tv_prox reports lam times the step objective
+            certified = res.residual <= tol
+    if not certified.all():
         s = int(np.flatnonzero(~certified)[0])
         raise SliceError(what, s, float(res.residual[s]), res.iterations)
     return res

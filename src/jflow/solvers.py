@@ -25,15 +25,15 @@ point satisfies ``|x - x*| <= residual / mu`` unconditionally.
 The three total-variation problems share one exact, sparse core.  The
 steps, :func:`tv_prox` (every node anchored, certified by a measured
 duality gap) and :func:`partial_anchor_tv` (free nodes, certified by a
-measured KKT residual), are polished from an approximate primal-dual
-phase: the plateaus it suggests take their levels in closed form, and
-the phase's own edge field, projected onto the plateau equations by one
-sparse solve, is the edge field of the certificate; a HiGHS feasibility
-problem runs only where that projection leaves its box and the plateau
-equations have cycles (:func:`_tv_polish`).  The fiber
-:func:`constrained_tv_min` is a linear program solved by HiGHS,
-certified by its edge dual.  Each returns a :class:`SolveResult` with
-its measured certificate, not ``converged`` above ``tol``.  HiGHS
+measured KKT residual), take a batch of samples, polished from one
+primal-dual phase (:func:`_pdhg`) that iterates the batch, each sample
+bitwise as alone: its plateaus take their levels in closed form, and its
+edge field, projected onto the plateau equations by one sparse solve, is
+that of the certificate; a HiGHS feasibility problem runs only where the
+projection leaves its box and the plateaus have cycles (:func:`_tv_polish`).
+The fiber :func:`constrained_tv_min` is a linear program solved by
+HiGHS, certified by its edge dual.  Each returns a :class:`SolveResult`
+with its measured certificate, not ``converged`` above ``tol``.  HiGHS
 (``scipy.optimize``) loads on the first TV linear program, not with this
 module.  Edge differences go through :class:`EdgeOperator`, a gather
 and a ``bincount`` scatter (:class:`Scatter`, per sample row).
@@ -449,45 +449,41 @@ def edge_incidence(edges, n: int) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((sign, (edge, node)), shape=(D.head.size, D.n))
 
 
-def tv_prox(edges, weights, anchor, lam: float, tol: float = 1e-12, node_weights=None) -> SolveResult:
-    """Minimize ``lam sum_e w_e |x_a - x_b| + 1/2 sum_i m_i (x_i - anchor_i)^2``.
+def tv_prox(edges, weights, anchor, lam, tol: float = 1e-12, node_weights=None) -> SolveResult:
+    """Minimize ``lam_s sum_e w_e |x_a - x_b| + 1/2 sum_i m_i (x_i - anchor_si)^2``
+    for each sample row ``s`` of the ``(S, n)`` ``anchor``.
 
-    Solved exactly by plateau polish (:func:`_tv_polish`).  The certificate
-    is the duality gap of the polished point ``x`` and its edge field
-    ``z`` (``|z_e| <= lam w_e``), measured as
+    ``lam`` is one step or one per sample.  Solved exactly by plateau
+    polish (:func:`_tv_polish`, its phase started from the anchor),
+    certified by the duality gap of the polished point ``x`` and its edge
+    field ``z`` (``|z_e| <= lam w_e``), measured as
 
         sum_e (lam w_e |d_e| - z_e d_e) + 1/2 sum_i m_i r_i^2,
         d = D x,  r = x - (anchor - M^(-1) D^T z),
 
-    which is the primal value minus the dual value without the
-    cancellation of evaluating both.  ``node_weights`` defaults to ones.
-    Returns the :class:`SolveResult` of :func:`_tv_polish` (residual: the
-    gap; iterations: those of the approximate phase; not ``converged``
-    when no polish certifies a gap of at most ``tol``).
+    the primal minus the dual value without the cancellation of evaluating
+    both.  ``node_weights`` defaults to ones; a sample with ``lam = 0``
+    keeps its anchor.  Returns that of :func:`_tv_polish`, gap as residual.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    a_vec = np.asarray(anchor, float)
-    n = a_vec.size
+    a = np.asarray(anchor, float)
+    S, n = a.shape
+    lam = np.broadcast_to(np.asarray(lam, float), S)
     m_vec = np.ones(n) if node_weights is None else np.asarray(node_weights, float)
-    if np.any(m_vec <= 0):
-        raise ValueError("node weights must be positive")
-    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    w = np.asarray(weights, float).reshape(-1)
-    if np.any(w < 0):
-        raise ValueError("edge weights must be nonnegative")
-    live = w * lam > 0
-    if not live.any():
-        return SolveResult(a_vec.copy(), 0.0, 0, True, 0.0)
-    edges, w = edges[live], w[live]
+    edges, w = np.asarray(edges, dtype=int).reshape(-1, 2), np.asarray(weights, float).reshape(-1)
+    _check_tv(w, m_vec, lam, zero_lam=True)
+    x, residual, value = a.copy(), np.zeros(S), np.zeros(S)
+    live, move = w > 0, np.flatnonzero(lam > 0)
+    if not (live.any() and move.size):
+        return SolveResult(x, residual, 0, True, value)
+    edges, w, a, lam = edges[live], w[live], a[move], lam[move]
 
-    def gap(x, d, z, dtz):
-        r = x - a_vec + lam * dtz / m_vec
-        return float(lam * np.sum(w * np.abs(d) - z * d) + 0.5 * np.sum(m_vec * r * r))
+    def gap(s, x, d, z, dtz):
+        r = x - a[s] + lam[s] * dtz / m_vec
+        return float(lam[s] * np.sum(w * np.abs(d) - z * d) + 0.5 * np.sum(m_vec * r * r))
 
-    res = _tv_polish(edges, w, a_vec, m_vec, lam, gap, tol)
-    res.value *= lam
-    return res
+    res = _tv_polish(edges, w, a, m_vec, lam, gap, tol)
+    x[move], residual[move], value[move] = res.x, res.residual, res.value * lam
+    return SolveResult(x, residual, res.iterations, res.converged, value)
 
 
 def partial_anchor_tv(
@@ -496,31 +492,32 @@ def partial_anchor_tv(
     anchored,
     anchor_values,
     node_weights_anchored,
-    lam: float,
+    lam,
     n: int,
     tol: float = 1e-9,
     x0=None,
 ) -> SolveResult:
-    """``min_x sum_e w_e |(Dx)_e| + 1/(2 lam) sum_{i anchored} m_i (x_i - g_i)^2``.
+    """``min_x sum_e w_e |(Dx)_e| + 1/(2 lam_s) sum_{i anchored} m_i (x_i - g_si)^2``
+    for each sample row ``s`` of the ``(S, k)`` ``anchor_values`` ``g``.
 
-    Nodes outside ``anchored`` are free (zero mass).  Solved exactly by
-    plateau polish (:func:`_tv_polish`, its approximate phase started
-    from ``x0``), certified by the measured KKT residual of the polished
-    point and its edge field ``z`` (``|z_e| <= w_e``): the larger of the
-    complementarity gap ``sum_e (w_e |d_e| - z_e d_e)`` and the norm of
-    ``D^T z + (m / lam) (x - g)``.  Not ``converged`` when no polish
-    certifies a residual of at most ``tol``.
+    Nodes outside ``anchored`` are free (zero mass); ``lam`` is one step
+    or one per sample, ``x0`` None or one start per sample (None: ``g`` on
+    the anchored nodes, zero elsewhere).  Solved exactly by plateau polish
+    (:func:`_tv_polish`), certified by the measured KKT residual of the
+    polished point and its edge field ``z`` (``|z_e| <= w_e``): the larger
+    of the complementarity gap ``sum_e (w_e |d_e| - z_e d_e)`` and the norm
+    of ``D^T z + (m / lam) (x - g)``.  Returns that of :func:`_tv_polish`.
     """
     w = np.asarray(weights, float)
-    anchored = np.asarray(anchored, dtype=int)
-    a_vec = np.zeros(n)
-    a_vec[anchored] = anchor_values
-    m_vec = np.zeros(n)
-    m_vec[anchored] = node_weights_anchored
-    coef = m_vec / lam
+    anchored, g = np.asarray(anchored, dtype=int), np.asarray(anchor_values, float)
+    lam = np.broadcast_to(np.asarray(lam, float), len(g))
+    _check_tv(w, np.asarray(node_weights_anchored, float), lam, zero_lam=False)
+    a_vec, m_vec = np.zeros((len(g), n)), np.zeros(n)
+    a_vec[:, anchored], m_vec[anchored] = g, node_weights_anchored
+    coef = m_vec / lam[:, None]
 
-    def kkt(x, d, z, dtz):
-        return max(float(np.sum(w * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef * (x - a_vec))))
+    def kkt(s, x, d, z, dtz):
+        return max(float(np.sum(w * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef[s] * (x - a_vec[s]))))
 
     return _tv_polish(edges, w, a_vec, m_vec, lam, kkt, tol, x0)
 
@@ -538,6 +535,7 @@ def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float =
     """
     D = edge_incidence(edges, n)
     w = np.asarray(weights, float)
+    _check_tv(w)
     fixed = np.asarray(fixed, dtype=int)
     free = np.ones(n, dtype=bool)
     free[fixed] = False
@@ -566,54 +564,71 @@ def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float =
     return SolveResult(x, kkt, int(lp.nit), kkt <= tol, float(np.sum(w * np.abs(d))))
 
 
-def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, x0=None):
-    """Exact minimizer of ``sum_e w_e |(Dx)_e| + 1/(2 lam) sum_i m_i (x_i - a_i)^2``.
+def _check_tv(w, masses=(), lam=(), zero_lam=True):
+    """Edge weights ``w >= 0``, node weights ``masses > 0``, steps ``lam > 0`` (``>= 0`` with ``zero_lam``)."""
+    if np.any(w < 0):
+        raise ValueError("edge weights must be nonnegative")
+    if np.any(np.asarray(masses) <= 0):
+        raise ValueError("node weights must be positive")
+    if np.any(np.asarray(lam) < 0) or not zero_lam and np.any(np.asarray(lam) == 0):
+        raise ValueError("lam must be nonnegative" if zero_lam else "lam must be positive")
+
+
+def _tv_polish(edges, weights, anchor, masses, lam, measure, tol, starts=None):
+    """Exact minimizer of ``sum_e w_e |(Dx)_e| + 1/(2 lam_s) sum_i m_i (x_i - a_si)^2``
+    for each sample row ``s`` of the ``(S, n)`` ``anchor``.
 
     Solution polishing from an active-set guess (OSQP, Stellato et al.
     2020, section 5) on the plateau structure of total-variation
     minimizers: a warm-started primal-dual approximate phase
-    (:func:`_pdhg`) runs to each KKT residual of ``_POLISH_RUNGS``; after
-    each, the edges with ``|(Dx)_e| <= delta`` join into plateaus for
-    each ``delta`` of ``_POLISH_DELTAS``, and :func:`_plateau_solution`
-    sets their exact levels and, from the phase's dual iterate, their
-    edge field.  The first candidate with
-    ``measure(x, Dx, z, D^T z) <= tol`` is returned as a converged
-    :class:`SolveResult` with that residual, the approximate phase's
-    iteration count and the objective value; when none certifies, the one
-    of the lowest residual, not converged (residual ``inf`` without one).
+    (:func:`_pdhg`, from each sample's entry of ``starts``; None: its
+    anchor) runs to each KKT residual of ``_POLISH_RUNGS``, in one batch
+    of the samples not yet certified; after each, a sample's edges with
+    ``|(Dx)_e| <= delta`` join into plateaus for each ``delta`` of
+    ``_POLISH_DELTAS`` not tried before, and :func:`_plateau_solution`
+    sets their exact levels and, from the phase's dual iterate, their edge
+    field.  A sample's first candidate with ``measure(s, x, Dx, z, D^T z)
+    <= tol`` certifies it; else its lowest residual is kept (``inf``
+    without a candidate), each as it would be alone.  Returns per sample
+    ``x``, residual and value, the phase's iterations of the batch, and
+    ``converged`` when every sample certifies.
     """
-    D = EdgeOperator(edges, anchor.size)
-    coef = masses / lam
+    S, n = anchor.shape
+    D = EdgeOperator(edges, n)
+    coef = masses / lam[:, None]
     edge, node, _ = D.entries()  # Gershgorin bound on |D|^2 (row sums of |D^T| |D|) keeps the steps admissible
     step = 0.99 / math.sqrt(max(float(np.max(np.bincount(node, np.bincount(edge)[edge]), initial=0.0)), 1e-24))
-    x = anchor.copy() if x0 is None else np.asarray(x0, float).copy()
-    z = np.zeros(D.head.size)
-    iterations, best, tried = 0, (math.inf, x, D.diff(x)), set()  # (residual, x, Dx) of the best candidate
+    x = np.array([a if x is None else x for a, x in zip(anchor, [None] * S if starts is None else starts)], float)
+    z = np.zeros((S, D.head.size))
+    used, tried = np.zeros(S, dtype=int), [set() for _ in range(S)]
+    best = list(zip([math.inf] * S, x.copy(), D.diff(x)))  # (residual, x, Dx) of each sample's best candidate
     for rung in _POLISH_RUNGS:
-        if best[0] <= tol:
+        rows = np.flatnonzero([not b[0] <= tol for b in best])
+        if not rows.size:
             break
-        x, z, k = _pdhg(D, weights, coef, anchor, x, z, step, rung, _PDHG_MAX_ITER - iterations)
-        iterations += k
-        d = D.diff(x)
-        for delta in _POLISH_DELTAS:
-            pattern = np.where(np.abs(d) <= delta, 0, np.sign(d)).astype(np.int8)
-            key = pattern.tobytes()
-            if key in tried:
-                continue
-            tried.add(key)
-            cand = _plateau_solution(D, weights, coef, anchor, x, z, pattern)
-            if cand is None:
-                continue
-            xp, zp = cand
-            dp = D.diff(xp)
-            r = measure(xp, dp, zp, D.adjoint(zp))
-            if r < best[0]:
-                best = (r, xp, dp)
-            if r <= tol:
-                break
-    r, x, d = best
-    value = float(np.sum(weights * np.abs(d)) + 0.5 * np.sum(coef * (x - anchor) ** 2))
-    return SolveResult(x, r, iterations, r <= tol, value)
+        caps = _PDHG_MAX_ITER - used[rows]
+        x[rows], z[rows], k = _pdhg(D, weights, coef[rows], anchor[rows], x[rows], z[rows], step, rung, caps)
+        used[rows] += k
+        for s, d in zip(rows, D.diff(x[rows])):
+            for delta in _POLISH_DELTAS:
+                pattern = np.where(np.abs(d) <= delta, 0, np.sign(d)).astype(np.int8)
+                key = pattern.tobytes()
+                if key in tried[s]:
+                    continue
+                tried[s].add(key)
+                cand = _plateau_solution(D, weights, coef[s], anchor[s], x[s], z[s], pattern)
+                if cand is None:
+                    continue
+                xp, zp = cand
+                dp = D.diff(xp)
+                r = measure(s, xp, dp, zp, D.adjoint(zp))
+                if r < best[s][0]:
+                    best[s] = (r, xp, dp)
+                if r <= tol:
+                    break
+    r, x, d = (np.array(v) for v in zip(*best))
+    value = np.sum(weights * np.abs(d), -1) + 0.5 * np.sum(coef * (x - anchor) ** 2, -1)
+    return SolveResult(x, r, int(used.sum()), bool(np.all(r <= tol)), value)
 
 
 def _plateau_solution(D, weights, coef, anchor, x, z, pattern):
@@ -679,27 +694,43 @@ def _plateau_solution(D, weights, coef, anchor, x, z, pattern):
     return x_new, z_new
 
 
-def _pdhg(D, mult, coef, anchor, x, z, step, tol, max_iter):
-    """Primal-dual iterations for ``min_x sum_e mult_e |(Dx)_e| + 1/2 sum_i coef_i (x_i - a_i)^2``
-    from ``(x, z)``, the approximate phase of :func:`_tv_polish`.
+def _pdhg(D, mult, coef, anchor, x, z, step, tol, caps):
+    """Primal-dual iterations for ``min_x sum_e mult_e |(Dx)_e| + 1/2 sum_i coef_si (x_i - a_si)^2``
+    from ``(x, z)``, ``(S, n)`` and ``(S, m)``: the approximate phase of
+    :func:`_tv_polish`, one batch of the samples still iterating.
 
-    Stops on a measured KKT residual: the larger of the complementarity
-    gap ``sum_e (mult_e |d_e| - z_e d_e)`` of the dual iterate (which
-    stays in its box, so the gap is nonnegative) and the norm of the
-    stationarity residual ``D^T z + coef (x - a)``.  Returns the primal
-    and dual iterates and the iteration count.
+    Every 10 iterations a sample measures its KKT residual, the larger of
+    the complementarity gap ``sum_e (mult_e |d_e| - z_e d_e)`` of its dual
+    iterate (which stays in its box, so the gap is nonnegative) and the
+    norm of ``D^T z + coef (x - a)``, and stops at the first at or below
+    ``tol``, or after ``caps[s]`` iterations, in the arithmetic of its run
+    alone.  Returns the iterates and the iteration count of each sample.
     """
-    xbar = x.copy()
-    k = 0
-    for k in range(1, max_iter + 1):
-        z = np.clip(z + step * D.diff(xbar), -mult, mult)
-        dtz = D.adjoint(z)
-        x_new = (x - step * dtz + step * coef * anchor) / (1.0 + step * coef)
-        xbar = 2.0 * x_new - x
-        x = x_new
+    n = x.shape[1]
+    x, z, its = x.copy(), z.copy(), np.zeros(len(x), dtype=int)  # each sample's iterates as it stops
+    rows = np.flatnonzero(caps > 0)
+    pull, xbar = step * coef[rows], np.zeros((rows.size, n + 1))  # x-bar with the ground as slot n
+    xbar[:, :n] = x[rows]
+    run = [rows, x[rows], z[rows], coef[rows], anchor[rows], caps[rows], pull * anchor[rows], 1.0 + pull, xbar]
+    head, tail, low = D._slots[0::2].copy(), D._slots[1::2].copy(), -mult
+    k, first = 0, int(np.min(caps[rows], initial=0))  # the first iteration that can reach a cap
+    while run[0].size:
+        rows, xs, zs, coef, anchor, caps, pull, scale, xbar = run
+        k += 1
+        zs += step * (xbar.take(head, 1) - xbar.take(tail, 1))
+        np.minimum(np.maximum(zs, low, out=zs), mult, out=zs)
+        dtz = D.adjoint(zs)
+        x_new = (xs - step * dtz + pull) / scale
+        np.subtract(np.multiply(x_new, 2.0, out=xbar[:, :n]), xs, out=xbar[:, :n])
+        run[1] = x_new
+        if k % 10 and k < first:
+            continue
+        stop = k >= caps
         if k % 10 == 0:
-            d = D.diff(x)
-            kkt = max(float(np.sum(mult * np.abs(d) - z * d)), float(np.linalg.norm(dtz + coef * (x - anchor))))
-            if kkt <= tol:
-                break
-    return x, z, k
+            d, r = D.diff(x_new), dtz + coef * (x_new - anchor)
+            gap, norm = np.sum(mult * np.abs(d) - zs * d, -1), np.sqrt(np.vecdot(r, r))
+            stop |= np.where(norm > gap, norm, gap) <= tol
+        if stop.any():
+            x[rows[stop]], z[rows[stop]], its[rows[stop]] = x_new[stop], zs[stop], k
+            run, first = [v[~stop] for v in run], int(np.min(caps[~stop], initial=0))
+    return x, z, its

@@ -327,8 +327,8 @@ def test_criterion_10_energy_dissipation(suite):
 
 
 def test_criterion_11_tv_flow(suite):
-    prox = tv_prox([(0, 1)], [1.0], np.array([0.0, 2.0]), 0.5, tol=1e-16)
-    closed_form_gap = float(np.max(np.abs(prox.x - [0.5, 1.5]))) if prox.converged else np.inf
+    prox = tv_prox([(0, 1)], [1.0], np.array([[0.0, 2.0]]), 0.5, tol=1e-16)
+    closed_form_gap = float(np.max(np.abs(prox.x[0] - [0.5, 1.5]))) if prox.converged else np.inf
 
     E = ExtendedFunctional([TotalVariationTerm([(0, 1)], [1.0])], 2)
     two_node = JEllipticPair(E, JMap(np.eye(2)), WeightedSpace(np.ones(2)))

@@ -403,20 +403,18 @@ def test_run_initial_fiber_failure_exit_1(tmp_path, monkeypatch, capsys):
 
 
 def test_run_tv_failure_of_the_contraction_orbit_flushes_no_trajectory(tmp_path, monkeypatch, capsys):
-    # tv_chain32 steps go row by row through tv_prox: the second call is the first
-    # step of the perturbed orbit, whose failure is not the run's own
-    from dataclasses import replace
-
+    # tv_chain32 steps are one batched tv_prox call per step: row 1 of the first
+    # call is the first step of the perturbed orbit, whose failure is not the run's own
     from jflow import solvers
 
-    real, calls = solvers.tv_prox, []
+    real = solvers.tv_prox
 
-    def missed_on_call_2(*args, **kwargs):
-        calls.append(args)
+    def missed_on_row_1(*args, **kwargs):
         res = real(*args, **kwargs)
-        return replace(res, converged=False) if len(calls) == 2 else res
+        res.residual[1], res.converged = np.inf, False
+        return res
 
-    monkeypatch.setattr(solvers, "tv_prox", missed_on_call_2)
+    monkeypatch.setattr(solvers, "tv_prox", missed_on_row_1)
     problem = str(Path(__file__).parent.parent / "problems" / "tv_chain32.json")
     out = tmp_path / "out"
     assert main(["run", "--problem", problem, "--T", "0.1", "--tau", "0.05", "--out", str(out)]) == 1

@@ -244,10 +244,9 @@ def test_evolve_error_carries_partial_orbit():
 
 
 def test_a_tv_step_that_misses_its_certificate_names_its_own_orbit(monkeypatch):
-    # two tv_chain32 orbits (every node observed: tv_prox steps, row by row);
-    # the second orbit's second step misses its certificate
-    from dataclasses import replace
-
+    # two tv_chain32 orbits (every node observed: one batched tv_prox call per
+    # step); row 1 of the second call, the second orbit's second step, misses
+    # its certificate
     from jflow import solvers
     from jflow.pairs import SliceError
 
@@ -256,12 +255,14 @@ def test_a_tv_step_that_misses_its_certificate_names_its_own_orbit(monkeypatch):
     alone = evolve(pair, U[1], 0.05, 0.05, record_energies=False)
     real, calls = solvers.tv_prox, []
 
-    def missed_on_call_4(*args, **kwargs):
+    def missed_on_call_2(*args, **kwargs):
         calls.append(args)
         res = real(*args, **kwargs)
-        return replace(res, converged=False) if len(calls) == 4 else res
+        if len(calls) == 2:
+            res.residual[1], res.converged = np.inf, False
+        return res
 
-    monkeypatch.setattr(solvers, "tv_prox", missed_on_call_4)
+    monkeypatch.setattr(solvers, "tv_prox", missed_on_call_2)
     with pytest.raises(EvolveError, match=r"step 2 failed: backward step solve stalled: .* \(sample 1\)") as info:
         evolve(pair, U, 0.2, 0.05, record_energies=(True, False))
     assert info.value.orbit == 1 and isinstance(info.value.__cause__, SliceError)

@@ -332,17 +332,17 @@ def test_weighted_gram_triplets_match_dense():
 
 
 def test_tv_prox_two_node_closed_form():
-    res = tv_prox([(0, 1)], [1.0], np.array([0.0, 2.0]), 0.5, tol=1e-14)
-    assert res.converged and res.x == pytest.approx([0.5, 1.5], abs=1e-9)
+    res = tv_prox([(0, 1)], [1.0], np.array([[0.0, 2.0]]), 0.5, tol=1e-14)
+    assert res.converged and res.x[0] == pytest.approx([0.5, 1.5], abs=1e-9)
 
 
 def test_tv_prox_lambda_zero_returns_anchor():
-    a = np.array([0.3, -1.0, 2.0])
+    a = np.array([[0.3, -1.0, 2.0]])
     assert np.array_equal(tv_prox([(0, 1), (1, 2)], [1.0, 1.0], a, 0.0).x, a)
 
 
 def test_tv_prox_constant_anchor_is_fixed():
-    a = np.full(4, 0.7)
+    a = np.full((1, 4), 0.7)
     res = tv_prox([(0, 1), (1, 2), (2, 3)], np.ones(3), a, 2.0, tol=1e-14)
     assert res.converged and res.x == pytest.approx(a, abs=1e-12)
 
@@ -354,8 +354,8 @@ def test_tv_prox_constant_anchor_is_fixed():
 @settings(max_examples=60, deadline=None)
 def test_tv_prox_two_node_matches_shrinkage(a0, a1, lam, w0, w1):
     # equal node masses: mean preserved, difference shrunk by 2*lam*w/m
-    res = tv_prox([(0, 1)], [w0], np.array([a0, a1]), lam, tol=1e-14, node_weights=np.array([w1, w1]))
-    x = res.x
+    res = tv_prox([(0, 1)], [w0], np.array([[a0, a1]]), lam, tol=1e-14, node_weights=np.array([w1, w1]))
+    x = res.x[0]
     assert res.converged
     mean = 0.5 * (a0 + a1)
     d = a0 - a1
@@ -372,9 +372,9 @@ def test_tv_prox_optimality_certificate():
     w = np.array([1.0, 0.5, 2.0, 1.0])
     anchor = rng.normal(size=4)
     lam = 0.3
-    res = tv_prox(edges, w, anchor, lam, tol=1e-16)
+    res = tv_prox(edges, w, anchor[None], lam, tol=1e-16)
     assert res.converged
-    x = res.x
+    x = res.x[0]
 
     def tv(v):
         d = np.array([v[0] - v[1], v[1] - v[2], v[2] - v[3], v[3]])
@@ -393,11 +393,11 @@ def test_tv_prox_optimality_certificate():
 def test_partial_anchor_tv_free_nodes():
     # nodes 0, 1 anchored; node 2 free: the free node settles inside the hull
     res = partial_anchor_tv(
-        edges=[(0, 1), (1, 2)], weights=[1.0, 1.0], anchored=[0, 1], anchor_values=[0.0, 2.0],
+        edges=[(0, 1), (1, 2)], weights=[1.0, 1.0], anchored=[0, 1], anchor_values=[[0.0, 2.0]],
         node_weights_anchored=[1.0, 1.0], lam=0.2, n=3, tol=1e-11,
     )
     assert res.converged
-    assert res.x[2] == pytest.approx(res.x[1], abs=1e-6)  # free endpoint matches its only neighbour
+    assert res.x[0, 2] == pytest.approx(res.x[0, 1], abs=1e-6)  # free endpoint matches its only neighbour
 
 
 def test_constrained_tv_min_interpolates():
@@ -413,13 +413,86 @@ def test_tv_solvers_report_a_missed_certificate_without_raising():
     # a tolerance no residual meets: each returns its best measured result, not converged
     edges, w = [(0, 1), (1, 2)], [1.0, 1.0]
     for res in (
-        tv_prox(edges, w, np.array([0.0, 2.0, 1.0]), 0.5, tol=-1.0),
-        partial_anchor_tv(edges, w, [0, 1], [0.0, 2.0], [1.0, 1.0], 0.2, 3, tol=-1.0),
+        tv_prox(edges, w, np.array([[0.0, 2.0, 1.0]]), 0.5, tol=-1.0),
+        partial_anchor_tv(edges, w, [0, 1], [[0.0, 2.0]], [1.0, 1.0], 0.2, 3, tol=-1.0),
         constrained_tv_min(edges, w, [0, 2], [0.0, 1.0], 3, tol=-1.0),
     ):
         assert not res.converged and 0.0 <= res.residual <= 1e-9
         assert np.all(np.isfinite(res.x)) and np.isfinite(res.value)
 
+
+
+_CHAIN3 = dict(edges=[(0, 1), (1, 2)], anchored=[0, 1], anchor_values=[[0.0, 2.0]], n=3)
+
+
+def test_partial_anchor_tv_refuses_a_zero_step():
+    with pytest.raises(ValueError, match="lam must be positive"):
+        partial_anchor_tv(weights=[1.0, 1.0], node_weights_anchored=[1.0, 1.0], lam=0.0, **_CHAIN3)
+
+
+def test_partial_anchor_tv_refuses_a_negative_edge_weight():
+    with pytest.raises(ValueError, match="edge weights must be nonnegative"):
+        partial_anchor_tv(weights=[1.0, -1.0], node_weights_anchored=[1.0, 1.0], lam=0.2, **_CHAIN3)
+
+
+def test_partial_anchor_tv_refuses_a_negative_node_weight():
+    with pytest.raises(ValueError, match="node weights must be positive"):
+        partial_anchor_tv(weights=[1.0, 1.0], node_weights_anchored=[1.0, -1.0], lam=0.2, **_CHAIN3)
+
+
+def test_constrained_tv_min_refuses_a_negative_edge_weight():
+    with pytest.raises(ValueError, match="edge weights must be nonnegative"):
+        constrained_tv_min([(0, 1), (1, 2)], [1.0, -1.0], [0, 2], [0.0, 1.0], 3)
+
+
+def _batch_and_alone(solve, S):
+    """``solve(rows)`` on the whole batch and on each sample as a batch of one:
+    every sample has bitwise the point, residual and value it has alone, and
+    the batch the iterations of its samples alone."""
+    batch, alone = solve(slice(None)), [solve(slice(s, s + 1)) for s in range(S)]
+    for s, one in enumerate(alone):
+        np.testing.assert_array_equal(batch.x[s], one.x[0])
+        assert batch.residual[s] == one.residual[0] and batch.value[s] == one.value[0]
+    assert batch.iterations == sum(one.iterations for one in alone)
+    return batch, alone
+
+
+def test_each_sample_of_a_tv_batch_is_its_own_solve(monkeypatch):
+    # an 8x8 grid: per-sample lam, one start None; the partial-anchor rows
+    # certify at the third, second and first rung of the polish, and with
+    # the phase capped at 995 iterations row 0 alone runs to its cap,
+    # between two KKT checks
+    import jflow.solvers as solvers
+
+    pair = P.build_tv(P.grid(8, 8, 1.0 / 7.0))
+    term, n = pair.E.tv_terms[0], pair.E.dim
+    rng = np.random.default_rng(3)
+    anchored = np.sort(rng.choice(n, n // 3, replace=False))
+    g = rng.normal(size=(3, anchored.size)) * [[0.1], [1.0], [5.0]]
+    lam, starts = np.array([0.01, 0.1, 1.0]), [None, rng.normal(size=n), rng.normal(size=n)]
+    real, phases = solvers._pdhg, []
+
+    def spy(*args):
+        phases.append(len(args[4]))
+        return real(*args)
+
+    def partial(rows):
+        return partial_anchor_tv(term.edges, term.weights, anchored, g[rows], np.ones(anchored.size), lam[rows], n,
+                                 tol=1e-13, x0=starts[rows])
+
+    def full(rows):  # row 1 takes no step
+        a, steps = 3.0 * g[:, :1] + np.sin(np.arange(n)), np.array([0.05, 0.0, 0.5])
+        return tv_prox(term.edges, term.weights, a[rows], steps[rows], tol=1e-24, node_weights=pair.space.weights)
+
+    monkeypatch.setattr(solvers, "_pdhg", spy)
+    batch, _ = _batch_and_alone(partial, 3)
+    assert batch.converged and phases[:3] == [3, 2, 1]  # one phase per rung, of the rows not yet certified
+    batch, _ = _batch_and_alone(full, 3)
+    assert batch.converged and np.array_equal(batch.x[1], 3.0 * g[1, 0] + np.sin(np.arange(n)))
+    monkeypatch.setattr(solvers, "_PDHG_MAX_ITER", 995)
+    batch, alone = _batch_and_alone(partial, 3)
+    assert alone[0].iterations == 995 and max(alone[1].iterations, alone[2].iterations) < 995
+    assert np.all(batch.residual[1:] <= 1e-13)
 
 def _grounded_chain(n):
     return [(0, -1)] + [(i, i + 1) for i in range(n - 1)] + [(n - 1, -1)]
@@ -455,8 +528,8 @@ def test_tv_prox_grounded_chain_certified_and_positive():
     for lam in (0.01, 0.1):
         for _ in range(5):
             anchor = np.abs(rng.normal(size=n))
-            res = tv_prox(edges, np.ones(n + 1), anchor, lam, tol=1e-16, node_weights=masses)
-            x, gap = res.x, res.residual
+            res = tv_prox(edges, np.ones(n + 1), anchor[None], lam, tol=1e-16, node_weights=masses)
+            x, gap = res.x[0], res.residual[0]
             assert gap <= 1e-16
             worst_dual = max(worst_dual, _chain_dual_violation(x, anchor, masses, lam))
             lowest = min(lowest, float(x.min()))
@@ -512,11 +585,12 @@ def test_tv_prox_32x32_grid_step_has_independent_dual_certificate():
     s = np.sin(np.pi * np.arange(1, 4)[:, None] * np.linspace(0.0, 1.0, n)[None, 1:-1])
     g = (2.0 * np.einsum("ab,ai,bj->ij", np.random.default_rng(7).normal(size=(3, 3)), s, s)).ravel()
     masses = pair.space.weights
-    res = tv_prox(term.edges, term.weights, g, lam, tol=1e-20, node_weights=masses)
-    assert res.residual <= 1e-20
-    flat_share = float(np.mean(term.diff(res.x) == 0.0))
+    res = tv_prox(term.edges, term.weights, g[None], lam, tol=1e-20, node_weights=masses)
+    x = res.x[0]
+    assert res.residual[0] <= 1e-20
+    flat_share = float(np.mean(term.diff(x) == 0.0))
     assert 0.1 < flat_share < 0.9  # the step has real plateaus and real jumps
-    residual, excess = _tv_step_dual_residual(term.edges, term.weights, masses, lam, g, res.x)
+    residual, excess = _tv_step_dual_residual(term.edges, term.weights, masses, lam, g, x)
     assert residual <= 1e-11 and excess <= 1e-11
 
 
