@@ -35,7 +35,6 @@ from .pairs import (
     chain_envelope_value,
     elliptic_extension,
     graph_reduce,
-    kernel_basis,
     lifted_value,
     subgradient_residual,
     support_envelope_value,

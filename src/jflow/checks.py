@@ -48,7 +48,6 @@ from .pairs import JEllipticPair, fibers, lifted_values, subgradient_residual
 __all__ = [
     "PropertyReport",
     "check_invariance",
-    "check_relative_invariance",
     "check_comparison",
     "check_order_preserving",
     "check_domination",
@@ -64,10 +63,8 @@ __all__ = [
     "plan_linf_contractivity",
     "plan_order_preserving",
     "plan_psi_accretive",
-    "plan_relative_invariance",
     "run_plans",
     "integral_functional",
-    "l1_functional",
     "sample_states",
 ]
 
@@ -354,45 +351,6 @@ def plan_invariance(
 check_invariance = _checker(plan_invariance)
 
 
-def plan_relative_invariance(
-    pair: JEllipticPair,
-    C1: ConvexSetOracle,
-    C2: ConvexSetOracle,
-    samples: int = 50,
-    T: float = 1.0,
-    tau: float = 0.05,
-    seed: int = 0,
-    tol_fun: float = FUNCTIONAL_TOL,
-    tol_dyn: float = DYNAMIC_TOL,
-    dynamic_samples: int = 5,
-) -> list:
-    """Orbits started in ``C1`` stay in ``C2`` when projection onto
-    ``C2`` maps ``C1`` into itself (checked first; failure is an error,
-    not a property violation)."""
-    rng = np.random.default_rng(seed)
-    us = sample_states(pair, samples, rng)
-    s = _Sampler(T, tau)
-    fun = _max_part("functional", tol_fun)
-    for u in us:
-        x = C1.project(u)
-        px = C2.project(x)
-        if pair.space.norm(px - C1.project(px)) > 1e-9 * (1.0 + pair.space.norm(px)):
-            raise ValueError("compatibility precondition fails: projection onto C2 leaves C1")
-        s.gap(fun, [(pair, px)], [(pair, x)], {"u": x})
-
-    dyn = _max_part("orbit", tol_dyn)
-    for u in us[:dynamic_samples]:
-        x = C1.project(u)
-        for _ in range(32):
-            x = C1.project(C2.project(x))
-        s.orbits([(pair, x)], _stays_in(dyn, pair.space, C2, {"u0": x}))
-
-    return [(s, lambda: _assemble("relative-invariance", [fun, dyn], samples, s.skipped))]
-
-
-check_relative_invariance = _checker(plan_relative_invariance)
-
-
 # ---------------------------------------------------------------------------
 # comparison, order preservation, domination
 
@@ -589,10 +547,6 @@ def integral_functional(space: WeightedSpace, psi: NFunction) -> Callable[[np.nd
         return float(np.sum(space.weights * psi(np.abs(w))))
 
     return phi
-
-
-def l1_functional(space: WeightedSpace) -> Callable[[np.ndarray], float]:
-    return integral_functional(space, power(1.0))
 
 
 def plan_complete_contractivity(

@@ -92,13 +92,16 @@ def _initial_state(bundle, seed: int) -> np.ndarray:
     dim = bundle.pair.space.dim
     if cfg["kind"] == "gaussian":
         rng = np.random.default_rng(seed)
-        return checks.sample_states(bundle.pair, 1, rng, scale=float(cfg.get("scale", 1.0)))[0]
-    if cfg["kind"] == "constant":
-        return np.full(dim, float(cfg["value"]))
-    vals = np.asarray(cfg["values"], float)
-    if vals.shape != (dim,):
-        raise ValueError(f"initial values must have length {dim}")
-    return vals
+        state = checks.sample_states(bundle.pair, 1, rng, scale=float(cfg.get("scale", 1.0)))[0]
+    elif cfg["kind"] == "constant":
+        state = np.full(dim, float(cfg["value"]))
+    else:
+        state = np.asarray(cfg["values"], float)
+        if state.shape != (dim,):
+            raise ValueError(f"initial values must have length {dim}")
+    if not np.all(np.isfinite(state)):
+        raise ValueError(f"{cfg['kind']}: the state is not finite")
+    return state
 
 
 def _write_trajectory(path: Path, traj) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "TotalVariationTerm",
     "AffineIndicatorTerm",
     "ExtendedFunctional",
-    "evaluate",
     "shifted_value",
     "sample_convexity",
     "sample_coercivity",
@@ -128,29 +127,28 @@ class _EdgeTerm(EnergyTerm):
 
 
 class PEdgeEnergy(_EdgeTerm):
-    """``(1/p) sum_e w_e |u_a - u_b|^p`` over weighted edges.
+    """``(1/p) sum_e w_e |u_a - u_b|^p`` over weighted edges, for p > 1.
 
-    Convex for every p >= 1; smooth with a continuous gradient for p > 1.
+    Convex and smooth with a continuous gradient.  The p = 1 energy is
+    :class:`TotalVariationTerm`, the one non-smooth edge term.
     """
 
     kind = "p-edge-energy"
+    smooth = True
 
     def __init__(self, edges, weights, p: float):
-        if p < 1:
-            raise ValueError(f"edge exponent must satisfy p >= 1, got {p}")
+        if not p > 1:
+            raise ValueError(f"edge exponent must satisfy p > 1, got {p}; for p = 1 use TotalVariationTerm")
         super().__init__(edges, weights)
         if np.any(self.weights <= 0):
             raise ValueError("edge weights must be positive")
         self.p = float(p)
-        self.smooth = p > 1
 
     def value(self, u):
         d = self.diff(u)
         return np.add.reduce(self.weights * np.abs(d) ** self.p, -1) / self.p
 
     def grad(self, u):
-        if not self.smooth:
-            raise NotImplementedError("p = 1 edge energy is not differentiable")
         d = self.diff(u)
         return self.incidence(u.shape[-1]).adjoint(self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d))
 
@@ -293,11 +291,7 @@ class ExtendedFunctional:
 
     @property
     def tv_terms(self):
-        return [
-            t
-            for t in self.terms
-            if isinstance(t, TotalVariationTerm) or (isinstance(t, PEdgeEnergy) and not t.smooth)
-        ]
+        return [t for t in self.terms if isinstance(t, TotalVariationTerm)]
 
     def smooth_value(self, u):
         """The smooth terms' value, one per sample row of ``u``."""
@@ -332,11 +326,6 @@ class ExtendedFunctional:
             if math.isfinite(self.value(x)):
                 return x
         raise ValueError("no point of the effective domain found")
-
-
-def evaluate(E: ExtendedFunctional, u_hat) -> float:
-    """Extended-real value of the composite energy."""
-    return E.value(u_hat)
 
 
 def shifted_value(E: ExtendedFunctional, jmat, space: WeightedSpace, omega: float, u_hat) -> float:

@@ -44,7 +44,7 @@ _SUBQUADRATIC_TOL = 1e-7  # float floor: edge gradients scale like |d|^(p-1), p 
 def _effective_tol(E, tol):
     if tol is not None:
         return tol
-    if any(isinstance(t, PEdgeEnergy) and 1.0 < t.p < 2.0 for t in E.smooth_terms):
+    if any(isinstance(t, PEdgeEnergy) and t.p < 2.0 for t in E.smooth_terms):
         return _SUBQUADRATIC_TOL
     return _FALLBACK_TOL
 
@@ -121,7 +121,6 @@ def evolve(
     u0,
     T: float,
     tau: float,
-    project_initial: bool = False,
     tol: Optional[float] = None,
     record_energies=True,
     keep_extensions: bool = False,
@@ -132,14 +131,13 @@ def evolve(
     as one batch, each step one slice solve of S samples, and a list of S
     trajectories is returned, each bitwise the orbit of its datum alone.
     The initial data must lie in the image of the effective domain
-    (:func:`pairs.fibers`); with ``project_initial`` one that does not is
-    first projected onto that affine set.  The fiber above an initial datum
-    is solved only when its value or minimizer is kept (``record_energies``,
-    one flag for all orbits or one per orbit, and ``keep_extensions``), the
-    kept ones as one batch (:func:`pairs.lifted_values`, whose
-    :class:`pairs.SliceError` names the orbit's row), and the first step
-    then starts from that minimizer; otherwise as :func:`resolvent` does
-    without ``start``.  A failed step raises :class:`EvolveError` with the
+    (:func:`pairs.fibers`); a datum outside it raises ``ValueError``.  The
+    fiber above an initial datum is solved only when its value or minimizer
+    is kept (``record_energies``, one flag for all orbits or one per orbit,
+    and ``keep_extensions``), the kept ones as one batch
+    (:func:`pairs.lifted_values`, whose :class:`pairs.SliceError` names the
+    orbit's row), and the first step then starts from that minimizer;
+    otherwise as :func:`resolvent` does without ``start``.  A failed step raises :class:`EvolveError` with the
     partial trajectory of the orbit its :class:`pairs.SliceError` names
     (row 0 for an error of the whole batch).  For shifted-convex pairs the
     step must satisfy ``tau <= 0.9/omega`` so every step objective stays
@@ -155,11 +153,8 @@ def evolve(
     pair.space.check_dim(*U)
     S, record = len(U), np.broadcast_to(record_energies, len(U))
     kept, lifted_tol = record | keep_extensions, tol if tol is not None else _FALLBACK_TOL
-    empty = fibers(pair, U)[2]
-    if empty.any() and not project_initial:
+    if fibers(pair, U)[2].any():
         raise ValueError("initial datum is outside the image of the effective domain")
-    for s in np.flatnonzero(empty):
-        U[s] = _project_onto_image(pair, U[s])
     first, rows = [None] * S, np.flatnonzero(kept)
     try:
         for s, fiber in zip(rows, lifted_values(pair, U[rows], lifted_tol) if rows.size else []):
@@ -194,17 +189,6 @@ def evolve(
     orbits = [Trajectory(times, states[s], energies[s] if record[s] else None, residuals[s],
                          extensions[s] if keep_extensions else None) for s in range(S)]
     return orbits if np.ndim(u0) == 2 else orbits[0]
-
-
-def _project_onto_image(pair, u0):
-    """Weighted projection of the datum onto the image of the affine set
-    of the indicator constraints (:attr:`JEllipticPair.step_slice`)."""
-    x0, Z = pair.step_slice
-    N = np.eye(pair.E.dim)[:, Z] if Z.ndim == 1 else Z
-    # minimize || j(x0 + N w) - u0 ||_W
-    sw = np.sqrt(pair.space.weights)
-    w, *_ = np.linalg.lstsq(sw[:, None] * (pair.j.matrix @ N), sw * (u0 - pair.j.apply(x0)), rcond=None)
-    return pair.j.apply(x0 + N @ w)
 
 
 def semigroup_distance(pair: JEllipticPair, u0, v0, T: float, tau: float, tol=None) -> np.ndarray:

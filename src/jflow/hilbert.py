@@ -1,16 +1,17 @@
 """Weighted finite-dimensional Hilbert lattice.
 
 A measure space with finitely many atoms is modelled by a vector of
-strictly positive node weights.  The weighted inner product, the lattice
-operations, the Lq norms and the Luxemburg-type norms built from convex
-gauge functions all live here, together with projection oracles for the
-closed convex sets used by the invariance and comparison checkers.
+strictly positive node weights.  The weighted inner product, the Lq
+norms and the Luxemburg-type norms built from convex gauge functions all
+live here, together with projection oracles for the closed convex sets
+used by the invariance and comparison checkers.  The lattice operations
+are NumPy's componentwise ``minimum`` and ``maximum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -18,11 +19,8 @@ __all__ = [
     "WeightedSpace",
     "NFunction",
     "ConvexSetOracle",
-    "inner",
-    "lattice",
     "lq_norm",
     "orlicz_norm",
-    "project",
     "power",
     "huber",
     "threshold_excess",
@@ -79,24 +77,6 @@ class WeightedSpace:
             return scale
         v = u / scale
         return scale * float(np.sqrt(np.dot(self.weights * v, v)))
-
-
-class LatticePair(NamedTuple):
-    meet: np.ndarray
-    join: np.ndarray
-
-
-def inner(space: WeightedSpace, u, v) -> float:
-    """Weighted inner product ``sum_i w_i u_i v_i``."""
-    return space.inner(u, v)
-
-
-def lattice(space: WeightedSpace, u, v) -> LatticePair:
-    """Componentwise infimum and supremum of two vectors."""
-    space.check_dim(u, v)
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    return LatticePair(meet=np.minimum(u, v), join=np.maximum(u, v))
 
 
 def lq_norm(space: WeightedSpace, u, q: float) -> float:
@@ -242,11 +222,6 @@ class ConvexSetOracle:
             if space.norm(pu - pv) > space.norm(u - v) + tol:
                 raise ValueError(f"{self.kind}: projection is not 1-Lipschitz")
         return True
-
-
-def project(oracle: ConvexSetOracle, u) -> np.ndarray:
-    """Metric projection of ``u`` through the oracle."""
-    return oracle.project(u)
 
 
 def positive_cone() -> ConvexSetOracle:

@@ -47,7 +47,6 @@ from .hilbert import WeightedSpace
 __all__ = [
     "JMap",
     "JEllipticPair",
-    "kernel_basis",
     "graph_reduce",
     "fibers",
     "lifted_value",
@@ -107,23 +106,15 @@ class JMap:
         return self._scatter(r) if self.observed is not None else _rowwise(self.matrix.T, r)
 
     def kernel_basis(self) -> np.ndarray:
-        """Orthonormal basis of the null space (columns)."""
+        """Orthonormal basis of the null space (columns); empty for an injective map."""
         if self._kernel is None:
             self._kernel = scipy.linalg.null_space(self.matrix)
         return self._kernel
-
-    def rank(self) -> int:
-        return self.source_dim - self.kernel_basis().shape[1]
 
 
 def _rowwise(M, u):
     """``M u`` of each sample row of ``u``, one matrix-vector product per row."""
     return np.matmul(M, u[..., None])[..., 0]
-
-
-def kernel_basis(j: JMap) -> np.ndarray:
-    """Orthonormal kernel basis; empty for injective maps."""
-    return j.kernel_basis()
 
 
 @dataclass
@@ -136,8 +127,8 @@ class JEllipticPair:
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+        if not 0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be nonnegative and finite, got {self.omega}")
         if self.j.source_dim != self.E.dim:
             raise ValueError("map source dimension does not match the energy")
         if self.j.target_dim != self.space.dim:

@@ -80,8 +80,8 @@ class GridSpec:
     def __post_init__(self):
         if self.topology not in ("chain", "grid"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.h <= 0:
-            raise ValueError("cell size h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"cell size h must be positive and finite, got {self.h}")
         if self.topology == "chain" and (len(self.shape) != 1 or self.shape[0] < 3):
             raise ValueError("chain needs at least 3 nodes")
         if self.topology == "grid" and (len(self.shape) != 2 or min(self.shape) < 3):

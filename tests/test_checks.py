@@ -46,32 +46,6 @@ def test_invariance_violated_for_far_box():
     assert rep.witness is not None
 
 
-def test_relative_invariance_c1_full_reduces(robin_small):
-    rep = checks.check_relative_invariance(robin_small, full_space(), positive_cone(), seed=3, **FAST)
-    base = checks.check_invariance(robin_small, positive_cone(), seed=3, resolvent_samples=0, **FAST)
-    assert rep.passed == base.passed
-
-
-def test_relative_invariance_box_and_cone(robin_small):
-    c1 = box(np.full(9, -1.0), np.full(9, 1.0))
-    rep = checks.check_relative_invariance(robin_small, c1, positive_cone(), seed=4, **FAST)
-    assert rep.passed
-
-
-def test_relative_invariance_precondition_violated(robin_small):
-    c1 = box(np.full(9, 0.5), np.full(9, 1.0))
-    c2 = box(np.full(9, -2.0), np.full(9, 0.0))  # projecting into c2 exits c1
-    with pytest.raises(ValueError, match="precondition"):
-        checks.check_relative_invariance(robin_small, c1, c2, seed=5, **FAST)
-
-
-def test_relative_invariance_misaligned_set():
-    pair = P.build_dirichlet(P.chain(5, 0.5), 2.0)
-    c2 = box(np.full(3, 0.5), np.full(3, 100.0))  # flow decays below the floor
-    rep = checks.check_relative_invariance(pair, full_space(), c2, seed=6, **FAST)
-    assert not rep.passed
-
-
 def test_comparison_diagonal_is_order_preservation(robin_small):
     rep = checks.check_comparison(robin_small, robin_small, seed=7, **FAST)
     assert rep.passed
@@ -194,15 +168,14 @@ def test_psi_accretive_h_norm_squared(robin_small):
 
 def test_psi_accretive_l1_robin(robin_small):
     pairs = make_op_pairs(robin_small, 6, seed=24)
-    rep = checks.check_psi_accretive(
-        robin_small, checks.l1_functional(robin_small.space), pairs, seed=24, T=0.3, tau=0.05, psi_name="l1"
-    )
+    psi = checks.integral_functional(robin_small.space, power(1.0))
+    rep = checks.check_psi_accretive(robin_small, psi, pairs, seed=24, T=0.3, tau=0.05, psi_name="l1")
     assert rep.passed and rep.details["crosscheck_agrees"]
 
 
 def test_psi_accretive_crafted_failure():
     pair = coupling_quad_pair()
-    psi = checks.l1_functional(pair.space)
+    psi = checks.integral_functional(pair.space, power(1.0))
     crafted = [(np.array([1.0, 0.0]), np.array([-1.0, 0.0])), (np.zeros(2), np.zeros(2))]
     rep = checks.check_psi_accretive(pair, psi, crafted, verify_tol=None, seed=25, T=0.2, tau=0.05)
     assert not rep.details["accretive_passed"]
@@ -223,8 +196,9 @@ def test_psi_accretive_headline_is_the_accretivity_part():
 
 def test_psi_accretive_rejects_unverified_pairs(robin_small):
     bogus = [(np.ones(robin_small.space.dim), 50.0 * np.ones(robin_small.space.dim))]
+    psi = checks.integral_functional(robin_small.space, power(1.0))
     with pytest.raises(ValueError, match="membership"):
-        checks.check_psi_accretive(robin_small, checks.l1_functional(robin_small.space), bogus, verify_tol=1e-6)
+        checks.check_psi_accretive(robin_small, psi, bogus, verify_tol=1e-6)
 
 
 def synthetic_report(name, **parts):
@@ -363,14 +337,13 @@ def test_no_plan_solves(robin_small, coupled_small, monkeypatch):
     small = dict(samples=4, T=0.2, tau=0.05, seed=26)
     cases = {
         "invariance": ((robin_small, positive_cone()), dict(resolvent_samples=2, dynamic_samples=1)),
-        "relative_invariance": ((robin_small, full_space(), positive_cone()), dict(dynamic_samples=1)),
         "comparison": ((dirichlet, coupled_small, positive_cone()), dict(dynamic_samples=1)),
         "order_preserving": ((robin_small,), dict(dynamic_samples=1)),
         "domination": ((dirichlet, coupled_small), dict(dynamic_samples=1, hypothesis_samples=3)),
         "linf_contractivity": ((robin_small,), dict(dynamic_samples=1)),
         "complete_contractivity": ((robin_small,), {}),
-        "psi_accretive": ((robin_small, checks.l1_functional(robin_small.space), make_op_pairs(robin_small, 3)),
-                          dict(crosscheck_samples=1)),
+        "psi_accretive": ((robin_small, checks.integral_functional(robin_small.space, power(1.0)),
+                           make_op_pairs(robin_small, 3)), dict(crosscheck_samples=1)),
     }
     assert {f"plan_{name}" for name in cases} == {n for n in checks.__all__ if n.startswith("plan_")}
     for name, (args, kwargs) in cases.items():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -517,11 +518,17 @@ CHAIN10 = {"topology": "chain", "n": 10, "h": 0.2}
         ({**QUAD_CHAIN, "initial": {"kind": "constant", "value": 1.0, "scale": 2.0}}, "constant: unknown key 'scale'"),
         ({**QUAD_CHAIN, "initial": {"kind": "values", "values": [0.0], "value": 1.0}}, "values: unknown key 'value'"),
         ({**QUAD_CHAIN, "initial": 3}, "initial state: need an object, got 3"),
+        ({**QUAD_CHAIN, "initial": {"kind": "values", "values": [0.0] * 5 + [math.nan]}}, "values: the state is not finite"),
+        ({**QUAD_CHAIN, "initial": {"kind": "constant", "value": math.nan}}, "constant: the state is not finite"),
+        ({**QUAD_CHAIN, "initial": {"kind": "gaussian", "scale": math.inf}}, "gaussian: the state is not finite"),
+        ({**QUAD_CHAIN, "omega_override": math.nan}, "omega must be nonnegative and finite"),
+        ({**QUAD_CHAIN, "grid": {**QUAD_CHAIN["grid"], "h": math.inf}}, "cell size h must be positive and finite"),
     ],
     ids=[
         "law-parameter", "p-string", "p-missing", "initial-value", "coupled-node-99", "coupled-node-minus-4", "tv-node",
         "unread-key", "unread-law", "unread-grid-key", "unread-reference-key", "problem-missing",
         "unread-initial-gaussian", "unread-initial-constant", "unread-initial-values", "initial-not-an-object",
+        "initial-values-nan", "initial-constant-nan", "initial-gaussian-inf", "omega-nan", "grid-h-inf",
     ],
 )
 def test_run_malformed_problem_file_exit_2_naming_the_key(tmp_path, capsys, cfg, named):

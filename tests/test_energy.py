@@ -13,7 +13,6 @@ from jflow.energy import (
     QuadraticTerm,
     ScalarPrimitive,
     TotalVariationTerm,
-    evaluate,
     sample_coercivity,
     sample_convexity,
     shifted_value,
@@ -26,25 +25,31 @@ def single_edge(p):
 
 
 def test_evaluate_p_edge():
-    assert evaluate(single_edge(2.0), np.array([1.0, 3.0])) == pytest.approx(2.0)
+    assert single_edge(2.0).value(np.array([1.0, 3.0])) == pytest.approx(2.0)
+
+
+def test_p_edge_energy_at_p_one_is_total_variation():
+    # the p = 1 edge energy is non-smooth: it has one form, TotalVariationTerm
+    with pytest.raises(ValueError, match="TotalVariationTerm"):
+        PEdgeEnergy([(0, 1)], [1.0], 1.0)
 
 
 def test_evaluate_edge_constant_vanishes():
     E = ExtendedFunctional([PEdgeEnergy([(0, 1), (1, 2)], [1.0, 2.0], 2.5)], 3)
-    assert evaluate(E, np.full(3, 0.37)) == 0.0
+    assert E.value(np.full(3, 0.37)) == 0.0
 
 
 def test_evaluate_indicator_violation():
     E = ExtendedFunctional([AffineIndicatorTerm(np.array([[1.0, 0.0]]), np.array([1.0]))], 2)
-    assert math.isinf(evaluate(E, np.array([0.0, 5.0])))
-    assert evaluate(E, np.array([1.0, 5.0])) == 0.0
+    assert math.isinf(E.value(np.array([0.0, 5.0])))
+    assert E.value(np.array([1.0, 5.0])) == 0.0
 
 
 def test_shift_zero_is_identity():
     E = single_edge(2.0)
     sp = WeightedSpace(np.ones(2))
     u = np.array([0.2, -1.0])
-    assert shifted_value(E, np.eye(2), sp, 0.0, u) == evaluate(E, u)
+    assert shifted_value(E, np.eye(2), sp, 0.0, u) == E.value(u)
 
 
 def test_shift_quadratic_value():
@@ -59,7 +64,7 @@ def test_shift_vanishes_on_kernel():
     jmat = np.array([[1.0, 0.0]])  # kernel spanned by e2
     u = np.array([0.5, -3.0])
     for omega in (0.0, 1.0, 7.5):
-        expected = evaluate(E, u) + 0.5 * omega * 0.25
+        expected = E.value(u) + 0.5 * omega * 0.25
         assert shifted_value(E, jmat, sp, omega, u) == pytest.approx(expected)
 
 
@@ -69,8 +74,8 @@ def test_shift_depends_on_image_only():
     jmat = np.array([[1.0, 0.0]])
     u = np.array([0.5, -3.0])
     kern = np.array([0.0, 1.0])
-    base = shifted_value(E, jmat, sp, 3.0, u) - evaluate(E, u)
-    shifted = shifted_value(E, jmat, sp, 3.0, u + 2.0 * kern) - evaluate(E, u + 2.0 * kern)
+    base = shifted_value(E, jmat, sp, 3.0, u) - E.value(u)
+    shifted = shifted_value(E, jmat, sp, 3.0, u + 2.0 * kern) - E.value(u + 2.0 * kern)
     assert abs(base - shifted) <= 1e-12
 
 
@@ -120,13 +125,13 @@ def test_p_edge_homogeneity(c):
     for p in (1.5, 2.0, 3.0):
         E = ExtendedFunctional([PEdgeEnergy([(0, 1), (1, 2)], [1.0, 0.5], p)], 3)
         u = np.array([0.3, -1.2, 0.8])
-        assert evaluate(E, c * u) == pytest.approx(c**p * evaluate(E, u), rel=1e-10)
+        assert E.value(c * u) == pytest.approx(c**p * E.value(u), rel=1e-10)
 
 
 def test_tv_scaling_is_one_homogeneous():
     E = ExtendedFunctional([TotalVariationTerm([(0, 1), (1, -1)], [1.0, 2.0])], 2)
     u = np.array([1.0, -0.5])
-    assert evaluate(E, -3.0 * u) == pytest.approx(3.0 * evaluate(E, u))
+    assert E.value(-3.0 * u) == pytest.approx(3.0 * E.value(u))
 
 
 def test_declared_shift_makes_terms_convex():
@@ -149,7 +154,7 @@ def test_quadratic_and_linear_terms():
     Q = np.array([[2.0, 0.0], [0.0, 1.0]])
     E = ExtendedFunctional([QuadraticTerm(Q)], 2)
     u = np.array([1.0, 2.0])
-    assert evaluate(E, u) == pytest.approx(3.0)
+    assert E.value(u) == pytest.approx(3.0)
     assert np.allclose(E.smooth_grad(u), Q @ u)
 
 

@@ -8,14 +8,11 @@ from jflow.hilbert import (
     box,
     custom_oracle,
     huber,
-    inner,
-    lattice,
     lq_norm,
     order_cone,
     orlicz_norm,
     positive_cone,
     power,
-    project,
     threshold_excess,
 )
 
@@ -24,23 +21,23 @@ vec3 = st.lists(st.floats(-50, 50, allow_nan=False), min_size=3, max_size=3).map
 
 def test_inner_orthogonality():
     sp = WeightedSpace(np.array([1.0, 1.0]))
-    assert inner(sp, [1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert sp.inner([1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_inner_hand_sum():
     sp = WeightedSpace(np.array([2.0, 3.0]))
-    assert inner(sp, [1.0, 1.0], [1.0, 1.0]) == 5.0
+    assert sp.inner([1.0, 1.0], [1.0, 1.0]) == 5.0
 
 
 def test_inner_zero_vector():
     sp = WeightedSpace(np.array([2.0, 3.0]))
-    assert inner(sp, [0.0, 0.0], [7.0, -1.0]) == 0.0
+    assert sp.inner([0.0, 0.0], [7.0, -1.0]) == 0.0
 
 
 def test_inner_dimension_mismatch():
     sp = WeightedSpace(np.ones(2))
     with pytest.raises(ValueError):
-        inner(sp, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        sp.inner([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 def test_weights_must_be_positive():
@@ -52,19 +49,19 @@ def test_weights_must_be_positive():
 @settings(max_examples=100, deadline=None)
 def test_inner_symmetric_and_positive(u, v):
     sp = WeightedSpace(np.array([0.5, 1.0, 2.5]))
-    assert inner(sp, u, v) == pytest.approx(inner(sp, v, u), abs=1e-12)
+    assert sp.inner(u, v) == pytest.approx(sp.inner(v, u), abs=1e-12)
     if np.any(u != 0):
         # definiteness through the scale-safe norm; the squared norm of a
         # tiny nonzero vector (u = 7.7e-215) correctly rounds to zero
         assert sp.norm(u) > 0
         if sp.norm(u) ** 2 >= np.finfo(float).tiny:
-            assert inner(sp, u, u) > 0
+            assert sp.inner(u, u) > 0
 
 
 def test_norm_is_scale_safe():
     sp = WeightedSpace(np.array([0.5, 1.0, 2.5]))
     tiny = np.array([7.7e-215, 0.0, 0.0])
-    assert inner(sp, tiny, tiny) == 0.0
+    assert sp.inner(tiny, tiny) == 0.0
     assert sp.norm(tiny) == pytest.approx(7.7e-215 * np.sqrt(0.5), rel=1e-15)
     huge = np.array([1e300, -1e300, 0.0])
     assert sp.norm(huge) == pytest.approx(1e300 * np.sqrt(1.5), rel=1e-15)
@@ -72,33 +69,26 @@ def test_norm_is_scale_safe():
 
 
 def test_lattice_componentwise():
-    sp = WeightedSpace(np.ones(2))
-    meet, join = lattice(sp, [1.0, 3.0], [2.0, 2.0])
-    assert np.array_equal(meet, [1.0, 2.0])
-    assert np.array_equal(join, [2.0, 3.0])
+    u, v = np.array([1.0, 3.0]), np.array([2.0, 2.0])
+    assert np.array_equal(np.minimum(u, v), [1.0, 2.0])
+    assert np.array_equal(np.maximum(u, v), [2.0, 3.0])
 
 
 def test_lattice_idempotent():
-    sp = WeightedSpace(np.ones(2))
     u = np.array([0.3, -0.7])
-    meet, join = lattice(sp, u, u)
-    assert np.array_equal(meet, u) and np.array_equal(join, u)
+    assert np.array_equal(np.minimum(u, u), u) and np.array_equal(np.maximum(u, u), u)
 
 
 def test_lattice_positive_part_pattern():
-    sp = WeightedSpace(np.ones(2))
     u = np.array([-1.0, 0.0])
-    meet, join = lattice(sp, u, np.zeros(2))
-    assert np.array_equal(join, np.maximum(u, 0.0))  # u v 0 = u^+
-    assert np.array_equal(meet, np.minimum(u, 0.0))  # u ^ 0 = -u^-
+    assert np.array_equal(np.maximum(u, 0.0), [0.0, 0.0])  # u v 0 = u^+
+    assert np.array_equal(np.minimum(u, 0.0), [-1.0, 0.0])  # u ^ 0 = -u^-
 
 
 @given(vec3, vec3)
 @settings(max_examples=100, deadline=None)
 def test_meet_plus_join_identity(u, v):
-    sp = WeightedSpace(np.ones(3))
-    meet, join = lattice(sp, u, v)
-    assert np.array_equal(meet + join, u + v)
+    assert np.array_equal(np.minimum(u, v) + np.maximum(u, v), u + v)
 
 
 def test_lq_euclidean():
@@ -178,13 +168,13 @@ def test_nfunction_validate():
 
 def test_positive_cone_projection():
     cone = positive_cone()
-    assert np.array_equal(project(cone, np.array([-1.0, 2.0])), [0.0, 2.0])
+    assert np.array_equal(cone.project(np.array([-1.0, 2.0])), [0.0, 2.0])
 
 
 def test_order_cone_matches_brute_force():
     # minimize (x-3)^2 + (y-1)^2 subject to x <= y
     oc = order_cone(np.ones(1))
-    proj = project(oc, np.array([3.0, 1.0]))
+    proj = oc.project(np.array([3.0, 1.0]))
     assert proj == pytest.approx([2.0, 2.0])
     grid = np.linspace(-1, 4, 401)
     best, best_val = None, np.inf
@@ -199,7 +189,7 @@ def test_order_cone_matches_brute_force():
 
 def test_order_cone_weighted_midpoint():
     oc = order_cone(np.array([2.0]), np.array([1.0]))
-    proj = project(oc, np.array([3.0, 0.0]))
+    proj = oc.project(np.array([3.0, 0.0]))
     mid = (2.0 * 3.0 + 1.0 * 0.0) / 3.0
     assert proj == pytest.approx([mid, mid])
 
@@ -207,7 +197,7 @@ def test_order_cone_weighted_midpoint():
 def test_projection_fixes_points_inside():
     oc = order_cone(np.ones(2))
     z = np.array([0.0, 1.0, 2.0, 3.0])
-    assert np.array_equal(project(oc, z), z)
+    assert np.array_equal(oc.project(z), z)
 
 
 @pytest.mark.parametrize("make", [

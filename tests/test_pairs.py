@@ -19,7 +19,6 @@ from jflow.pairs import (
     chain_envelope_value,
     elliptic_extension,
     graph_reduce,
-    kernel_basis,
     lifted_value,
     subgradient_residual,
     support_envelope_value,
@@ -34,18 +33,18 @@ def quad_pair(n=2, jmat=None, weights=None):
 
 
 def test_kernel_basis_identity_empty():
-    assert kernel_basis(JMap(np.eye(3))).shape == (3, 0)
+    assert JMap(np.eye(3)).kernel_basis().shape == (3, 0)
 
 
 def test_kernel_basis_row_sum_map():
-    Z = kernel_basis(JMap(np.array([[1.0, 1.0]])))
+    Z = JMap(np.array([[1.0, 1.0]])).kernel_basis()
     assert Z.shape == (2, 1)
     v = Z[:, 0]
     assert abs(abs(v @ np.array([1.0, -1.0]) / np.sqrt(2)) - 1.0) < 1e-12
 
 
 def test_kernel_basis_zero_map_full():
-    Z = kernel_basis(JMap(np.zeros((2, 3))))
+    Z = JMap(np.zeros((2, 3))).kernel_basis()
     assert Z.shape == (3, 3)
     assert np.allclose(Z.T @ Z, np.eye(3), atol=1e-12)
 
@@ -56,7 +55,7 @@ def test_kernel_rank_identity():
         m, n = rng.integers(1, 6), rng.integers(1, 6)
         mat = rng.normal(size=(m, n))
         j = JMap(mat)
-        assert j.rank() + j.kernel_basis().shape[1] == n
+        assert np.linalg.matrix_rank(mat) + j.kernel_basis().shape[1] == n
         assert np.max(np.abs(mat @ j.kernel_basis()), initial=0.0) < 1e-10
 
 
