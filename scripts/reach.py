@@ -11,8 +11,8 @@ Runs the paths by which jflow is used, in this process and under one
   ``runpy`` with ``sys.argv`` set;
 - the quick round of each workload of ``perfbench/workloads.py``, through
   ``jflow.cli.main``.  Its problem files are written to a temporary
-  directory.  This is the one path to the TV fibre of a subregion
-  (``solvers.constrained_tv_min``), which no bundled problem has.
+  directory.  With ``tv_sweep.py`` it is a path to the TV fibre of a
+  subregion (``solvers.constrained_tv_min``), which no bundled problem has.
 
 Then prints every function and method defined in the package's modules
 (nested ones included, lambdas and comprehensions not) that none of these

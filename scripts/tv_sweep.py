@@ -12,9 +12,15 @@ the steps, the failed steps, the HiGHS feasibility problems of the
 plateau polish (``linprog`` with equality rows), the worst step
 certificate (duality gap on the chain, KKT residual on the grid; a failed
 step counts with the residual its ``SliceError`` carries), the wall time
-and ``states_sha256``, one SHA-256 over the states and step residuals of
-every orbit (the partial orbit of a failed one), so two trees that print
-the same hash computed the same orbits bitwise.  Exits 1 when a step fails.
+of the orbits and ``states_sha256``, one SHA-256 over the states and step
+residuals of every orbit (the partial orbit of a failed one), so two trees
+that print the same hash computed the same orbits bitwise.  Then solves
+one ``lifted_values`` batch over the orbits' start states (on the grid,
+the TV fibre ``solvers.constrained_tv_min``; on the chain every node is
+observed and the fibres are points) and prints its HiGHS programs
+(``linprog`` with inequality rows) and ``fibres_sha256``, one SHA-256 over
+the value, minimizer and residual of every fibre (``failed`` when one
+misses its certificate).  Exits 1 when a step or a fibre fails.
 
     PYTHONPATH=src python3 scripts/tv_sweep.py [--orbits 20]
 """
@@ -28,7 +34,7 @@ import numpy as np
 import scipy.optimize
 
 from jflow.flow import EvolveError, evolve
-from jflow.pairs import SliceError
+from jflow.pairs import SliceError, lifted_values
 from jflow.problems import builtin_problems, load_problem
 
 _STEPS = 10
@@ -62,21 +68,23 @@ def main():
     args = ap.parse_args()
 
     linprog = scipy.optimize.linprog
-    feasibility = 0
+    feasibility = fibre = 0
 
     def counted(*a, **kw):
-        nonlocal feasibility
+        nonlocal feasibility, fibre
         feasibility += "A_eq" in kw
+        fibre += "A_ub" in kw
         return linprog(*a, **kw)
 
     scipy.optimize.linprog = counted  # the TV solvers import it from scipy.optimize at each call
     failed_any = False
-    print("problem,tau,orbits,steps,failed_steps,highs_feasibility_calls,worst_certificate,wall_s,states_sha256")
+    print("problem,tau,orbits,steps,failed_steps,highs_feasibility_calls,worst_certificate,wall_s,states_sha256,"
+          "highs_fibre_calls,fibres_sha256")
     for name, pair, start in _problems():
         feasibility, steps, failed, worst, sha = 0, 0, 0, 0.0, hashlib.sha256()
         t0 = time.perf_counter()
-        for i in range(args.orbits):
-            u0 = start(np.random.default_rng(200 + i))
+        starts = [start(np.random.default_rng(200 + i)) for i in range(args.orbits)]
+        for u0 in starts:
             try:
                 traj = evolve(pair, u0, _STEPS * _TAU, _TAU, record_energies=False)
             except EvolveError as err:
@@ -90,8 +98,16 @@ def main():
             sha.update(np.ascontiguousarray(traj.states, float).tobytes() + np.asarray(residuals, float).tobytes())
             worst = max(worst, float(np.max(residuals, initial=0.0)))
         wall = time.perf_counter() - t0
-        failed_any |= failed > 0
-        print(f"{name},{_TAU:g},{args.orbits},{steps},{failed},{feasibility},{worst:.3g},{wall:.2f},{sha.hexdigest()}")
+        fibre, digest = 0, hashlib.sha256()
+        try:
+            for f in lifted_values(pair, np.array(starts)):
+                digest.update(np.array([f.value, *f.minimizer, f.residual]).tobytes())
+            fibres = digest.hexdigest()
+        except SliceError:
+            fibres = "failed"
+        failed_any |= failed > 0 or fibres == "failed"
+        print(f"{name},{_TAU:g},{args.orbits},{steps},{failed},{feasibility},{worst:.3g},{wall:.2f},{sha.hexdigest()},"
+              f"{fibre},{fibres}")
     sys.exit(1 if failed_any else 0)
 
 

@@ -42,7 +42,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .flow import evolve, resolvent
-from .hilbert import ConvexSetOracle, NFunction, WeightedSpace, huber, order_cone, positive_cone, power, threshold_excess
+from .hilbert import (
+    ConvexSetOracle, NFunction, WeightedSpace, huber, lq_norm, order_cone, positive_cone, power, threshold_excess,
+)
 from .pairs import JEllipticPair, fibers, lifted_values, subgradient_residual
 
 __all__ = [
@@ -522,7 +524,7 @@ def plan_linf_contractivity(
             s.gap(fun, [(pair, v1), (pair, v2)], [(pair, u1), (pair, u2)], {"u1": u1, "u2": u2, "alpha": alpha})
 
     dyn = _max_part("orbit-supnorm", tol_dyn)
-    sup = [(dyn, lambda w: float(np.max(np.abs(w))), {})]
+    sup = [(dyn, lambda w: lq_norm(pair.space, w, np.inf), {})]
     for u, v in zip(us[:dynamic_samples], vs[:dynamic_samples]):
         s.contraction(pair, u, v, sup, first=0)
 

@@ -63,7 +63,7 @@ def _load(path_str: str):
 
 
 def _bad_steps(args, pairs) -> bool:
-    """Report step arguments that no solve of ``pairs`` can take; called before any solve."""
+    """Report arguments (steps, tol, samples, seed) that no solve of ``pairs`` can take; called before any solve."""
     omega = max(pair.omega for pair in pairs)
     if not 0 < args.tau <= args.T < math.inf:
         why = "need 0 < tau <= T < inf"
@@ -73,6 +73,8 @@ def _bad_steps(args, pairs) -> bool:
         why = "need tol > 0"
     elif vars(args).get("samples", 1) < 1:
         why = "need samples >= 1"
+    elif args.seed < 0:
+        why = "need seed >= 0"
     else:
         return False
     print(f"jflow: {why}", file=sys.stderr)

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .hilbert import WeightedSpace
-from .solvers import EdgeOperator, Scatter, edge_incidence
+from .solvers import EdgeOperator, Scatter
 
 __all__ = [
     "ScalarPrimitive",
@@ -153,7 +153,7 @@ class PEdgeEnergy(_EdgeTerm):
         return self.incidence(u.shape[-1]).adjoint(self.weights * np.abs(d) ** (self.p - 1.0) * np.sign(d))
 
     def hessian_factor(self, n):
-        return edge_incidence(self.edges, n).T
+        return self.incidence(n).matrix.T
 
     def hessian_weights(self, u):
         """``w_e (p - 1) |d_e|^(p-2)``, with ``|d_e|`` floored at 1e-16 below ``p = 2``."""

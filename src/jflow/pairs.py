@@ -342,24 +342,23 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
 
     Smooth energies take :func:`_slice_newton` on the whole batch (gradient
     norm in slice coordinates).  Total variation on a restriction map is
-    solved exactly: the fibers sample by sample by
-    :func:`solvers.constrained_tv_min`, the steps in one batched call of
-    :func:`solvers.partial_anchor_tv` (measured KKT residuals) or, with
-    every node observed, :func:`solvers.tv_prox` to the duality gap
-    ``tol^2 min(m)/4`` (at most ``tol/sqrt(2)`` from the exact step).
-    Returns the :class:`solvers.SolveResult` in source coordinates, per
-    sample its ``x``, residual and ``value`` (the slice objective at
-    ``x``).  The one place where a missed certificate becomes an error: the
-    first sample whose residual misses the tolerance its solver was given
-    (a fiber: that its solver reports not converged) raises
-    :class:`SliceError` with its row, residual and the batch's iterations.
+    solved exactly, one batched call per batch: the fibers by
+    :func:`solvers.constrained_tv_min` (measured KKT residuals), the steps by
+    :func:`solvers.partial_anchor_tv` (the same) or, with every node
+    observed, :func:`solvers.tv_prox` to the duality gap ``tol^2 min(m)/4``
+    (at most ``tol/sqrt(2)`` from the exact step).  Returns the
+    :class:`solvers.SolveResult` in source coordinates, per sample its
+    ``x``, residual and ``value`` (the slice objective at ``x``).  The one
+    place where a missed certificate becomes an error, by one rule for
+    every solver: the first sample whose residual is not within the
+    tolerance its solver was given raises :class:`SliceError` with its
+    row, residual and the batch's iterations.
     """
     what, S = "fiber" if data is None else "backward step", len(x0)
     starts = [None] * S if starts is None else starts
     tv = pair.E.tv_terms
     if not tv:
         res = _slice_newton(pair, x0, Z, tol, starts, data)
-        certified = res.residual <= tol
     else:
         observed, n = pair.j.observed, pair.E.dim
         if pair.E.smooth_terms or pair.E.indicator_terms:
@@ -371,10 +370,7 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
         if data is not None and not pair.j.distinct:
             raise NotImplementedError("total-variation backward step on a map that observes a node twice")
         if data is None:
-            each = [solvers.constrained_tv_min(edges, weights, observed, x0[s, observed], n, tol=tol) for s in range(S)]
-            certified = np.array([r.converged for r in each])
-            x, residual, value = (np.array([getattr(r, k) for r in each]) for k in ("x", "residual", "value"))
-            res = solvers.SolveResult(x, residual, sum(r.iterations for r in each), bool(certified.all()), value)
+            res = solvers.constrained_tv_min(edges, weights, observed, x0[:, observed], n, tol=tol)
         else:
             lam, g, m = np.broadcast_to(data[0], S), data[1], pair.space.weights
             if observed.size < n:
@@ -385,9 +381,9 @@ def _solve_slice(pair: JEllipticPair, x0, Z, tol: float, starts=None, data=None)
                 tol = 0.25 * tol * tol * float(np.min(m))  # the duality gap tv_prox certifies
                 res = solvers.tv_prox(edges, weights, anchor, lam, tol=tol, node_weights=masses)
                 res = replace(res, value=res.value / lam)  # tv_prox reports lam times the step objective
-            certified = res.residual <= tol
-    if not certified.all():
-        s = int(np.flatnonzero(~certified)[0])
+    missed = ~(res.residual <= tol)
+    if missed.any():
+        s = int(np.flatnonzero(missed)[0])
         raise SliceError(what, s, float(res.residual[s]), res.iterations)
     return res
 
@@ -463,10 +459,10 @@ class _EdgeSystem:
             else:
                 free = np.arange(self.n)[Z]
                 k, pos = free.size, np.full(self.n + 1, -1)  # the position of each free node, -1 elsewhere
-                pos[free] = np.arange(k)  # pos[-1] = -1: the ground stays grounded
+                pos[free] = np.arange(k)  # pos[n] = -1: the ground stays grounded
                 row = pos[row]  # rows of fixed nodes drop out
                 if self.has_dual:
-                    ends = pos[self.D.ends]
+                    ends = pos[np.column_stack([self.D.head, self.D.tail])]
                     keep = np.any(ends >= 0, axis=1)
                     D_keep = solvers.EdgeOperator(ends[keep], k)
                     edge, node, sign = D_keep.entries()

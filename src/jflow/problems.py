@@ -25,6 +25,7 @@ metadata; they are sanity-sampled, never enforced analytically.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,12 +121,18 @@ class GridSpec:
         return np.nonzero(mask)[0]
 
 
+def _whole(count, key: str) -> int:
+    if not (isinstance(count, numbers.Real) and float(count).is_integer()):
+        raise ValueError(f"grid size {key} must be a whole number, not {count!r}")
+    return int(count)
+
+
 def chain(n: int, h: float) -> GridSpec:
-    return GridSpec("chain", (int(n),), float(h))
+    return GridSpec("chain", (_whole(n, "n"),), float(h))
 
 
 def grid(nx: int, ny: int, h: float) -> GridSpec:
-    return GridSpec("grid", (int(nx), int(ny)), float(h))
+    return GridSpec("grid", (_whole(nx, "nx"), _whole(ny, "ny")), float(h))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +263,9 @@ def _assemble(gridspec: GridSpec, p, data, measure: float, laws=(), keep_ring=Fa
     The map restricts to the source indices ``data``, each of measure
     ``measure`` in the data space.
     """
-    if p is not None and not (isinstance(p, numbers.Real) and p > 1):
-        raise ValueError(f"edge exponent p must be a number above 1, not {p!r}; build_tv builds the 1-homogeneous flow")
+    if p is not None and not (isinstance(p, numbers.Real) and 1 < p < math.inf):
+        raise ValueError(f"edge exponent p must be a finite number above 1, not {p!r}; "
+                         "build_tv builds the 1-homogeneous flow")
     h, d = gridspec.h, gridspec.d
     edges = gridspec.edges()
     n = gridspec.node_count
@@ -377,6 +385,9 @@ def _law_from_config(cfg: Optional[dict]) -> ScalarLaw:
             raise ValueError(f"unknown {which} law {kind!r}")
         if kind == "linear":
             params.pop("r", None)  # a linear law grows with exponent 2
+        for key, value in params.items():
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{which} law {kind!r}: parameter {key!r} must be finite, not {value!r}")
         try:
             laws[which] = table[kind](**params)
         except TypeError as exc:  # a parameter the law does not take, or a missing or non-numeric one

@@ -31,16 +31,18 @@ bitwise as alone: its plateaus take their levels in closed form, and its
 edge field, projected onto the plateau equations by one sparse solve, is
 that of the certificate; a HiGHS feasibility problem runs only where the
 projection leaves its box and the plateaus have cycles (:func:`_tv_polish`).
-The fiber :func:`constrained_tv_min` is a linear program solved by
-HiGHS, certified by its edge dual.  Each returns a :class:`SolveResult`
-with its measured certificate, not ``converged`` above ``tol``.  HiGHS
-(``scipy.optimize``) loads on the first TV linear program, not with this
-module.  Edge differences go through :class:`EdgeOperator`, a gather
-and a ``bincount`` scatter (:class:`Scatter`, per sample row).
+The fiber :func:`constrained_tv_min` takes the same batch: one linear
+program, built once and solved by HiGHS sample by sample, certified by
+its edge dual.  Each returns per sample its measured certificate, not
+``converged`` above ``tol``.  HiGHS (``scipy.optimize``) loads on the
+first TV linear program, not with this module.  Every edge difference
+goes through :class:`EdgeOperator`: a gather, a ``bincount`` scatter
+(:class:`Scatter`, per sample row) and its CSR ``matrix``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -59,7 +61,6 @@ __all__ = [
     "newton",
     "tv_prox",
     "EdgeOperator",
-    "edge_incidence",
     "Scatter",
     "partial_anchor_tv",
     "constrained_tv_min",
@@ -413,15 +414,17 @@ _HIGHS = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-
 class EdgeOperator:
     """The signed edge-node incidence ``D``, ``(Dx)_e = x_a - x_b`` on ``n`` nodes,
     from endpoint arrays; an endpoint of -1 is grounded (read as 0, never
-    written).  :meth:`diff` gathers over the last axis of ``x``; :meth:`adjoint`
-    scatters ``z`` and ``-z`` in one ``bincount``, edge by edge as CSR sums."""
+    written).  ``head`` and ``tail`` hold ``a`` and ``b``, the ground as node
+    ``n``.  :meth:`diff` gathers over the last axis of ``x``; :meth:`adjoint`
+    scatters ``z`` and ``-z`` in one ``bincount``, edge by edge as CSR sums;
+    :attr:`matrix` is ``D`` as CSR, for HiGHS and ``spsolve``."""
 
     def __init__(self, edges, n: int):
-        self.ends, self.n = np.asarray(edges, dtype=int).reshape(-1, 2), int(n)
-        self.head, self.tail = self.ends[:, 0].copy(), self.ends[:, 1].copy()
-        self._slots = np.where(self.ends >= 0, self.ends, self.n).ravel()  # the ground is slot n
-        self._scatter = Scatter(self._slots, self.n + 1)
-        self._grounded = bool(np.any(self.ends < 0))
+        ends, self.n = np.asarray(edges, dtype=int).reshape(-1, 2), int(n)
+        ends = np.where(ends >= 0, ends, self.n)
+        self.head, self.tail = ends[:, 0].copy(), ends[:, 1].copy()
+        self._scatter = Scatter(ends.ravel(), self.n + 1)
+        self._grounded = bool(np.any(ends == self.n))
 
     def diff(self, x):
         """``D x`` of each sample row of ``x``."""
@@ -437,16 +440,14 @@ class EdgeOperator:
 
     def entries(self):
         """``(edge, node, sign)`` of the nonzero entries, edge by edge."""
-        m, node = self.head.size, self.ends.ravel()
-        live = node >= 0
+        m, node = self.head.size, np.column_stack([self.head, self.tail]).ravel()
+        live = node < self.n
         return np.repeat(np.arange(m), 2)[live], node[live], np.tile([1.0, -1.0], m)[live]
 
-
-def edge_incidence(edges, n: int) -> scipy.sparse.csr_matrix:
-    """:class:`EdgeOperator` as a CSR matrix, for the sparse systems of HiGHS and ``spsolve``."""
-    D = EdgeOperator(edges, n)
-    edge, node, sign = D.entries()
-    return scipy.sparse.csr_matrix((sign, (edge, node)), shape=(D.head.size, D.n))
+    @functools.cached_property
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        edge, node, sign = self.entries()
+        return scipy.sparse.csr_matrix((sign, (edge, node)), shape=(self.head.size, self.n))
 
 
 def tv_prox(edges, weights, anchor, lam, tol: float = 1e-12, node_weights=None) -> SolveResult:
@@ -523,45 +524,44 @@ def partial_anchor_tv(
 
 
 def constrained_tv_min(edges, weights, fixed, fixed_values, n: int, tol: float = 1e-9) -> SolveResult:
-    """``min_x sum_e w_e |(Dx)_e|`` subject to ``x_i = u_i`` on ``fixed``.
+    """``min_x sum_e w_e |(Dx)_e|`` subject to ``x_i = u_si`` on ``fixed``, for
+    each sample row ``s`` of the ``(S, k)`` ``fixed_values`` ``u``.
 
     Solved as the linear program ``min sum_e w_e t_e`` subject to
-    ``|(Dx)_e| <= t_e`` with HiGHS.  The edge field ``z`` of the
-    certificate is read off the marginals of the two inequality blocks;
-    the measured KKT residual is the largest of the complementarity gap
-    ``sum_e (w_e |d_e| - z_e d_e)``, the norm of ``D_free^T z`` and the box
-    violation ``max_e (|z_e| - w_e)``; iterations are HiGHS's.  Not
-    ``converged`` above ``tol``; the residual is ``inf`` when HiGHS fails.
+    ``|(Dx)_e| <= t_e`` with HiGHS, built once and solved sample by sample.
+    The edge field ``z`` of the certificate is read off the marginals of
+    the two inequality blocks; the measured KKT residual is the largest of
+    the complementarity gap ``sum_e (w_e |d_e| - z_e d_e)``, the norm of
+    ``D^T z`` on the free nodes and the box violation ``max_e (|z_e| - w_e)``.
+    Per sample: ``x``, residual (``inf`` where HiGHS fails) and value;
+    HiGHS's iterations summed; ``converged`` when every residual is within ``tol``.
     """
-    D = edge_incidence(edges, n)
+    D = EdgeOperator(edges, n)
     w = np.asarray(weights, float)
     _check_tv(w)
-    fixed = np.asarray(fixed, dtype=int)
-    free = np.ones(n, dtype=bool)
-    free[fixed] = False
-    x = np.zeros(n)
-    x[fixed] = fixed_values
-    D_free = D[:, free]
-    shift = D @ x
+    fixed, u = np.asarray(fixed, dtype=int), np.asarray(fixed_values, float)
+    free, x = np.isin(np.arange(n), fixed, invert=True), np.zeros((len(u), n))
+    x[:, fixed] = u
+    D_free = D.matrix[:, free]
     m, nf = D_free.shape
     eye = scipy.sparse.identity(m, format="csr")
     A = scipy.sparse.vstack([scipy.sparse.hstack([D_free, -eye]), scipy.sparse.hstack([-D_free, -eye])], format="csr")
     bounds = np.vstack([np.tile([-np.inf, np.inf], (nf, 1)), np.tile([0.0, np.inf], (m, 1))])
+    cost = np.r_[np.zeros(nf), w]
+    residual, value, used = np.full(len(u), math.inf), np.full(len(u), math.nan), 0
     from scipy.optimize import linprog  # HiGHS loads here, on the first TV linear program
-    lp = linprog(
-        np.r_[np.zeros(nf), w], A_ub=A, b_ub=np.r_[-shift, shift], bounds=bounds, method="highs", options=_HIGHS
-    )
-    if lp.status != 0:
-        return SolveResult(x, math.inf, int(lp.nit), False, math.nan)
-    x[free] = lp.x[:nf]
-    z = lp.ineqlin.marginals[m:] - lp.ineqlin.marginals[:m]
-    d = D @ x
-    kkt = max(
-        float(np.sum(w * np.abs(d) - z * d)),
-        float(np.linalg.norm(D_free.T @ z)),
-        float(np.max(np.abs(z) - w, initial=0.0)),
-    )
-    return SolveResult(x, kkt, int(lp.nit), kkt <= tol, float(np.sum(w * np.abs(d))))
+    for s, shift in enumerate(D.diff(x)):
+        lp = linprog(cost, A_ub=A, b_ub=np.r_[-shift, shift], bounds=bounds, method="highs", options=_HIGHS)
+        used += int(lp.nit)
+        if lp.status != 0:
+            continue
+        x[s, free] = lp.x[:nf]
+        z = lp.ineqlin.marginals[m:] - lp.ineqlin.marginals[:m]
+        d = D.diff(x[s])
+        gap, norm = float(np.sum(w * np.abs(d) - z * d)), float(np.linalg.norm(D.adjoint(z)[free]))
+        residual[s] = max(gap, norm, float(np.max(np.abs(z) - w, initial=0.0)))
+        value[s] = float(np.sum(w * np.abs(d)))
+    return SolveResult(x, residual, used, bool(np.all(residual <= tol)), value)
 
 
 def _check_tv(w, masses=(), lam=(), zero_lam=True):
@@ -654,7 +654,7 @@ def _plateau_solution(D, weights, coef, anchor, x, z, pattern):
     joined = pattern == 0
     z_new = weights * pattern
     force = D.adjoint(z_new)
-    a, b = D._slots.reshape(-1, 2)[joined].T  # endpoints, with node n the ground
+    a, b = D.head[joined], D.tail[joined]  # endpoints, with node n the ground
     graph = scipy.sparse.coo_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
     count, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
     nodes = label[:n]
@@ -667,7 +667,7 @@ def _plateau_solution(D, weights, coef, anchor, x, z, pattern):
     if np.any(z_new * D.diff(x_new) < 0.0):
         return None
     if joined.any():
-        D_joined = edge_incidence(D.ends[joined], n)
+        D_joined = D.matrix[joined]
         touched = np.unique(D_joined.indices)
         keep = np.ones(touched.size, dtype=bool)
         keep[np.unique(nodes[touched], return_index=True)[1]] = False
@@ -712,7 +712,7 @@ def _pdhg(D, mult, coef, anchor, x, z, step, tol, caps):
     pull, xbar = step * coef[rows], np.zeros((rows.size, n + 1))  # x-bar with the ground as slot n
     xbar[:, :n] = x[rows]
     run = [rows, x[rows], z[rows], coef[rows], anchor[rows], caps[rows], pull * anchor[rows], 1.0 + pull, xbar]
-    head, tail, low = D._slots[0::2].copy(), D._slots[1::2].copy(), -mult
+    head, tail, low = D.head, D.tail, -mult
     k, first = 0, int(np.min(caps[rows], initial=0))  # the first iteration that can reach a cap
     while run[0].size:
         rows, xs, zs, coef, anchor, caps, pull, scale, xbar = run

@@ -468,10 +468,10 @@ def test_cli_import_leaves_highs_for_the_first_tv_program():
         "import jflow.cli",
         "assert 'scipy.optimize' not in sys.modules",
         "from jflow.solvers import constrained_tv_min",
-        "res = constrained_tv_min([(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 1.0], [0, 3], [0.0, 3.0], 4)",
+        "res = constrained_tv_min([(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 1.0], [0, 3], [[0.0, 3.0]], 4)",
         "assert 'scipy.optimize' in sys.modules",
-        "assert res.converged and res.residual <= 1e-9 and abs(res.value - 3.0) <= 1e-9",
-        "assert 0.0 <= res.x[1] <= res.x[2] <= 3.0",
+        "assert res.converged and res.residual[0] <= 1e-9 and abs(res.value[0] - 3.0) <= 1e-9",
+        "assert 0.0 <= res.x[0, 1] <= res.x[0, 2] <= 3.0",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -523,12 +523,19 @@ CHAIN10 = {"topology": "chain", "n": 10, "h": 0.2}
         ({**QUAD_CHAIN, "initial": {"kind": "gaussian", "scale": math.inf}}, "gaussian: the state is not finite"),
         ({**QUAD_CHAIN, "omega_override": math.nan}, "omega must be nonnegative and finite"),
         ({**QUAD_CHAIN, "grid": {**QUAD_CHAIN["grid"], "h": math.inf}}, "cell size h must be positive and finite"),
+        ({**ROBIN_SMALL, "p": math.inf}, "edge exponent p must be a finite number above 1, not inf"),
+        ({**ROBIN_SMALL, "law": {**ROBIN_SMALL["law"], "g": {"kind": "arctan", "a": math.nan}}},
+         "g law 'arctan': parameter 'a' must be finite"),
+        ({**ROBIN_SMALL, "law": {**ROBIN_SMALL["law"], "beta": {"kind": "linear", "a": math.inf}}},
+         "beta law 'linear': parameter 'a' must be finite"),
+        ({**ROBIN_SMALL, "grid": {**ROBIN_SMALL["grid"], "nx": 4.5}}, "grid size nx must be a whole number, not 4.5"),
     ],
     ids=[
         "law-parameter", "p-string", "p-missing", "initial-value", "coupled-node-99", "coupled-node-minus-4", "tv-node",
         "unread-key", "unread-law", "unread-grid-key", "unread-reference-key", "problem-missing",
         "unread-initial-gaussian", "unread-initial-constant", "unread-initial-values", "initial-not-an-object",
         "initial-values-nan", "initial-constant-nan", "initial-gaussian-inf", "omega-nan", "grid-h-inf",
+        "p-inf", "g-law-nan", "beta-law-inf", "grid-nx-fraction",
     ],
 )
 def test_run_malformed_problem_file_exit_2_naming_the_key(tmp_path, capsys, cfg, named):
@@ -576,6 +583,18 @@ def test_bad_step_arguments_exit_2_before_any_solve(tmp_path, monkeypatch, capsy
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and named in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_negative_seed_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, command):
+    from jflow import solvers
+
+    monkeypatch.setattr(solvers, "newton", _boom)
+    out = tmp_path / "out"
+    argv = [command, "--problem", write(tmp_path, "quad.json", QUAD_CHAIN), "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["jflow: need seed >= 0"]
     assert not out.exists()
 
 

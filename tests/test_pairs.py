@@ -456,7 +456,8 @@ def test_tv_step_on_a_map_observing_a_node_twice_is_refused(n, observed):
 
 def test_a_tv_fibre_that_misses_its_certificate_names_its_row_of_U(monkeypatch):
     # node 0 observed twice: row 1 gives it two values (an empty fibre, not
-    # solved); the fibre of row 2 misses its certificate, reported by its solver
+    # solved); the fibre of row 2, row 1 of the one batched call, misses its
+    # certificate, reported by its solver
     from dataclasses import replace
 
     from jflow import solvers
@@ -466,17 +467,17 @@ def test_a_tv_fibre_that_misses_its_certificate_names_its_row_of_U(monkeypatch):
     U = np.array([[1.0, 1.0, 3.0], [0.0, 2.0, 5.0], [2.0, 2.0, -1.0]])
     real, missed = solvers.constrained_tv_min, []
 
-    def missed_above_row_2(*args, **kwargs):
-        res = real(*args, **kwargs)
-        if args[3][-1] != -1.0:  # the fixed values: those of row 2 end in -1
-            return res
-        missed.append(res.residual)
-        return replace(res, converged=False)
+    def missed_on_row_2(edges, weights, fixed, u, n, tol):
+        res = real(edges, weights, fixed, u, n, tol=tol)
+        residual = np.where(u[:, -1] == -1.0, 1.0, res.residual)  # the fixed values of row 2 end in -1
+        missed.append(residual)
+        return replace(res, residual=residual, converged=False)
 
-    monkeypatch.setattr(solvers, "constrained_tv_min", missed_above_row_2)
+    monkeypatch.setattr(solvers, "constrained_tv_min", missed_on_row_2)
     with pytest.raises(SliceError, match=r"fiber solve stalled: .* \(sample 2\)") as info:
         lifted_values(pair, U, tol=1e-9)
-    assert info.value.sample == 2 and info.value.residual == missed[0]
+    assert len(missed) == 1 and missed[0].size == 2  # one batched call, of the two nonempty fibres
+    assert info.value.sample == 2 and info.value.residual == missed[0][1] == 1.0
 
 
 def test_tv_with_a_smooth_term_is_refused_by_fibers_and_steps():

@@ -11,7 +11,6 @@ from jflow.solvers import (
     Objective,
     SolveSpec,
     constrained_tv_min,
-    edge_incidence,
     minimize,
     newton,
     partial_anchor_tv,
@@ -188,7 +187,7 @@ def test_newton_quadratic_takes_one_plain_step():
     # minimizer, with one gradient at the start and one at the iterate
     n = 12
     edges = np.column_stack([np.arange(n), np.r_[np.arange(1, n), -1]])
-    D = edge_incidence(edges, n)
+    D = EdgeOperator(edges, n).matrix
     gram = _edge_gram(edges, n)
     w = np.r_[np.full(n, 50.0), np.full(n, 0.5)]
     A = (D.T @ scipy.sparse.diags(w[:n]) @ D).toarray() + 0.5 * np.eye(n)
@@ -255,7 +254,7 @@ def test_banded_gram_solve_matches_dense(nx):
     is_free[pair.j.observed] = False
     gram, dual = pair.edge_system.block(is_free)
     edges = np.vstack([t.edges for t in pair.E.smooth_terms if isinstance(t, PEdgeEnergy)])
-    D_free = edge_incidence(edges, pair.E.dim)[:, is_free]
+    D_free = EdgeOperator(edges, pair.E.dim).matrix[:, is_free]
     if nx is None:
         D_keep = D_free[np.asarray(abs(D_free).sum(axis=1)).ravel() > 0]
         gram = dual[2]
@@ -304,7 +303,7 @@ def test_edge_operator_matches_incidence(edges, n):
     np.testing.assert_array_equal(op.diff(X.T), (D @ X).T)
     np.testing.assert_array_equal(op.adjoint(z), D.T.tocsr() @ z)
     assert float(op.diff(x) @ z) == pytest.approx(float(x @ op.adjoint(z)), rel=1e-13)
-    np.testing.assert_array_equal(edge_incidence(edges, n).toarray(), D.toarray())
+    np.testing.assert_array_equal(op.matrix.toarray(), D.toarray())
 
 
 def test_weighted_gram_triplets_match_dense():
@@ -402,9 +401,9 @@ def test_partial_anchor_tv_free_nodes():
 
 def test_constrained_tv_min_interpolates():
     res = constrained_tv_min(
-        edges=[(0, 1), (1, 2)], weights=[1.0, 1.0], fixed=[0, 2], fixed_values=[0.0, 1.0], n=3, tol=1e-12
+        edges=[(0, 1), (1, 2)], weights=[1.0, 1.0], fixed=[0, 2], fixed_values=[[0.0, 1.0]], n=3, tol=1e-12
     )
-    x = res.x
+    x = res.x[0]
     assert res.converged and x[0] == 0.0 and x[2] == 1.0
     assert 0.0 - 1e-9 <= x[1] <= 1.0 + 1e-9  # any monotone value is optimal; must stay in hull
 
@@ -415,7 +414,7 @@ def test_tv_solvers_report_a_missed_certificate_without_raising():
     for res in (
         tv_prox(edges, w, np.array([[0.0, 2.0, 1.0]]), 0.5, tol=-1.0),
         partial_anchor_tv(edges, w, [0, 1], [[0.0, 2.0]], [1.0, 1.0], 0.2, 3, tol=-1.0),
-        constrained_tv_min(edges, w, [0, 2], [0.0, 1.0], 3, tol=-1.0),
+        constrained_tv_min(edges, w, [0, 2], [[0.0, 1.0]], 3, tol=-1.0),
     ):
         assert not res.converged and 0.0 <= res.residual <= 1e-9
         assert np.all(np.isfinite(res.x)) and np.isfinite(res.value)
@@ -442,7 +441,7 @@ def test_partial_anchor_tv_refuses_a_negative_node_weight():
 
 def test_constrained_tv_min_refuses_a_negative_edge_weight():
     with pytest.raises(ValueError, match="edge weights must be nonnegative"):
-        constrained_tv_min([(0, 1), (1, 2)], [1.0, -1.0], [0, 2], [0.0, 1.0], 3)
+        constrained_tv_min([(0, 1), (1, 2)], [1.0, -1.0], [0, 2], [[0.0, 1.0]], 3)
 
 
 def _batch_and_alone(solve, S):
@@ -493,6 +492,24 @@ def test_each_sample_of_a_tv_batch_is_its_own_solve(monkeypatch):
     batch, alone = _batch_and_alone(partial, 3)
     assert alone[0].iterations == 995 and max(alone[1].iterations, alone[2].iterations) < 995
     assert np.all(batch.residual[1:] <= 1e-13)
+
+
+def test_each_row_of_a_tv_fibre_batch_is_its_own_solve():
+    # the 16x16 grid seen through its 6x6 centre block: one HiGHS program per
+    # row, each row bitwise its lone solve, the iterations summed
+    block = [r * 16 + c for r in range(5, 11) for c in range(5, 11)]
+    grid = {"topology": "grid", "nx": 16, "ny": 16, "h": 1.0 / 15.0}
+    pair = P.load_problem({"problem": "tv", "grid": grid, "subdomain": block}).pair
+    term, observed = pair.E.tv_terms[0], pair.j.observed
+    u = np.random.default_rng(8).normal(size=(4, observed.size)) * [[0.1], [1.0], [1.0], [5.0]]
+
+    def fibre(rows):
+        return constrained_tv_min(term.edges, term.weights, observed, u[rows], pair.E.dim)
+
+    batch, _ = _batch_and_alone(fibre, 4)
+    assert batch.converged and np.all(batch.residual <= 1e-9)
+    np.testing.assert_array_equal(batch.x[:, observed], u)
+
 
 def _grounded_chain(n):
     return [(0, -1)] + [(i, i + 1) for i in range(n - 1)] + [(n - 1, -1)]
